@@ -76,6 +76,24 @@ def resolve_m(p: int, d: int, m=None) -> int:
     return mm
 
 
+def _read_json(source: str):
+    """Parse --rep as a JSON literal or as the path of a JSON file."""
+    try:
+        text = source if source.strip().startswith("{") else Path(source).read_text()
+        return json.loads(text)
+    except OSError as err:
+        raise InvalidInputError(f"cannot read --rep {source}: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise InvalidInputError(f"--rep is not valid JSON: {err}") from err
+
+
+def _key(data, key: str):
+    """data[key] for a JSON object; a missing key is invalid input."""
+    if not isinstance(data, dict) or key not in data:
+        raise InvalidInputError(f"JSON input needs an object with key {key!r}")
+    return data[key]
+
+
 def _load_rep(args) -> CyclicRep:
     name = args.rep or "trivial"
     d = args.d
@@ -87,11 +105,8 @@ def _load_rep(args) -> CyclicRep:
         if name == "companion":
             return CyclicRep.companion(d, args.p)
         return CyclicRep.regular(d, args.p)
-    if name.strip().startswith("{"):
-        data = json.loads(name)
-    else:
-        data = json.loads(Path(name).read_text())
-    rep = CyclicRep(data["d"], data.get("p", args.p), tuple(tuple(r) for r in data["mat"]))
+    data = _read_json(name)
+    rep = CyclicRep(_key(data, "d"), data.get("p", args.p), tuple(tuple(r) for r in _key(data, "mat")))
     if d is not None and rep.d != d:
         raise InvalidInputError(f"--d {d} conflicts with representation d={rep.d}")
     return rep
@@ -299,25 +314,27 @@ def cmd_sol(args) -> int:
 
 
 def _roundtrip_from_file(args) -> dict:
-    entries = json.loads(Path(args.rep).read_text())
+    entries = _read_json(args.rep)
     if isinstance(entries, dict):
         entries = [entries]
     counters = {"pass": 0, "fail": 0, "rejected": 0}
     for entry in entries:
         try:
+            if not isinstance(entry, dict):
+                raise InvalidInputError("entry is not a JSON object")
             if "mat" in entry:
-                rep = CyclicRep(entry["d"], entry.get("p", args.p), tuple(tuple(r) for r in entry["mat"]))
+                rep = CyclicRep(_key(entry, "d"), entry.get("p", args.p), tuple(tuple(r) for r in entry["mat"]))
                 ctx = make_field(rep.p, resolve_m(rep.p, rep.d, args.m))
                 verdict = gf_roundtrip(rep, ctx, args.cap)
             elif "classes" in entry:
-                d = entry["d"]
+                d = _key(entry, "d")
                 ctx = make_field(args.p, resolve_m(args.p, d, args.m))
                 dims = [0] * d
                 mats = [()] * d
                 for cls in entry["classes"]:
-                    a = cls["a"]
-                    dims[a] = cls["dim"]
-                    mats[a] = tuple(tuple(tuple(x) for x in row) for row in cls["C"])
+                    a = _key(cls, "a")
+                    dims[a] = _key(cls, "dim")
+                    mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in _key(cls, "C"))
                 from .functors import CGObject
 
                 obj = CGObject(ctx, d, tuple(dims), tuple(mats))
@@ -438,6 +455,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.window <= 0:
+            raise InvalidInputError(f"--window {args.window} must be positive")
         return args.func(args)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)

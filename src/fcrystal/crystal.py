@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import CapExceededError, InvalidInputError
-from .field import FieldCtx, is_prime, mu_log, primitive_root_of_unity
+from .field import FieldCtx, is_prime, primitive_root_of_unity
 from .series import LaurentSeries
 
 DEFAULT_DELTA_CAP = 4096

@@ -8,6 +8,11 @@ k encodes the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i),
 so repeated constructions are identical across runs and platforms, and
 serialized elements are byte-stable.
 
+Fields with m >= 2 and at most TABLE_BOUND elements multiply, invert,
+raise to powers and apply Frobenius by log/antilog table lookup; larger
+fields use polynomial products and extended Euclid.  Both paths return
+the same tuples: the encoding does not depend on the path taken.
+
 Semilinear operators model Frobenius-twisted actions: the operator with
 matrix A sends v to A @ v^(p), where v^(p) raises every coordinate to
 the p-th power.  Fixed vectors of such an operator form an F_p-subspace
@@ -29,6 +34,7 @@ DEFAULT_ORDER_BOUND = 2**192
 ENUMERATION_BOUND = 2**16
 GENERATOR_BOUND = 2**20
 DEFAULT_SATURATION_CAP = 24
+TABLE_BOUND = 2**12
 
 
 def is_prime(n: int) -> bool:
@@ -157,6 +163,8 @@ class FieldCtx:
         "_xred",
         "_frob_basis",
         "_gen",
+        "_log",
+        "_exp",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -178,6 +186,28 @@ class FieldCtx:
         self._xred = tuple(xred)
         self._frob_basis = None
         self._gen = None
+        self._log = self._exp = None
+        if m >= 2 and self.order <= TABLE_BOUND:
+            self._log, self._exp = self._build_tables()
+
+    def _build_tables(self):
+        """Log and antilog tables of the multiplicative group.
+
+        exp holds g^k for k in [0, 2(q-1)), so exp[log a + log b] needs no
+        reduction.  Zero logs to 2(q-1) and exp is zero from that index
+        on, so a product with a zero factor needs no branch either.
+        Raises unless the generator g has order exactly q-1.
+        """
+        g = self.generator
+        n1 = self.order - 1
+        powers = [self.one]
+        for _ in range(n1 - 1):
+            powers.append(self._poly_mul(powers[-1], g))
+        if self._poly_mul(powers[-1], g) != self.one or len(set(powers)) != n1:
+            raise InvalidInputError(f"{list(g)} does not generate the units of {self!r}")
+        log = {a: k for k, a in enumerate(powers)}
+        log[self.zero] = 2 * n1
+        return log, tuple(powers) * 2 + (self.zero,) * (2 * n1 + 1)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
@@ -210,10 +240,15 @@ class FieldCtx:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        p = self.p
-        m = self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
+        if self.m == 1:
+            return ((a[0] * b[0]) % self.p,)
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
+        return self._poly_mul(a, b)
+
+    def _poly_mul(self, a, b):
+        p, m = self.p, self.m
         conv = [0] * (2 * m - 1)
         for i, x in enumerate(a):
             if x:
@@ -238,6 +273,8 @@ class FieldCtx:
         p, m = self.p, self.m
         if m == 1:
             return (pow(a[0], -1, p),)
+        if self._log is not None:
+            return self._exp[-self._log[a] % (self.order - 1)]
         # extended Euclid over F_p[x] against the modulus
         f = list(self.modulus) + [1]
         r0, r1 = f, _pol_trim([x for x in a])
@@ -277,6 +314,8 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self.zero
+        if self._log is not None:
+            return self._exp[self._log[a] * e % (self.order - 1)]
         e %= self.order - 1
         out = self.one
         base = a
@@ -291,6 +330,10 @@ class FieldCtx:
         """The p-power Frobenius, applied as an F_p-linear map."""
         if self.m == 1:
             return a
+        if self._log is not None:
+            if self.is_zero(a):
+                return a
+            return self._exp[self._log[a] * self.p % (self.order - 1)]
         fb = self._frob_basis
         if fb is None:
             x = (0, 1) + (0,) * (self.m - 2)
@@ -375,10 +418,6 @@ def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldC
         if _is_irreducible(coeffs + [1], p):
             return FieldCtx(p, m, tuple(coeffs))
     raise InvalidInputError("no irreducible modulus found")  # unreachable
-
-
-def frobenius(ctx: FieldCtx, a):
-    return ctx.frob(a)
 
 
 def primitive_root_of_unity(ctx: FieldCtx, d: int):
@@ -466,10 +505,6 @@ def _fixed_point_rows(ctx: FieldCtx, entries):
                     if e[s]:
                         row = i * m + s
                         mat[row][col] = (mat[row][col] - e[s]) % p
-    return kernel_int_rows(mat, p)
-
-
-def kernel_int_rows(mat, p):
     return linalg.kernel_int(mat, p)
 
 

@@ -957,6 +957,13 @@ def graded_t_map(spec: FiltrationSpec, r, power: int = 1) -> GradedMap:
     return _graded_map(spec, basis, images, r + power)
 
 
+def _check_window(window) -> None:
+    """Reject an empty window, on which every check would pass vacuously."""
+    lo, hi = window
+    if lo >= hi:
+        raise InvalidInputError(f"empty level window [{lo}, {hi})")
+
+
 def graded(spec: FiltrationSpec, window) -> GradedReport:
     """Graded pieces on the window with their Frobenius and t maps.
 
@@ -965,6 +972,7 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     the matrix of t-multiplication into level + 1.  Targets may fall
     outside the window; sections are exact so the matrices still are.
     """
+    _check_window(window)
     p = spec.module.ctx.p
     out = []
     for r in spec.jumps(window):
@@ -1039,6 +1047,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     graded_report, when given, must be graded(spec, window); passing
     it avoids recomputing the table the caller already has.
     """
+    _check_window(window)
     module = spec.module
     p = module.ctx.p
     if depth is None:
@@ -1137,6 +1146,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
 def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport:
     """SS1-SS3 on the window; graded_report as in check_specializing."""
+    _check_window(window)
     module = spec.module
     sections = list(spec.spanning(window))
     checks = {}

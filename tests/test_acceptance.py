@@ -340,3 +340,33 @@ def test_criterion_10_determinism():
             digest = report.pop("digest")
             canon = json.dumps(report, sort_keys=True, separators=(",", ":"))
             assert digest == hashlib.sha256(canon.encode()).hexdigest(), argv
+
+
+# sha256 of each determinism job's stdout, in DETERMINISM_JOBS order.  A
+# change to any report byte must be deliberate and recorded here.
+PINNED_STDOUT_SHA256 = (
+    "cbda3653a2471781495bb7052db9b6d351661509f2431473b6bc604e31ef3ea0",
+    "c6aa34641bfce71d51dc9366aeea8a413329793aa18ac542b22554a679aa9ffe",
+    "cb5a5193aebcdb28e1c2e010522164c5f26abef95c467eb9b0876d1ae901517c",
+    "a7e4066a9bf9c2cb0f385500841d12d8fd99cfc7bfd8ec9a8d8d672b7c43845d",
+    "875129f695ac8e7d04e9d2c6f2bd1477a315a52ed3160bafe94e5953b200d1b1",
+    "4088d703601d53f0f18208fc06c6047fc8db55ec8b26375633aa6cd6189ef365",
+    "f3092de8ee04f1a40abc81b6025a89594f3b8fe93289b0733b8d46541d53a0c0",
+    "25462df6267aad6098444fda70b56508fc73e99f4a0d86abe59f2fa4b0955fd3",
+    "c16794fa4a75bb3739bd9d778b159bd107c60083346b20b922ea006150278f4a",
+    "78e34c4e68777eb5946ec951bda8446d929b4d0443ee05ad9ba6f501174e2a8c",
+    "61b0ac5040a75df95e0e48f3f51f76c43204094867720b37917403dac66284d8",
+    "e4d4fd123140730a6bd072422968224c4328a9cd62c4b5777b81f9cf14647068",
+    "292e4ad412b1871859d7a5d598685466f95b3c576a636740ce117bf95b266423",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    list(zip(DETERMINISM_JOBS, PINNED_STDOUT_SHA256)),
+    ids=[" ".join(argv) for argv in DETERMINISM_JOBS],
+)
+def test_determinism_jobs_pinned_digests(argv, pinned):
+    code, out = _run_job(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned

@@ -220,3 +220,44 @@ def test_minimal_field_in_echo(capsys):
     assert rep["job"]["m"] == 1  # 3 divides 7 - 1 already
     _, rep, _ = report(capsys, ["build", "--p", "7", "--d", "4", "--rep", "regular"])
     assert rep["job"]["m"] == 2  # 4 divides 48 but not 6
+
+
+@pytest.mark.parametrize(
+    "rep, message",
+    [
+        ("/nonexistent.json", "cannot read --rep"),
+        ("{bad", "not valid JSON"),
+        ('{"d":3}', "key 'mat'"),
+    ],
+)
+def test_malformed_rep_is_invalid_input(capsys, rep, message):
+    code, out, err = run(capsys, ["build", "--p", "5", "--rep", rep])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):
+    code, _, err = run(capsys, ["roundtrip", "--p", "5", "--rep", str(tmp_path / "missing.json")])
+    assert code == 2 and "cannot read --rep" in err
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("[{")
+    code, _, err = run(capsys, ["roundtrip", "--p", "5", "--rep", str(bad)])
+    assert code == 2 and "not valid JSON" in err
+
+    # entries missing a key are rejected one by one, not a crash
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps([{"mat": [[1]]}, {"d": 1, "classes": [{"a": 0}]}, 7]))
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", str(partial)])
+    assert code == 2
+    assert rep["result"]["counts"] == {"fail": 0, "pass": 0, "rejected": 3}
+
+
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_empty_window_is_invalid_input(capsys, window):
+    # [3, -3) is empty: every check used to pass vacuously with exit 0
+    code, out, err = run(capsys, ["check", "--p", "5", "--d", "3", "--rep", "companion", "--window", window])
+    assert code == 2
+    assert out == ""
+    assert "--window" in err

@@ -1,0 +1,135 @@
+"""Log/antilog table arithmetic, checked against the polynomial path.
+
+Fields with m >= 2 and q <= TABLE_BOUND multiply, invert, raise to powers
+and apply Frobenius by table lookup.  Each table field is compared with a
+twin built on the same modulus with tables disabled, which runs the
+polynomial product and extended Euclid.
+"""
+
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fcrystal import InvalidInputError, field, make_field
+from fcrystal.field import TABLE_BOUND, FieldCtx
+
+# every table field with q <= 256, compared exhaustively
+SMALL = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9) if p**m <= 256]
+# the largest table field for each small p, compared on seeded samples
+LARGE = [(2, 12), (3, 7), (5, 5), (7, 4)]
+
+
+def _poly_twin(ctx):
+    """ctx's field on the same modulus, built without tables."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "TABLE_BOUND", 1)
+        twin = FieldCtx(ctx.p, ctx.m, ctx.modulus)
+    assert twin._log is None
+    return twin
+
+
+def _exponents(ctx):
+    q = ctx.order
+    return (-q, -2, -1, 0, 1, 2, 3, ctx.p, q - 2, q - 1, q, 2 * q + 5)
+
+
+def _assert_same(ctx, twin, a, b, exps):
+    assert ctx.mul(a, b) == twin.mul(a, b), (a, b)
+    assert ctx.frob(a) == twin.frob(a), a
+    if ctx.is_zero(a):
+        for c in (ctx, twin):
+            with pytest.raises(ZeroDivisionError):
+                c.inv(a)
+            with pytest.raises(ZeroDivisionError):
+                c.pow(a, -1)
+    else:
+        assert ctx.inv(a) == twin.inv(a), a
+    for e in exps:
+        if e >= 0 or not ctx.is_zero(a):
+            assert ctx.pow(a, e) == twin.pow(a, e), (a, e)
+
+
+def test_table_bound_selects_fields():
+    assert TABLE_BOUND == 2**12
+    assert make_field(2, 12)._log is not None
+    assert make_field(2, 13)._log is None
+    assert make_field(5, 6)._log is None
+    assert make_field(7, 1)._log is None  # prime fields keep their own path
+
+
+@pytest.mark.parametrize("p,m", SMALL, ids=[f"F{p}^{m}" for p, m in SMALL])
+def test_tables_match_polynomial_path_exhaustively(p, m):
+    ctx = make_field(p, m)
+    assert ctx._log is not None
+    twin = _poly_twin(ctx)
+    elems = [ctx.decode(n) for n in range(ctx.order)]
+    for a in elems:
+        assert [ctx.mul(a, b) for b in elems] == [twin.mul(a, b) for b in elems], a
+        _assert_same(ctx, twin, a, a, _exponents(ctx))
+
+
+@pytest.mark.parametrize("p,m", LARGE, ids=[f"F{p}^{m}" for p, m in LARGE])
+def test_tables_match_polynomial_path_on_samples(p, m):
+    ctx = make_field(p, m)
+    assert ctx._log is not None
+    twin = _poly_twin(ctx)
+    rng = Random(1000 * p + m)
+    exps = _exponents(ctx)
+    for _ in range(300):
+        a = ctx.decode(rng.randrange(ctx.order))
+        b = ctx.decode(rng.randrange(ctx.order))
+        _assert_same(ctx, twin, a, b, exps + (rng.randrange(-ctx.order**2, ctx.order**2),))
+    _assert_same(ctx, twin, ctx.zero, ctx.generator, exps)
+
+
+def test_build_rejects_non_primitive_generator(monkeypatch):
+    ctx = make_field(2, 4)
+    g3 = ctx.pow(ctx.generator, 3)  # order 5 in the cyclic group of order 15
+    monkeypatch.setattr(FieldCtx, "generator", property(lambda self: g3))
+    with pytest.raises(InvalidInputError, match="does not generate"):
+        FieldCtx(2, 4, ctx.modulus)
+
+
+def test_build_rejects_reducible_modulus():
+    # over F_2[x]/(x^2) the element x passes the generator search's order
+    # test (x^1 != 1) but is nilpotent, so only the table build catches it
+    with pytest.raises(InvalidInputError, match="does not generate"):
+        FieldCtx(2, 2, (0, 0))
+
+
+def test_moduli_are_irreducible_per_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    for p, m in SMALL + LARGE + [(2, 13), (5, 6), (7, 5)]:
+        ctx = make_field(p, m)
+        big_endian = [1] + [int(c) for c in reversed(ctx.modulus)]
+        assert galoistools.gf_irreducible_p(big_endian, p, ZZ), (p, m, ctx.modulus)
+
+
+AXIOM_FIELDS = {"table": (5, 3), "prime": (7, 1), "polynomial": (5, 6)}
+_element = st.integers(min_value=0)
+
+
+@pytest.mark.parametrize("kind", sorted(AXIOM_FIELDS))
+@given(i=_element, j=_element, k=_element, e=st.integers(-200, 200), f=st.integers(-200, 200))
+@settings(max_examples=60, deadline=None)
+def test_field_axioms(kind, i, j, k, e, f):
+    ctx = make_field(*AXIOM_FIELDS[kind])
+    assert (ctx._log is not None) == (kind == "table")
+    a, b, c = (ctx.decode(n % ctx.order) for n in (i, j, k))
+    mul, add = ctx.mul, ctx.add
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, ctx.one) == a and mul(a, ctx.zero) == ctx.zero
+    assert ctx.frob(a) == ctx.pow(a, ctx.p)
+    assert ctx.frob(mul(a, b)) == mul(ctx.frob(a), ctx.frob(b))
+    assert ctx.frob(add(a, b)) == add(ctx.frob(a), ctx.frob(b))
+    assert ctx.pow(a, ctx.order) == a
+    if not ctx.is_zero(a):
+        assert mul(a, ctx.inv(a)) == ctx.one
+        assert ctx.pow(a, e + f) == mul(ctx.pow(a, e), ctx.pow(a, f))
+        assert ctx.pow(a, -e) == ctx.inv(ctx.pow(a, e))

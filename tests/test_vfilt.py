@@ -303,3 +303,10 @@ def test_precomputed_graded_report_matches_fresh(companion_spec):
     fresh = check_axioms(companion_spec, (-3, 3))
     shared = check_axioms(companion_spec, (-3, 3), graded_report=rep)
     assert fresh.to_json() == shared.to_json()
+
+
+@pytest.mark.parametrize("window", [(3, -3), (2, 2)])
+def test_empty_window_rejected(companion_spec, window):
+    for check in (graded, check_specializing, check_super, check_axioms):
+        with pytest.raises(InvalidInputError, match="empty level window"):
+            check(companion_spec, window)

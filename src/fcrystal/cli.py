@@ -44,8 +44,7 @@ from .functors import (
 from .samples import random_object, random_rep, random_rep_morphism
 from .series import level_json, parse_series
 from .vfilt import (
-    ExtensionVFilt,
-    SplitVFilt,
+    EXACTNESS_RULES,
     check_axioms,
     check_specializing,
     compare,
@@ -92,6 +91,14 @@ def _key(data, key: str):
     if not isinstance(data, dict) or key not in data:
         raise InvalidInputError(f"JSON input needs an object with key {key!r}")
     return data[key]
+
+
+def _field(args, d=None):
+    """The job's field, recorded as its m: the prime field or --m for an
+    extension (d None), else the smallest holding the d-th roots of unity."""
+    ctx = make_field(args.p, (args.m or 1) if d is None else resolve_m(args.p, d, args.m))
+    args.resolved_m = ctx.m
+    return ctx
 
 
 def _load_rep(args) -> CyclicRep:
@@ -146,8 +153,7 @@ def _make_objects(args):
     if args.c is not None and args.rep is not None:
         raise InvalidInputError("--rep and --c are mutually exclusive")
     if args.c is not None:
-        ctx = make_field(args.p, args.m or 1)
-        args.resolved_m = ctx.m
+        ctx = _field(args)
         c = parse_series(ctx, args.c)
         mod = build_extension(ctx, c)
         if mod.split:
@@ -158,8 +164,7 @@ def _make_objects(args):
             spec = mc_vfilt(mod)
         return mod, spec, {"kind": "extension", "n": mod.n, "split": mod.split}
     rep = _load_rep(args)
-    ctx = make_field(args.p, resolve_m(args.p, rep.d, args.m))
-    args.resolved_m = ctx.m
+    ctx = _field(args, rep.d)
     kc = build_kummer_crystal(rep, ctx)
     spec = standard_vfilt(kc)
     meta = {"kind": "crystal", "d": kc.d, "rank": kc.rank}
@@ -213,7 +218,7 @@ def cmd_check(args) -> int:
         "checks": checks.to_json(),
         "all_pass": checks.all_pass,
     }
-    if isinstance(spec, (ExtensionVFilt, SplitVFilt)):
+    if spec.rule in EXACTNESS_RULES:
         result["exactness"] = shifted_exactness(spec, win)
     return _emit(args, "check", result, 0 if checks.all_pass else 1)
 
@@ -227,8 +232,7 @@ def cmd_compare(args) -> int:
         de = rep.d * args.e
         if de % args.p == 0:
             raise InvalidInputError(f"d*e={de} must stay prime to p={args.p}")
-        ctx = make_field(args.p, resolve_m(args.p, de, args.m))
-        args.resolved_m = ctx.m
+        ctx = _field(args, de)
         kc1 = build_kummer_crystal(rep, ctx)
         kc2 = build_kummer_crystal(CyclicRep(de, rep.p, rep.mat), ctx)
         verdict = compare(standard_vfilt(kc1), standard_vfilt(kc2), win)
@@ -279,8 +283,7 @@ def cmd_vanishing(args) -> int:
 
 def cmd_recover(args) -> int:
     rep = _load_rep(args)
-    ctx = make_field(args.p, resolve_m(args.p, rep.d, args.m))
-    args.resolved_m = ctx.m
+    ctx = _field(args, rep.d)
     kc = build_kummer_crystal(rep, ctx)
     rec = recover_rep(kc, args.cap)
     iso = rep_isomorphic(rep, rec, ctx)
@@ -294,8 +297,7 @@ def cmd_recover(args) -> int:
 
 def cmd_sol(args) -> int:
     if args.c is not None:
-        ctx = make_field(args.p, args.m or 1)
-        args.resolved_m = ctx.m
+        ctx = _field(args)
         mod = build_extension(ctx, parse_series(ctx, args.c))
         rep = sol_extension(mod)
         result = {
@@ -305,8 +307,7 @@ def cmd_sol(args) -> int:
         }
     else:
         r = _load_rep(args)
-        ctx = make_field(args.p, resolve_m(args.p, r.d, args.m))
-        args.resolved_m = ctx.m
+        ctx = _field(args, r.d)
         kc = build_kummer_crystal(r, ctx)
         rep = sol_crystal(kc)
         result = {"kind": "crystal", "dimension": rep.dimension}
@@ -389,14 +390,12 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_glue(args) -> int:
     if args.c is not None:
-        ctx = make_field(args.p, args.m or 1)
-        args.resolved_m = ctx.m
+        ctx = _field(args)
         mod = build_extension(ctx, parse_series(ctx, args.c))
         triple = gluing_data(mod)
     else:
         rep = _load_rep(args)
-        ctx = make_field(args.p, resolve_m(args.p, rep.d, args.m))
-        args.resolved_m = ctx.m
+        ctx = _field(args, rep.d)
         triple = gluing_data(build_kummer_crystal(rep, ctx))
     result = {"triple": triple.to_json()}
     return _emit(args, "glue", result, 0 if triple.consistent else 1)
@@ -413,7 +412,6 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--window", type=int, default=64, help="level window half-width N for [-N, N)")
     common.add_argument("--cap", type=int, default=DEFAULT_SATURATION_CAP, help="saturation degree cap")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument("--format", choices=["json"], default="json")
     common.add_argument("--depth", type=int, default=None, help="depth override for the ideal-power check")
 
     ap = argparse.ArgumentParser(prog="fcrystal", description=__doc__)

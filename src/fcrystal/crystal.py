@@ -383,13 +383,15 @@ class ExtensionModule:
     def split(self) -> bool:
         return self.n is None
 
-    def section(self, f: LaurentSeries, g: DeltaElement):
-        if f.ctx is not self.ctx or g.ctx is not self.ctx:
-            raise InvalidInputError("section parts over the wrong field")
-        return (f, g)
+    @property
+    def kind(self):
+        return ("ext", id(self.ctx))
 
-    def zero_section(self):
-        return (LaurentSeries.zero(self.ctx), DeltaElement.zero(self.ctx))
+    def f_monomial(self, i: int):
+        return (LaurentSeries.monomial(self.ctx, i), DeltaElement.zero(self.ctx))
+
+    def delta_monomial(self, m: int):
+        return (LaurentSeries.zero(self.ctx), DeltaElement.basis(self.ctx, m))
 
     def _guard(self, g: DeltaElement) -> DeltaElement:
         ms = g.max_support()
@@ -410,6 +412,10 @@ class ExtensionModule:
         f, g = sec
         return (f.shift(1), g.mul_t())
 
+    def mul_t_pow(self, sec, k: int):
+        f, g = sec
+        return (f.shift(k), DeltaElement(self.ctx, {m - k: c for m, c in g.coeffs.items() if m > k}))
+
     def add(self, s1, s2):
         return (s1[0].add(s2[0]), s1[1].add(s2[1]))
 
@@ -420,7 +426,8 @@ class ExtensionModule:
         return (sec[0].smul(scalar), sec[1].smul(scalar))
 
     def eq(self, s1, s2) -> bool:
-        return s1[0] == s2[0] and s1[1] == s2[1]
+        """Equal values: the series' stored windows may differ."""
+        return s1[0].same_values(s2[0]) and s1[1] == s2[1]
 
     def to_json(self):
         return {

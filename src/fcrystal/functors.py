@@ -51,7 +51,6 @@ from .series import level_json
 from .vfilt import (
     FiltrationSpec,
     KummerVFilt,
-    SplitVFilt,
     graded_frobenius_map,
     graded_t_map,
     split_vfilt,

@@ -81,10 +81,6 @@ def mat_mul_int(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
-def mat_vec_int(a, v, p):
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
-
-
 def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -109,10 +105,6 @@ def invert_int(mat, p):
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         return None
     return [row[n:] for row in red[:n]]
-
-
-def rank_int(mat, p):
-    return len(rref_int(mat, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +133,6 @@ def mat_mul(ctx, a, b):
             line.append(acc)
         out.append(tuple(line))
     return tuple(out)
-
-
-def identity(ctx, n):
-    return tuple(
-        tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_frob(ctx, mat):

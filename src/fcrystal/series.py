@@ -237,24 +237,7 @@ class LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation forms
-
-
-def valuation(f: LaurentSeries):
-    """(valuation, window_limited): None valuation means zero as far as known."""
-    return f.valuation(), f.window_limited()
-
-
-def frob_series(f: LaurentSeries) -> LaurentSeries:
-    return f.frob()
-
-
-def kummer_pullback(f: LaurentSeries, d: int) -> LaurentSeries:
-    return f.kummer_pullback(d)
-
-
-def galois_act(a: int, f: LaurentSeries, xi) -> LaurentSeries:
-    return f.galois_act(a, xi)
+# levels and parsing
 
 
 def standard_level(f: LaurentSeries, d: int) -> Fraction:

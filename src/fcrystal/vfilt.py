@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import linalg
-from .crystal import DeltaElement, ExtensionModule, KummerCrystal
+from .crystal import DeltaElement, ExtensionModule, KummerCrystal, build_extension
 from .errors import InvalidInputError
 from .series import LaurentSeries, level_json
 
@@ -47,7 +47,11 @@ def _ge(level, bound) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# section adapters
+# sections
+#
+# A spec's module provides ctx, kind, apply_F, mul_t, mul_t_pow, add,
+# sub, smul and eq.  ExtensionModule provides them itself; Kummer
+# crystals go through KummerSections.
 
 
 class KummerSections:
@@ -70,7 +74,7 @@ class KummerSections:
             for c in row
         )
 
-    def frob(self, x):
+    def apply_F(self, x):
         return tuple(f.frob() for f in x)
 
     def mul_t(self, x):
@@ -101,84 +105,6 @@ class KummerSections:
 
     def slice(self, x, e: int):
         return tuple(f.coeffs.get(e, self.ctx.zero) for f in x)
-
-
-class ExtSections:
-    """Pairs (Laurent series, delta combination) of an ExtensionModule."""
-
-    def __init__(self, mod: ExtensionModule):
-        self.mod = mod
-        self.ctx = mod.ctx
-        self.kind = ("ext", id(mod.ctx))
-
-    def zero(self):
-        return self.mod.zero_section()
-
-    def f_monomial(self, i: int):
-        return (LaurentSeries.monomial(self.ctx, i), DeltaElement.zero(self.ctx))
-
-    def delta_monomial(self, m: int):
-        return (LaurentSeries.zero(self.ctx), DeltaElement.basis(self.ctx, m))
-
-    def frob(self, x):
-        return self.mod.apply_F(x)
-
-    def mul_t(self, x):
-        return self.mod.mul_t(x)
-
-    def mul_t_pow(self, x, k: int):
-        f, g = x
-        return (f.shift(k), DeltaElement(self.ctx, {m - k: c for m, c in g.coeffs.items() if m > k}))
-
-    def add(self, x, y):
-        return self.mod.add(x, y)
-
-    def sub(self, x, y):
-        return self.mod.sub(x, y)
-
-    def smul(self, c, x):
-        return self.mod.smul(c, x)
-
-    def eq(self, x, y) -> bool:
-        return x[0].same_values(y[0]) and x[1] == y[1]
-
-    def is_zero(self, x) -> bool:
-        return x[0].is_zero_on_window() and x[1].is_zero()
-
-
-class DeltaSections:
-    """The delta module at the origin on its own."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.kind = ("delta", id(ctx))
-
-    def zero(self):
-        return DeltaElement.zero(self.ctx)
-
-    def frob(self, g):
-        return g.frob()
-
-    def mul_t(self, g):
-        return g.mul_t()
-
-    def mul_t_pow(self, g, k: int):
-        return DeltaElement(self.ctx, {m - k: c for m, c in g.coeffs.items() if m > k})
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def sub(self, x, y):
-        return x.sub(y)
-
-    def smul(self, c, x):
-        return x.smul(c)
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -350,262 +276,63 @@ class KummerVFilt(FiltrationSpec):
         }
 
 
+# rule -> (label of the series generator at exponent i, its family key,
+# whether the depth rewrite applies); the delta rule has no series part
+_EXTENSION_RULES = {
+    "extension": ("t^{}", "f", False),
+    "split": ("t^{}", "f", False),
+    "depth-grading": ("x_{}", "x", True),
+    "delta": (None, None, False),
+}
+
+# the rules whose delta part and series quotient shifted_exactness reads
+EXACTNESS_RULES = ("extension", "split")
+
+
 class ExtensionVFilt(FiltrationSpec):
-    """Canonical filtration of a non-split extension with p not dividing n.
+    """One filtration for the extension family, picked by rule.
 
-    Levels: the series part t^i sits at i - n/p, the delta generator
-    e_m at -m.  Jumps are (Z - n/p) union Z_(<= -1).
+    The series generator at exponent i sits at i - shift and the delta
+    generator e_m at -m.  The rules differ only in the shift and in
+    what the series generator is:
+
+      extension      non-split, p not dividing n: shift n/p, t^i;
+      split          the split extension: shift 0, t^i;
+      depth-grading  n = l*p: shift l/p, x_i = (t^i, -[t^(i-l)]);
+                     sections are read through the rewrite
+                     (f, g) = sum f_i x_i + (0, g') with
+                     g' = g + sum_(i<l) f_i e_(l-i);
+      delta          the delta module (0, g) alone: no series part.
     """
 
-    rule = "extension"
-
-    def __init__(self, mod: ExtensionModule):
-        self.mod = mod
-        self.module = ExtSections(mod)
-        self.shift = Fraction(mod.n, mod.ctx.p)
-
-    @property
-    def quotient_shift(self):
-        return -self.shift
-
-    def level(self, x):
-        f, g = x
-        parts = []
-        v = f.valuation()
-        if v is not None:
-            parts.append(v - self.shift)
-        ms = g.max_support()
-        if ms is not None:
-            parts.append(Fraction(-ms))
-        return min(parts) if parts else None
-
-    def jumps(self, window):
-        lo, hi = window
-        out = [k - self.shift for k in _int_range_for(-self.shift, window)]
-        for mneg in range(lo, min(hi, 0)):
-            out.append(Fraction(mneg))
-        return sorted(out)
-
-    def _kind_at(self, r):
-        if (r + self.shift).denominator == 1:
-            return ("f", int(r + self.shift))
-        if r.denominator == 1 and r <= -1:
-            return ("delta", -int(r))
-        return None
-
-    def dim_at(self, r) -> int:
-        return 0 if self._kind_at(r) is None else 1
-
-    def graded_basis(self, r):
-        k = self._kind_at(r)
-        if k is None:
-            return []
-        if k[0] == "f":
-            return [self.module.f_monomial(k[1])]
-        return [self.module.delta_monomial(k[1])]
-
-    def graded_labels(self, r):
-        k = self._kind_at(r)
-        if k is None:
-            return []
-        return [f"t^{k[1]}" if k[0] == "f" else f"e_{k[1]}"]
-
-    def _raw_coords(self, x, r):
-        k = self._kind_at(r)
-        if k is None:
-            return None
-        f, g = x
-        if k[0] == "f":
-            return [f.coeffs.get(k[1], self.module.ctx.zero)]
-        return [g.coeffs.get(k[1], self.module.ctx.zero)]
-
-    def spanning(self, window):
-        lo, hi = window
-        for i in _int_range_for(-self.shift, window):
-            yield f"t^{i}", self.module.f_monomial(i)
-        for mneg in range(lo, min(hi, 0)):
-            yield f"e_{-mneg}", self.module.delta_monomial(-mneg)
-
-    def family(self, window):
-        lo, hi = window
-        for i in _int_range_for(-self.shift, window):
-            yield ("f", i), i - self.shift
-        for mneg in range(lo, min(hi, 0)):
-            yield ("dl", -mneg), Fraction(mneg)
-
-    def t_preimage(self, y):
-        f, g = y
-        return (f.shift(-1), g.shift_up(1))
-
-    def to_json(self):
-        return {
-            "rule": self.rule,
-            "n": self.mod.n,
-            "series_levels": "Z - n/p",
-            "delta_levels": "Z_{<=-1}",
-            "shift": level_json(-self.shift),
-        }
-
-
-class SplitVFilt(FiltrationSpec):
-    """Direct-sum filtration of the split extension: integer levels."""
-
-    rule = "split"
-
-    def __init__(self, mod: ExtensionModule):
-        if not mod.split:
-            raise InvalidInputError("direct-sum filtration needs the split extension")
-        self.mod = mod
-        self.module = ExtSections(mod)
-
-    quotient_shift = Fraction(0)
-
-    def level(self, x):
-        f, g = x
-        parts = []
-        v = f.valuation()
-        if v is not None:
-            parts.append(Fraction(v))
-        ms = g.max_support()
-        if ms is not None:
-            parts.append(Fraction(-ms))
-        return min(parts) if parts else None
-
-    def jumps(self, window):
-        lo, hi = window
-        return [Fraction(k) for k in range(lo, hi)]
-
-    def dim_at(self, r) -> int:
-        if r.denominator != 1:
-            return 0
-        return 2 if r <= -1 else 1
-
-    def graded_basis(self, r):
-        if r.denominator != 1:
-            return []
-        i = int(r)
-        out = [self.module.f_monomial(i)]
-        if i <= -1:
-            out.append(self.module.delta_monomial(-i))
-        return out
-
-    def graded_labels(self, r):
-        i = int(r)
-        out = [f"t^{i}"]
-        if i <= -1:
-            out.append(f"e_{-i}")
-        return out
-
-    def _raw_coords(self, x, r):
-        if r.denominator != 1:
-            return None
-        i = int(r)
-        f, g = x
-        out = [f.coeffs.get(i, self.module.ctx.zero)]
-        if i <= -1:
-            out.append(g.coeffs.get(-i, self.module.ctx.zero))
-        return out
-
-    def spanning(self, window):
-        lo, hi = window
-        for i in range(lo, hi):
-            yield f"t^{i}", self.module.f_monomial(i)
-        for mneg in range(lo, min(hi, 0)):
-            yield f"e_{-mneg}", self.module.delta_monomial(-mneg)
-
-    def family(self, window):
-        lo, hi = window
-        for i in range(lo, hi):
-            yield ("f", i), Fraction(i)
-        for mneg in range(lo, min(hi, 0)):
-            yield ("dl", -mneg), Fraction(mneg)
-
-    def t_preimage(self, y):
-        f, g = y
-        return (f.shift(-1), g.shift_up(1))
-
-    def to_json(self):
-        return {"rule": self.rule, "shift": level_json(0)}
-
-
-class DeltaVFilt(FiltrationSpec):
-    """The delta module with V^i spanned by the e_m, m <= -i."""
-
-    rule = "delta"
-
-    def __init__(self, ctx):
-        self.module = DeltaSections(ctx)
-
-    def level(self, g):
-        ms = g.max_support()
-        return None if ms is None else Fraction(-ms)
-
-    def jumps(self, window):
-        lo, hi = window
-        return [Fraction(k) for k in range(lo, min(hi, 0))]
-
-    def dim_at(self, r) -> int:
-        return 1 if r.denominator == 1 and r <= -1 else 0
-
-    def graded_basis(self, r):
-        if self.dim_at(r) == 0:
-            return []
-        return [DeltaElement.basis(self.module.ctx, -int(r))]
-
-    def graded_labels(self, r):
-        return [f"e_{-int(r)}"] if self.dim_at(r) else []
-
-    def _raw_coords(self, x, r):
-        if self.dim_at(r) == 0:
-            return [] if x.is_zero() else None
-        return [x.coeffs.get(-int(r), self.module.ctx.zero)]
-
-    def spanning(self, window):
-        lo, hi = window
-        for mneg in range(lo, min(hi, 0)):
-            yield f"e_{-mneg}", DeltaElement.basis(self.module.ctx, -mneg)
-
-    def family(self, window):
-        lo, hi = window
-        for mneg in range(lo, min(hi, 0)):
-            yield ("dl", -mneg), Fraction(mneg)
-
-    def t_preimage(self, y):
-        return y.shift_up(1)
-
-    def to_json(self):
-        return {"rule": self.rule}
-
-
-class DepthGradingVFilt(FiltrationSpec):
-    """Grading for n = l*p: sections x_i = (t^i, -[t^(i-l)]) at i - l/p.
-
-    Rewriting (f, g) = sum f_i x_i + (0, g') with
-    g' = g + sum_(i<l) f_i e_(l-i) makes the level well defined:
-    min over the f-support of i - l/p and the delta levels of g'.
-    """
-
-    rule = "depth-grading"
-
-    def __init__(self, mod: ExtensionModule):
-        self.mod = mod
-        self.module = ExtSections(mod)
+    def __init__(self, mod: ExtensionModule, rule: str):
+        if rule not in _EXTENSION_RULES:
+            raise InvalidInputError(f"unknown extension filtration rule {rule!r}")
+        self.rule = rule
+        self.module = mod
+        self.series_label, self.series_key, self.rewrite = _EXTENSION_RULES[rule]
         p = mod.ctx.p
-        self.l = mod.n // p
-        self.shift = Fraction(self.l, p)
+        self.l = mod.n // p if self.rewrite else None
+        if rule == "extension":
+            self.shift = Fraction(mod.n, p)
+        elif self.rewrite:
+            self.shift = Fraction(self.l, p)
+        else:
+            self.shift = Fraction(0)
 
     def x_section(self, i: int):
-        ctx = self.mod.ctx
-        f = LaurentSeries.monomial(ctx, i)
-        if i < self.l:
-            g = DeltaElement(ctx, {self.l - i: ctx.neg(ctx.one)})
-        else:
-            g = DeltaElement.zero(ctx)
-        return (f, g)
+        """The series generator at exponent i."""
+        ctx = self.module.ctx
+        if self.rewrite and i < self.l:
+            return (LaurentSeries.monomial(ctx, i), DeltaElement(ctx, {self.l - i: ctx.neg(ctx.one)}))
+        return self.module.f_monomial(i)
 
     def _rewrite(self, x):
+        """(f, g'): x in the series generators plus a delta remainder."""
+        if not self.rewrite:
+            return x
         f, g = x
-        ctx = self.mod.ctx
+        ctx = self.module.ctx
         extra = {}
         for i, c in f.coeffs.items():
             if i < self.l:
@@ -613,67 +340,71 @@ class DepthGradingVFilt(FiltrationSpec):
                 extra[m] = ctx.add(extra.get(m, ctx.zero), c)
         return f, g.add(DeltaElement(ctx, extra))
 
+    def _parts(self, r):
+        """(series exponent or None, delta index or None) at level r."""
+        i = r + self.shift
+        series = i.numerator if self.series_label and i.denominator == 1 else None
+        delta = -r.numerator if r.denominator == 1 and r.numerator <= -1 else None
+        return series, delta
+
     def level(self, x):
-        f, gp = self._rewrite(x)
-        parts = []
-        v = f.valuation()
-        if v is not None:
-            parts.append(v - self.shift)
-        ms = gp.max_support()
-        if ms is not None:
-            parts.append(Fraction(-ms))
-        return min(parts) if parts else None
+        f, g = self._rewrite(x)
+        v = f.valuation() if self.series_label else None
+        ms = g.max_support()
+        if v is None:
+            return None if ms is None else Fraction(-ms)
+        lvl = v - self.shift
+        return lvl if ms is None else min(lvl, Fraction(-ms))
 
     def jumps(self, window):
         lo, hi = window
-        out = [k - self.shift for k in _int_range_for(-self.shift, window)]
-        out.extend(Fraction(mneg) for mneg in range(lo, min(hi, 0)))
+        out = {Fraction(mneg) for mneg in range(lo, min(hi, 0))}
+        if self.series_label:
+            out.update(i - self.shift for i in _int_range_for(-self.shift, window))
         return sorted(out)
 
-    def _kind_at(self, r):
-        if (r + self.shift).denominator == 1:
-            return ("x", int(r + self.shift))
-        if r.denominator == 1 and r <= -1:
-            return ("delta", -int(r))
-        return None
-
     def dim_at(self, r) -> int:
-        return 0 if self._kind_at(r) is None else 1
+        series, delta = self._parts(r)
+        return (series is not None) + (delta is not None)
 
     def graded_basis(self, r):
-        k = self._kind_at(r)
-        if k is None:
-            return []
-        if k[0] == "x":
-            return [self.x_section(k[1])]
-        return [self.module.delta_monomial(k[1])]
+        series, delta = self._parts(r)
+        out = [] if series is None else [self.x_section(series)]
+        if delta is not None:
+            out.append(self.module.delta_monomial(delta))
+        return out
 
     def graded_labels(self, r):
-        k = self._kind_at(r)
-        if k is None:
-            return []
-        return [f"x_{k[1]}" if k[0] == "x" else f"e_{k[1]}"]
+        series, delta = self._parts(r)
+        out = [] if series is None else [self.series_label.format(series)]
+        if delta is not None:
+            out.append(f"e_{delta}")
+        return out
 
     def _raw_coords(self, x, r):
-        k = self._kind_at(r)
-        if k is None:
+        series, delta = self._parts(r)
+        if series is None and delta is None:
             return None
-        f, gp = self._rewrite(x)
-        if k[0] == "x":
-            return [f.coeffs.get(k[1], self.module.ctx.zero)]
-        return [gp.coeffs.get(k[1], self.module.ctx.zero)]
+        f, g = self._rewrite(x)
+        zero = self.module.ctx.zero
+        out = [] if series is None else [f.coeffs.get(series, zero)]
+        if delta is not None:
+            out.append(g.coeffs.get(delta, zero))
+        return out
 
     def spanning(self, window):
         lo, hi = window
-        for i in _int_range_for(-self.shift, window):
-            yield f"x_{i}", self.x_section(i)
+        if self.series_label:
+            for i in _int_range_for(-self.shift, window):
+                yield self.series_label.format(i), self.x_section(i)
         for mneg in range(lo, min(hi, 0)):
             yield f"e_{-mneg}", self.module.delta_monomial(-mneg)
 
     def family(self, window):
         lo, hi = window
-        for i in _int_range_for(-self.shift, window):
-            yield ("x", i), i - self.shift
+        if self.series_label:
+            for i in _int_range_for(-self.shift, window):
+                yield (self.series_key, i), i - self.shift
         for mneg in range(lo, min(hi, 0)):
             yield ("dl", -mneg), Fraction(mneg)
 
@@ -682,7 +413,14 @@ class DepthGradingVFilt(FiltrationSpec):
         return (f.shift(-1), g.shift_up(1))
 
     def to_json(self):
-        return {"rule": self.rule, "n": self.mod.n, "l": self.l, "shift": level_json(-self.shift)}
+        out = {"rule": self.rule}
+        if self.rule == "extension":
+            out.update(n=self.module.n, series_levels="Z - n/p", delta_levels="Z_{<=-1}")
+        elif self.rewrite:
+            out.update(n=self.module.n, l=self.l)
+        if self.series_label:
+            out["shift"] = level_json(-self.shift)
+        return out
 
 
 class ShiftedVFilt(FiltrationSpec):
@@ -828,18 +566,22 @@ def mc_vfilt(mod: ExtensionModule) -> ExtensionVFilt:
         raise InvalidInputError(
             f"n={mod.n} is divisible by p={mod.ctx.p}: use mc_depth_grading"
         )
-    return ExtensionVFilt(mod)
+    return ExtensionVFilt(mod, "extension")
 
 
-def split_vfilt(mod: ExtensionModule) -> SplitVFilt:
-    return SplitVFilt(mod)
+def split_vfilt(mod: ExtensionModule) -> ExtensionVFilt:
+    """Direct-sum filtration of the split extension: integer levels."""
+    if not mod.split:
+        raise InvalidInputError("direct-sum filtration needs the split extension")
+    return ExtensionVFilt(mod, "split")
 
 
-def delta_vfilt(ctx) -> DeltaVFilt:
-    return DeltaVFilt(ctx)
+def delta_vfilt(ctx) -> ExtensionVFilt:
+    """The delta module with V^i spanned by the e_m, m <= -i."""
+    return ExtensionVFilt(build_extension(ctx, LaurentSeries.zero(ctx)), "delta")
 
 
-def mc_depth_grading(mod: ExtensionModule) -> DepthGradingVFilt:
+def mc_depth_grading(mod: ExtensionModule) -> ExtensionVFilt:
     """The grading for n = l*p with l >= 1 prime to p."""
     if mod.split:
         raise InvalidInputError("split extension has no depth grading")
@@ -848,7 +590,7 @@ def mc_depth_grading(mod: ExtensionModule) -> DepthGradingVFilt:
         raise InvalidInputError(f"depth grading needs n = l*p, got n={mod.n}")
     if (mod.n // p) % p == 0:
         raise InvalidInputError(f"l = n/p = {mod.n // p} must be prime to p")
-    return DepthGradingVFilt(mod)
+    return ExtensionVFilt(mod, "depth-grading")
 
 
 def shifted_filtration(spec: FiltrationSpec, offset: int) -> ShiftedVFilt:
@@ -946,7 +688,7 @@ def _graded_map(spec: FiltrationSpec, basis, images, target) -> GradedMap:
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     """Matrix of the induced Frobenius Gr^r -> Gr^(p*r)."""
     basis = spec.graded_basis(r)
-    images = [spec.module.frob(b) for b in basis]
+    images = [spec.module.apply_F(b) for b in basis]
     return _graded_map(spec, basis, images, spec.module.ctx.p * r)
 
 
@@ -979,7 +721,7 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
         basis = spec.graded_basis(r)
         if not basis:
             continue
-        f_images = [spec.module.frob(b) for b in basis]
+        f_images = [spec.module.apply_F(b) for b in basis]
         t_images = [spec.module.mul_t(b) for b in basis]
         out.append(
             GradedLevel(
@@ -1108,7 +850,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     a3_witness = None
     for label, x in sections:
         lvl = spec.level(x)
-        flvl = spec.level(module.frob(x))
+        flvl = spec.level(module.apply_F(x))
         if not _ge(flvl, p * lvl):
             a3_witness = {
                 "section": label,
@@ -1322,12 +1064,11 @@ def shifted_exactness(spec, window) -> dict:
     case): the level of t^i maximized over delta lifts equals
     i + shift.
     """
-    if not isinstance(spec, (ExtensionVFilt, SplitVFilt)):
+    if spec.rule not in EXACTNESS_RULES:
         raise InvalidInputError("exactness report needs an extension filtration")
     module = spec.module
-    ctx = module.ctx
     lo, hi = window
-    shift = spec.quotient_shift
+    shift = -spec.shift
     sub_ok = True
     witness = None
     for m in range(1, -lo + 1):

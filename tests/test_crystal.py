@@ -154,6 +154,15 @@ def test_extension_t_kills_first_delta_level():
     assert f.is_zero_on_window() and g.is_zero()
 
 
+def test_extension_eq_ignores_the_stored_window():
+    # t^2 + t^-1 - t^-1 keeps lo = -1 from its summands; its values are t^2's
+    mod = build_extension(F5, parse_series(F5, "t^-2"))
+    f = parse_series(F5, "t^2+t^-1").sub(parse_series(F5, "t^-1"))
+    zero = DeltaElement.zero(F5)
+    assert mod.eq((f, zero), (parse_series(F5, "t^2"), zero))
+    assert not mod.eq((f, zero), (parse_series(F5, "t^3"), zero))
+    assert not mod.eq((f, zero), (f, DeltaElement.basis(F5, 1)))
+
 def test_delta_cap_guard():
     mod = build_extension(F5, parse_series(F5, "t^-2"), delta_cap=3)
     sec = (LaurentSeries.zero(F5), DeltaElement.basis(F5, 1))

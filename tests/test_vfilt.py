@@ -3,9 +3,13 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fcrystal import (
     CyclicRep,
     DeltaElement,
+    ExtensionVFilt,
     InvalidInputError,
     LaurentSeries,
     build_extension,
@@ -117,7 +121,7 @@ def test_extension_levels(ext_spec):
     assert ext_spec.level(one) == Fraction(-1, 5)
     assert ext_spec.level(mod.delta_monomial(1)) == Fraction(-1)
     # frobenius scales the level by exactly p here
-    assert ext_spec.level(mod.frob(one)) == Fraction(-1)
+    assert ext_spec.level(mod.apply_F(one)) == Fraction(-1)
 
 
 def test_extension_axioms_fail_only_at_positive_levels(ext_spec):
@@ -176,7 +180,41 @@ def test_split_vfilt_rejects_nonsplit():
 def test_delta_filtration_axioms():
     spec = delta_vfilt(F25)
     assert check_axioms(spec, (-6, 2)).all_pass
-    assert spec.level(DeltaElement.basis(F25, 4)) == Fraction(-4)
+    assert spec.level((LaurentSeries.zero(F25), DeltaElement.basis(F25, 4))) == Fraction(-4)
+
+
+EXTENSION_RULE_SPECS = {
+    "extension": mc_vfilt(build_extension(F25, parse_series(F25, "t^-2"))),
+    "split": split_vfilt(build_extension(F25, LaurentSeries.zero(F25))),
+    "depth-grading": mc_depth_grading(build_extension(F25, parse_series(F25, "t^-6"))),
+    "delta": delta_vfilt(F25),
+}
+_NONZERO_F25 = st.integers(1, F25.order - 1).map(F25.decode)
+
+
+@pytest.mark.parametrize("rule", sorted(EXTENSION_RULE_SPECS))
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.dictionaries(st.integers(-8, 8), _NONZERO_F25, max_size=4),
+    g=st.dictionaries(st.integers(1, 8), _NONZERO_F25, max_size=4),
+)
+def test_extension_sections_have_a_class_at_their_level(rule, f, g):
+    spec = EXTENSION_RULE_SPECS[rule]
+    assert spec.rule == rule
+    if rule == "delta":
+        f = {}  # the delta module's sections are (0, g)
+    x = (LaurentSeries.exact(F25, f), DeltaElement(F25, g))
+    lvl = spec.level(x)
+    assert (lvl is None) == (not f and not g)
+    if lvl is not None:
+        coords = spec.graded_coords(x, lvl)
+        assert coords is not None, (x, lvl)
+        assert any(not F25.is_zero(c) for c in coords), (x, lvl)
+
+
+def test_extension_rule_must_be_known():
+    with pytest.raises(InvalidInputError, match="unknown extension filtration rule"):
+        ExtensionVFilt(build_extension(F5, LaurentSeries.zero(F5)), "standard")
 
 
 def test_shifted_filtration_moves_levels(companion_spec):

@@ -22,6 +22,7 @@ from random import Random
 from . import __version__
 from .crystal import (
     CyclicRep,
+    ExtensionModule,
     build_extension,
     build_kummer_crystal,
     sol_extension,
@@ -148,27 +149,30 @@ def _emit(args, command: str, result: dict, code: int, extra_job=None) -> int:
     return code
 
 
-def _make_objects(args):
-    """Resolve the target module and its filtration from the flags."""
+def _target(args):
+    """The job's module: the extension twisted by --c, else the Kummer
+    crystal of --rep."""
     if args.c is not None and args.rep is not None:
         raise InvalidInputError("--rep and --c are mutually exclusive")
     if args.c is not None:
         ctx = _field(args)
-        c = parse_series(ctx, args.c)
-        mod = build_extension(ctx, c)
-        if mod.split:
-            spec = split_vfilt(mod)
-        elif mod.n % args.p == 0:
-            spec = mc_depth_grading(mod)
-        else:
-            spec = mc_vfilt(mod)
-        return mod, spec, {"kind": "extension", "n": mod.n, "split": mod.split}
+        return build_extension(ctx, parse_series(ctx, args.c))
     rep = _load_rep(args)
-    ctx = _field(args, rep.d)
-    kc = build_kummer_crystal(rep, ctx)
-    spec = standard_vfilt(kc)
-    meta = {"kind": "crystal", "d": kc.d, "rank": kc.rank}
-    return kc, spec, meta
+    return build_kummer_crystal(rep, _field(args, rep.d))
+
+
+def _make_objects(args):
+    """Resolve the target module and its filtration from the flags."""
+    obj = _target(args)
+    if isinstance(obj, ExtensionModule):
+        if obj.split:
+            spec = split_vfilt(obj)
+        elif obj.n % args.p == 0:
+            spec = mc_depth_grading(obj)
+        else:
+            spec = mc_vfilt(obj)
+        return obj, spec, {"kind": "extension", "n": obj.n, "split": obj.split}
+    return obj, standard_vfilt(obj), {"kind": "crystal", "d": obj.d, "rank": obj.rank}
 
 
 def _window(args):
@@ -296,20 +300,16 @@ def cmd_recover(args) -> int:
 
 
 def cmd_sol(args) -> int:
-    if args.c is not None:
-        ctx = _field(args)
-        mod = build_extension(ctx, parse_series(ctx, args.c))
-        rep = sol_extension(mod)
+    obj = _target(args)
+    if isinstance(obj, ExtensionModule):
+        rep = sol_extension(obj)
         result = {
             "kind": "extension",
             "dimension": rep.dimension,
             "obstruction": rep.obstruction,
         }
     else:
-        r = _load_rep(args)
-        ctx = _field(args, r.d)
-        kc = build_kummer_crystal(r, ctx)
-        rep = sol_crystal(kc)
+        rep = sol_crystal(obj)
         result = {"kind": "crystal", "dimension": rep.dimension}
     return _emit(args, "sol", result, 0)
 
@@ -389,14 +389,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    if args.c is not None:
-        ctx = _field(args)
-        mod = build_extension(ctx, parse_series(ctx, args.c))
-        triple = gluing_data(mod)
-    else:
-        rep = _load_rep(args)
-        ctx = _field(args, rep.d)
-        triple = gluing_data(build_kummer_crystal(rep, ctx))
+    triple = gluing_data(_target(args))
     result = {"triple": triple.to_json()}
     return _emit(args, "glue", result, 0 if triple.consistent else 1)
 

@@ -419,12 +419,6 @@ class ExtensionModule:
     def add(self, s1, s2):
         return (s1[0].add(s2[0]), s1[1].add(s2[1]))
 
-    def sub(self, s1, s2):
-        return (s1[0].sub(s2[0]), s1[1].sub(s2[1]))
-
-    def smul(self, scalar, sec):
-        return (sec[0].smul(scalar), sec[1].smul(scalar))
-
     def eq(self, s1, s2) -> bool:
         """Equal values: the series' stored windows may differ."""
         return s1[0].same_values(s2[0]) and s1[1] == s2[1]

@@ -4,8 +4,11 @@ A FiltrationSpec assigns every section x a level: the largest r with
 x in V^r (None for the zero section, read as +infinity).  Levels jump
 along a discrete set of rationals; each jump carries an explicit
 graded basis, and images of sections can be expressed exactly in that
-basis (with the remainder verified to sit strictly deeper, so graded
-coordinates are never guessed).
+basis.  Graded coordinates are slice-exact: a section at level r can
+differ from its graded part only on the one slice of exponents that
+sits at r, so each spec reads the coordinates off that slice and checks
+them there exactly; the remainder then lies strictly deeper than r, and
+coordinates are never guessed.
 
 The checkers turn the defining conditions into finite, window-relative
 computations over a level range [lo, hi):
@@ -49,9 +52,9 @@ def _ge(level, bound) -> bool:
 # ---------------------------------------------------------------------------
 # sections
 #
-# A spec's module provides ctx, kind, apply_F, mul_t, mul_t_pow, add,
-# sub, smul and eq.  ExtensionModule provides them itself; Kummer
-# crystals go through KummerSections.
+# A spec's module provides ctx, kind, apply_F, mul_t, mul_t_pow and eq.
+# ExtensionModule provides them itself (and add, which shifted_exactness
+# uses); Kummer crystals go through KummerSections.
 
 
 class KummerSections:
@@ -83,20 +86,8 @@ class KummerSections:
     def mul_t_pow(self, x, k: int):
         return tuple(f.shift(self.d * k) for f in x)
 
-    def add(self, x, y):
-        return tuple(a.add(b) for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(a.sub(b) for a, b in zip(x, y))
-
-    def smul(self, c, x):
-        return tuple(f.smul(c) for f in x)
-
     def eq(self, x, y) -> bool:
         return all(a.same_values(b) for a, b in zip(x, y))
-
-    def is_zero(self, x) -> bool:
-        return all(f.is_zero_on_window() for f in x)
 
     def valuation(self, x):
         vals = [f.valuation() for f in x]
@@ -133,6 +124,11 @@ class FiltrationSpec:
         raise NotImplementedError
 
     def _raw_coords(self, x, r):
+        """Coordinates of x in graded_basis(r), given level(x) == r.
+
+        Slice-exact: returns coordinates c only when x - sum(c_i * b_i)
+        lies strictly deeper than r, else None.
+        """
         raise NotImplementedError
 
     def spanning(self, window):
@@ -152,27 +148,16 @@ class FiltrationSpec:
 
         None means the class genuinely fails to land in the given
         graded basis (level too shallow, or a leading part outside the
-        basis span).  The remainder x - sum(coords * basis) is
-        recomputed and must sit strictly deeper than r.
+        basis span).  At level r itself the answer is _raw_coords, whose
+        slice-exact contract puts the remainder x - sum(coords * basis)
+        strictly deeper than r.
         """
-        ctx = self.module.ctx
-        dim = self.dim_at(r)
         lvl = self.level(x)
         if lvl is None or lvl > r:
-            return [ctx.zero] * dim
+            return [self.module.ctx.zero] * self.dim_at(r)
         if lvl < r:
             return None
-        coords = self._raw_coords(x, r)
-        if coords is None:
-            return None
-        rem = x
-        for c, b in zip(coords, self.graded_basis(r)):
-            if not ctx.is_zero(c):
-                rem = self.module.sub(rem, self.module.smul(c, b))
-        rlvl = self.level(rem)
-        if not (rlvl is None or rlvl > r):
-            return None
-        return coords
+        return self._raw_coords(x, r)
 
     def to_json(self):
         return {"rule": self.rule}
@@ -236,6 +221,9 @@ class KummerVFilt(FiltrationSpec):
         return [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
 
     def _raw_coords(self, x, r):
+        """The basis at r is the monomials u_(a,i) s^e at the single
+        exponent e = r*d; linalg.express checks the slice of x at e
+        against them exactly, and every other exponent of x is above e."""
         a = self._weight_at(r)
         e = r * self.d
         if e.denominator != 1:
@@ -382,6 +370,9 @@ class ExtensionVFilt(FiltrationSpec):
         return out
 
     def _raw_coords(self, x, r):
+        """After the rewrite each x_i reads (t^i, 0), so the coefficients
+        at the one series exponent and the one delta index are the
+        coordinates; every other term of x already sits above r."""
         series, delta = self._parts(r)
         if series is None and delta is None:
             return None
@@ -459,6 +450,7 @@ class ShiftedVFilt(FiltrationSpec):
         return self.base.graded_labels(r + self.offset)
 
     def _raw_coords(self, x, r):
+        """The base spec's, at the base level r + offset."""
         return self.base._raw_coords(x, r + self.offset)
 
     def spanning(self, window):
@@ -519,6 +511,7 @@ class PullbackVFilt(FiltrationSpec):
         return self.base.graded_labels(r)
 
     def _raw_coords(self, x, r):
+        """The base spec's: levels are untouched."""
         return self.base._raw_coords(x, r)
 
     def spanning(self, window):

@@ -261,3 +261,18 @@ def test_empty_window_is_invalid_input(capsys, window):
     assert code == 2
     assert out == ""
     assert "--window" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sol", "--p", "5", "--c", "t^-2", "--rep", "companion"],
+        ["glue", "--p", "7", "--c", "0", "--rep", "companion"],
+    ],
+)
+def test_rep_and_class_conflict_in_sol_and_glue(capsys, argv):
+    # every command that reads --rep or --c refuses both at once
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "mutually exclusive" in err

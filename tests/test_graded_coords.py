@@ -1,0 +1,193 @@
+"""Slice-exact graded coordinates against the full remainder computation.
+
+FiltrationSpec.graded_coords trusts each spec's _raw_coords to check the
+one slice where x - sum(c_i * b_i) can sit at level r.  The oracle here
+is the full computation: rebuild that remainder over whole sections and
+require its level to be strictly deeper than r.  The two must agree on
+every input, None included.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from fcrystal import (
+    LaurentSeries,
+    build_extension,
+    build_kummer_crystal,
+    delta_vfilt,
+    make_field,
+    mc_depth_grading,
+    mc_vfilt,
+    parse_series,
+    pullback_filtration,
+    shifted_filtration,
+    split_vfilt,
+    standard_vfilt,
+)
+from fcrystal.cli import resolve_m
+from fcrystal.samples import random_rep
+
+PAIRS = tuple((p, d) for p in (5, 7) for d in (2, 3, 4, 6))
+SEED = 4041
+WINDOW = (-8, 8)
+
+
+def _axpy(x, c, b):
+    """x - c*b for sections that are tuples of series or delta parts."""
+    return tuple(u.sub(v.smul(c)) for u, v in zip(x, b))
+
+
+def _add(x, y):
+    return tuple(u.add(v) for u, v in zip(x, y))
+
+
+def remainder_graded_coords(spec, x, r):
+    """graded_coords by the full computation: the remainder is rebuilt."""
+    ctx = spec.module.ctx
+    lvl = spec.level(x)
+    if lvl is None or lvl > r:
+        return [ctx.zero] * spec.dim_at(r)
+    if lvl < r:
+        return None
+    coords = spec._raw_coords(x, r)
+    if coords is None:
+        return None
+    rem = x
+    for c, b in zip(coords, spec.graded_basis(r)):
+        if not ctx.is_zero(c):
+            rem = _axpy(rem, c, b)
+    rlvl = spec.level(rem)
+    return coords if rlvl is None or rlvl > r else None
+
+
+def _agree(spec, x, r, seen):
+    got = spec.graded_coords(x, r)
+    assert got == remainder_graded_coords(spec, x, r), (spec.to_json(), x, r)
+    seen["none" if got is None else "coords"] += 1
+
+
+def _cross_check(spec, extra_sections):
+    """Every F- and t-image of every graded basis vector on the window,
+    at its own target, one step too deep and one step too shallow;
+    then the extra sections at their own level and around it."""
+    module = spec.module
+    p = module.ctx.p
+    seen = {"none": 0, "coords": 0}
+    for r in spec.jumps(WINDOW):
+        for b in spec.graded_basis(r):
+            pairs = [(module.apply_F(b), p * r), (module.mul_t(b), r + 1)]
+            pairs.append((_add(pairs[0][0], pairs[1][0]), min(p * r, r + 1)))
+            for y, target in pairs:
+                for s in (target, target + 1, target - 1):
+                    _agree(spec, y, s, seen)
+    for x in extra_sections:
+        lvl = spec.level(x)
+        for s in (lvl, lvl + Fraction(1, 2), lvl - 1):
+            _agree(spec, x, s, seen)
+    return seen
+
+
+def _kummer_extras(spec, rng):
+    """Off-class monomials (a class's basis row at another class's
+    exponent) and unit vectors, which mostly miss every graded basis."""
+    kc = spec.kc
+    zero = LaurentSeries.zero(kc.ctx)
+    out = []
+    for a in sorted(kc.dims):
+        for e in (kc.shifts[a] + 1, kc.shifts[a] - kc.d + 2, rng.randrange(-5 * kc.d, 5 * kc.d)):
+            out.append(spec.module.monomial(a, 0, e))
+    for j in range(kc.rank):
+        e = rng.randrange(-3 * kc.d, 3 * kc.d)
+        out.append(tuple(LaurentSeries.monomial(kc.ctx, e) if i == j else zero for i in range(kc.rank)))
+    return out
+
+
+def _kummer_specs():
+    out = []
+    for p, d in PAIRS:
+        ctx = make_field(p, resolve_m(p, d, None))
+        rng = Random(SEED + 100 * p + d)
+        for _ in range(3):
+            out.append(standard_vfilt(build_kummer_crystal(random_rep(ctx, d, rng, max_rank=4), ctx)))
+    return out
+
+
+KUMMER_SPECS = _kummer_specs()
+
+
+@pytest.mark.parametrize("idx", range(len(KUMMER_SPECS)))
+def test_kummer_coords_match_the_remainder_oracle(idx):
+    spec = KUMMER_SPECS[idx]
+    seen = _cross_check(spec, _kummer_extras(spec, Random(SEED + idx)))
+    assert seen["none"] and seen["coords"], seen
+
+
+F25 = make_field(5, 2)
+F7 = make_field(7, 1)
+
+
+def _extension_specs():
+    return {
+        "extension-p5": mc_vfilt(build_extension(F25, parse_series(F25, "t^-2"))),
+        "extension-p7": mc_vfilt(build_extension(F7, parse_series(F7, "2t^-10+t^-1+3t^2"))),
+        "split": split_vfilt(build_extension(F25, LaurentSeries.zero(F25))),
+        "depth-grading-p5": mc_depth_grading(build_extension(F25, parse_series(F25, "t^-6"))),
+        "depth-grading-p7": mc_depth_grading(build_extension(F7, parse_series(F7, "t^-8+t^-3"))),
+        "delta": delta_vfilt(F25),
+    }
+
+
+EXTENSION_SPECS = _extension_specs()
+
+
+def _extension_extras(spec):
+    """Mixed sections, including depth-grading series terms below l whose
+    delta partner is missing."""
+    mod = spec.module
+    ctx = mod.ctx
+    two = ctx.from_int(2)
+    out = [mod.delta_monomial(3), _add(mod.delta_monomial(1), mod.delta_monomial(4))]
+    if spec.rule != "delta":
+        out += [
+            mod.f_monomial(-3),
+            mod.f_monomial(0),
+            _add(mod.f_monomial(1), mod.delta_monomial(2)),
+            (LaurentSeries.exact(ctx, {-2: two, 5: ctx.one}), mod.delta_monomial(6)[1]),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_SPECS))
+def test_extension_coords_match_the_remainder_oracle(name):
+    spec = EXTENSION_SPECS[name]
+    seen = _cross_check(spec, _extension_extras(spec))
+    assert seen["none"] and seen["coords"], seen
+
+
+def _derived_cases():
+    """Shifted and pullback specs, each with the extra sections of its base."""
+    kummer = KUMMER_SPECS[1]
+    ext = EXTENSION_SPECS["extension-p5"]
+    depth = EXTENSION_SPECS["depth-grading-p7"]
+    kummer_extras = _kummer_extras(kummer, Random(SEED))
+    return {
+        "shifted-kummer+1": (shifted_filtration(kummer, 1), kummer_extras),
+        "shifted-kummer-2": (shifted_filtration(kummer, -2), kummer_extras),
+        "shifted-extension+1": (shifted_filtration(ext, 1), _extension_extras(ext)),
+        "shifted-depth-1": (shifted_filtration(depth, -1), _extension_extras(depth)),
+        "pullback-kummer-2": (pullback_filtration(kummer, 2), kummer_extras),
+        "pullback-extension-3": (pullback_filtration(ext, 3), _extension_extras(ext)),
+        "pullback-shifted-2": (pullback_filtration(shifted_filtration(kummer, 1), 2), kummer_extras),
+    }
+
+
+DERIVED_CASES = _derived_cases()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_CASES))
+def test_derived_coords_match_the_remainder_oracle(name):
+    spec, extras = DERIVED_CASES[name]
+    seen = _cross_check(spec, extras)
+    assert seen["none"] and seen["coords"], seen

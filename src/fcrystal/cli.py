@@ -190,7 +190,7 @@ def cmd_vfilt(args) -> int:
     obj, spec, meta = _make_objects(args)
     win = _window(args)
     rep = graded(spec, win)
-    checks = check_axioms(spec, win, depth=args.depth)
+    checks = check_axioms(spec, win, depth=args.depth, graded_report=rep)
     result = {
         "kind": meta["kind"],
         "filtration": spec.to_json(),

@@ -111,10 +111,10 @@ def direct_sum(rep1: CyclicRep, rep2: CyclicRep) -> CyclicRep:
 class WeightDecomposition:
     """Echelonized eigenbasis of the generator's action over F_q.
 
-    bases[a] = (rows, pivots): rows are RREF basis vectors of the
-    weight-a eigenspace (generator acts by xi^a); only nonzero weights
-    appear.  The dimensions sum to the rank (the action is semisimple
-    since d is prime to p).
+    bases[a] = (rows, pivots): rows are the RREF basis vectors, as
+    tuples, of the weight-a eigenspace (generator acts by xi^a); only
+    nonzero weights appear.  The dimensions sum to the rank (the action
+    is semisimple since d is prime to p).
     """
 
     ctx: FieldCtx
@@ -163,7 +163,7 @@ def weight_decompose(rep: CyclicRep, ctx: FieldCtx) -> WeightDecomposition:
         )
         rows, pivots = linalg.kernel(ctx, shifted)
         if rows:
-            bases[a] = (tuple(rows), tuple(pivots))
+            bases[a] = (tuple(map(tuple, rows)), tuple(pivots))
             total += len(rows)
     if total != rep.rank:
         raise InvalidInputError("action is not diagonalizable over this field")

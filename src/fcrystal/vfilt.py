@@ -58,7 +58,12 @@ def _ge(level, bound) -> bool:
 
 
 class KummerSections:
-    """Length-r vectors of Laurent polynomials in the cover coordinate s."""
+    """Sparse sections on the cover: {exponent e: length-r vector over F_q}.
+
+    A section sum_e v_e s^e is the dict of its nonzero coefficient
+    vectors.  No zero vector is ever stored, so {} is the zero section,
+    dict equality is section equality and min(x) is the valuation.
+    """
 
     def __init__(self, kc: KummerCrystal):
         self.kc = kc
@@ -66,36 +71,32 @@ class KummerSections:
         self.rank = kc.rank
         self.d = kc.d
         self.kind = ("kummer", kc.d, kc.rank, id(kc.ctx))
+        self.zero_vector = (kc.ctx.zero,) * kc.rank
 
     def zero(self):
-        return tuple(LaurentSeries.zero(self.ctx) for _ in range(self.rank))
+        return {}
 
     def monomial(self, a: int, i: int, e: int):
-        row = self.kc.bases[a][0][i]
-        return tuple(
-            LaurentSeries.exact(self.ctx, {e: c}) if not self.ctx.is_zero(c) else LaurentSeries.zero(self.ctx)
-            for c in row
-        )
+        return {e: self.kc.bases[a][0][i]}
 
     def apply_F(self, x):
-        return tuple(f.frob() for f in x)
+        p, frob = self.ctx.p, self.ctx.frob
+        return {p * e: tuple(map(frob, v)) for e, v in x.items()}
 
     def mul_t(self, x):
-        return tuple(f.shift(self.d) for f in x)
+        return {e + self.d: v for e, v in x.items()}
 
     def mul_t_pow(self, x, k: int):
-        return tuple(f.shift(self.d * k) for f in x)
+        return {e + self.d * k: v for e, v in x.items()}
 
     def eq(self, x, y) -> bool:
-        return all(a.same_values(b) for a, b in zip(x, y))
+        return x == y
 
     def valuation(self, x):
-        vals = [f.valuation() for f in x]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
+        return min(x) if x else None
 
     def slice(self, x, e: int):
-        return tuple(f.coeffs.get(e, self.ctx.zero) for f in x)
+        return x.get(e, self.zero_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -192,47 +193,44 @@ class KummerVFilt(FiltrationSpec):
             out.extend(fr + k for k in _int_range_for(fr, window))
         return sorted(out)
 
-    def _weight_at(self, r):
-        fr = r - math.floor(r)
-        return self.weight_of.get(fr)
+    def _weight_exp(self, r):
+        """(weight, cover exponent e = r*d) at level r, in integers.
+
+        The weight is None when no graded piece sits at r; both are None
+        when r is off the 1/d grid.
+        """
+        e, rem = divmod(r.numerator * self.d, r.denominator)
+        if rem:
+            return None, None
+        return self.kc.weight_of_shift(e), e
 
     def dim_at(self, r) -> int:
-        a = self._weight_at(r)
+        a, _ = self._weight_exp(r)
         return self.kc.dims[a] if a is not None else 0
 
-    def _exp_at(self, r) -> int:
-        e = r * self.d
-        if e.denominator != 1:
-            raise InvalidInputError(f"level {r} is not an exponent class of the cover")
-        return int(e)
-
     def graded_basis(self, r):
-        a = self._weight_at(r)
+        a, e = self._weight_exp(r)
         if a is None:
             return []
-        e = self._exp_at(r)
         return [self.module.monomial(a, i, e) for i in range(self.kc.dims[a])]
 
     def graded_labels(self, r):
-        a = self._weight_at(r)
+        a, e = self._weight_exp(r)
         if a is None:
             return []
-        e = self._exp_at(r)
         return [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
 
     def _raw_coords(self, x, r):
         """The basis at r is the monomials u_(a,i) s^e at the single
         exponent e = r*d; linalg.express checks the slice of x at e
         against them exactly, and every other exponent of x is above e."""
-        a = self._weight_at(r)
-        e = r * self.d
-        if e.denominator != 1:
+        a, e = self._weight_exp(r)
+        if e is None:
             return None
-        sl = self.module.slice(x, int(e))
         if a is None:
-            return [] if all(self.module.ctx.is_zero(c) for c in sl) else None
+            return [] if e not in x else None
         rows, piv = self.kc.bases[a]
-        return linalg.express(self.module.ctx, rows, piv, sl)
+        return linalg.express(self.module.ctx, rows, piv, self.module.slice(x, e))
 
     def spanning(self, window):
         for a in sorted(self.frac_of):
@@ -250,7 +248,7 @@ class KummerVFilt(FiltrationSpec):
                     yield ("w", fr, i, k), fr + k
 
     def t_preimage(self, y):
-        return tuple(f.shift(-self.d) for f in y)
+        return {e - self.d: v for e, v in y.items()}
 
     def to_json(self):
         return {
@@ -789,19 +787,20 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
         depth = spec.default_depth
     power = max(depth, 1)
     sections = list(spec.spanning(window))
+    levels = [spec.level(x) for _, x in sections]
     lo, hi = window
 
     checks = {}
 
     # A1: finite levels, and t-powers push any section past the window
     a1_witness = None
-    for label, x in sections:
-        if spec.level(x) is None:
+    for (label, x), lvl in zip(sections, levels):
+        if lvl is None:
             a1_witness = {"section": label, "reason": "no finite level on the window"}
             break
     if a1_witness is None and sections:
         label, x = sections[0]
-        base = spec.level(x)
+        base = levels[0]
         k = max(1, math.ceil(Fraction(hi) - base))
         esc = spec.level(module.mul_t_pow(x, k))
         if not _ge(esc, Fraction(hi)):
@@ -817,8 +816,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A2: ideal^power raises levels by at least 1
     a2_witness = None
-    for label, x in sections:
-        lvl = spec.level(x)
+    for (label, x), lvl in zip(sections, levels):
         moved = spec.level(spec.mul_ideal(x, power))
         if not _ge(moved, lvl + 1):
             a2_witness = {
@@ -841,8 +839,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A3: Frobenius multiplies levels by at least p
     a3_witness = None
-    for label, x in sections:
-        lvl = spec.level(x)
+    for (label, x), lvl in zip(sections, levels):
         flvl = spec.level(module.apply_F(x))
         if not _ge(flvl, p * lvl):
             a3_witness = {
@@ -884,6 +881,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     _check_window(window)
     module = spec.module
     sections = list(spec.spanning(window))
+    levels = [spec.level(x) for _, x in sections]
     checks = {}
 
     # SS1: sections of level >= 0 are t-power multiples of the
@@ -892,8 +890,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     gens = 0
     for r in spec.jumps((0, 1)):
         gens += spec.dim_at(r)
-    for label, x in sections:
-        lvl = spec.level(x)
+    for (label, x), lvl in zip(sections, levels):
         if lvl is None or lvl < 0:
             continue
         k = math.floor(lvl)
@@ -914,8 +911,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
 
     # SS2: t V^i = V^(i+1) for i != -1
     ss2_witness = None
-    for label, x in sections:
-        lvl = spec.level(x)
+    for (label, x), lvl in zip(sections, levels):
         if not _ge(spec.level(module.mul_t(x)), lvl + 1):
             ss2_witness = {"section": label, "reason": "t does not raise the level"}
             break
@@ -928,11 +924,12 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         if not module.eq(module.mul_t(pre), x):
             ss2_witness = {"section": label, "reason": "t-preimage does not multiply back"}
             break
-        if not _ge(spec.level(pre), lvl - 1):
+        pre_lvl = spec.level(pre)
+        if not _ge(pre_lvl, lvl - 1):
             ss2_witness = {
                 "section": label,
                 "reason": "t-preimage is too deep",
-                "preimage_level": level_json(spec.level(pre)),
+                "preimage_level": level_json(pre_lvl),
             }
             break
     checks["SS2"] = (

@@ -34,13 +34,30 @@ SEED = 4041
 WINDOW = (-8, 8)
 
 
-def _axpy(x, c, b):
-    """x - c*b for sections that are tuples of series or delta parts."""
+def _axpy(ctx, x, c, b):
+    """x - c*b for Kummer sections ({exponent: vector}) or for tuples of
+    series and delta parts."""
+    if isinstance(x, dict):
+        return _kummer_sum(ctx, x, {e: tuple(ctx.neg(ctx.mul(c, u)) for u in v) for e, v in b.items()})
     return tuple(u.sub(v.smul(c)) for u, v in zip(x, b))
 
 
-def _add(x, y):
+def _add(ctx, x, y):
+    if isinstance(x, dict):
+        return _kummer_sum(ctx, x, y)
     return tuple(u.add(v) for u, v in zip(x, y))
+
+
+def _kummer_sum(ctx, x, y):
+    """x + y for Kummer sections, dropping the vectors that cancel."""
+    out = dict(x)
+    for e, v in y.items():
+        w = tuple(map(ctx.add, out[e], v)) if e in out else v
+        if all(ctx.is_zero(c) for c in w):
+            out.pop(e, None)
+        else:
+            out[e] = w
+    return out
 
 
 def remainder_graded_coords(spec, x, r):
@@ -57,7 +74,7 @@ def remainder_graded_coords(spec, x, r):
     rem = x
     for c, b in zip(coords, spec.graded_basis(r)):
         if not ctx.is_zero(c):
-            rem = _axpy(rem, c, b)
+            rem = _axpy(ctx, rem, c, b)
     rlvl = spec.level(rem)
     return coords if rlvl is None or rlvl > r else None
 
@@ -78,7 +95,7 @@ def _cross_check(spec, extra_sections):
     for r in spec.jumps(WINDOW):
         for b in spec.graded_basis(r):
             pairs = [(module.apply_F(b), p * r), (module.mul_t(b), r + 1)]
-            pairs.append((_add(pairs[0][0], pairs[1][0]), min(p * r, r + 1)))
+            pairs.append((_add(module.ctx, pairs[0][0], pairs[1][0]), min(p * r, r + 1)))
             for y, target in pairs:
                 for s in (target, target + 1, target - 1):
                     _agree(spec, y, s, seen)
@@ -93,14 +110,14 @@ def _kummer_extras(spec, rng):
     """Off-class monomials (a class's basis row at another class's
     exponent) and unit vectors, which mostly miss every graded basis."""
     kc = spec.kc
-    zero = LaurentSeries.zero(kc.ctx)
+    ctx = kc.ctx
     out = []
     for a in sorted(kc.dims):
         for e in (kc.shifts[a] + 1, kc.shifts[a] - kc.d + 2, rng.randrange(-5 * kc.d, 5 * kc.d)):
             out.append(spec.module.monomial(a, 0, e))
     for j in range(kc.rank):
         e = rng.randrange(-3 * kc.d, 3 * kc.d)
-        out.append(tuple(LaurentSeries.monomial(kc.ctx, e) if i == j else zero for i in range(kc.rank)))
+        out.append({e: tuple(ctx.one if i == j else ctx.zero for i in range(kc.rank))})
     return out
 
 
@@ -148,12 +165,12 @@ def _extension_extras(spec):
     mod = spec.module
     ctx = mod.ctx
     two = ctx.from_int(2)
-    out = [mod.delta_monomial(3), _add(mod.delta_monomial(1), mod.delta_monomial(4))]
+    out = [mod.delta_monomial(3), _add(ctx, mod.delta_monomial(1), mod.delta_monomial(4))]
     if spec.rule != "delta":
         out += [
             mod.f_monomial(-3),
             mod.f_monomial(0),
-            _add(mod.f_monomial(1), mod.delta_monomial(2)),
+            _add(ctx, mod.f_monomial(1), mod.delta_monomial(2)),
             (LaurentSeries.exact(ctx, {-2: two, 5: ctx.one}), mod.delta_monomial(6)[1]),
         ]
     return out

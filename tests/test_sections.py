@@ -1,4 +1,5 @@
-"""Section modules: Frobenius and t-multiplication satisfy F(t x) = t^p F(x)."""
+"""Section modules: Frobenius and t-multiplication satisfy F(t x) = t^p F(x),
+and sparse Kummer sections agree with a tuple-of-series reference."""
 
 from random import Random
 
@@ -20,17 +21,18 @@ F25 = make_field(5, 2)
 F49 = make_field(7, 2)
 
 
-def _kummer_modules():
+def _kummer_specs():
     out = []
     for ctx, ds in ((F25, (3, 4, 6, 8, 12, 24)), (F49, (3, 4, 6, 8, 16, 48))):
         rng = Random(7000 + ctx.order)
         for d in ds:
             kc = build_kummer_crystal(random_rep(ctx, d, rng, max_rank=3), ctx)
-            out.append(standard_vfilt(kc).module)
+            out.append(standard_vfilt(kc))
     return out
 
 
-KUMMER_MODULES = _kummer_modules()
+KUMMER_SPECS = _kummer_specs()
+KUMMER_MODULES = [spec.module for spec in KUMMER_SPECS]
 
 
 def _nonzero(ctx):
@@ -49,11 +51,16 @@ def kummer_sections(draw):
             max_size=4,
         )
     )
+    ctx = kc.ctx
     x = module.zero()
     for a, k, c, data in terms:
         i = data.draw(st.integers(0, kc.dims[a] - 1))
-        mono = module.monomial(a, i, kc.shifts[a] + k * kc.d)
-        x = tuple(u.add(v.smul(c)) for u, v in zip(x, mono))
+        ((e, v),) = module.monomial(a, i, kc.shifts[a] + k * kc.d).items()
+        w = tuple(ctx.add(u, ctx.mul(c, b)) for u, b in zip(x.get(e, module.zero_vector), v))
+        if all(ctx.is_zero(u) for u in w):
+            x.pop(e, None)
+        else:
+            x[e] = w
     return module, x
 
 
@@ -63,6 +70,51 @@ def test_kummer_frobenius_intertwines_t(case):
     module, x = case
     p = module.ctx.p
     assert module.eq(module.apply_F(module.mul_t(x)), module.mul_t_pow(module.apply_F(x), p))
+
+
+def _to_series(module, x):
+    """The reference form of a Kummer section: r Laurent polynomials in s."""
+    return tuple(
+        LaurentSeries.exact(module.ctx, {e: v[i] for e, v in x.items()}) for i in range(module.rank)
+    )
+
+
+def _from_series(module, fs):
+    out = {}
+    for i, f in enumerate(fs):
+        for e, c in f.coeffs.items():
+            out.setdefault(e, list(module.zero_vector))[i] = c
+    return {e: tuple(v) for e, v in out.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kummer_sections(), st.integers(-3, 3), st.integers(-30, 30))
+def test_kummer_sections_match_the_series_reference(case, k, e):
+    module, x = case
+    spec = KUMMER_SPECS[KUMMER_MODULES.index(module)]
+    ctx, d = module.ctx, module.d
+    ref = _to_series(module, x)
+    assert _from_series(module, ref) == x
+    for got, want in (
+        (module.apply_F(x), tuple(f.frob() for f in ref)),
+        (module.mul_t(x), tuple(f.shift(d) for f in ref)),
+        (module.mul_t_pow(x, k), tuple(f.shift(d * k) for f in ref)),
+        (spec.t_preimage(x), tuple(f.shift(-d) for f in ref)),
+    ):
+        assert not any(all(ctx.is_zero(c) for c in v) for v in got.values()), got
+        assert got == _from_series(module, want)
+    vals = [f.valuation() for f in ref if f.valuation() is not None]
+    assert module.valuation(x) == (min(vals) if vals else None)
+    for s in (e, *x):
+        assert module.slice(x, s) == tuple(f.coeffs.get(s, ctx.zero) for f in ref)
+
+
+def test_zero_kummer_section():
+    module = KUMMER_MODULES[0]
+    zero = module.zero()
+    assert zero == {} and module.valuation(zero) is None
+    assert module.apply_F(zero) == module.mul_t_pow(zero, 3) == KUMMER_SPECS[0].t_preimage(zero) == {}
+    assert module.slice(zero, 0) == module.zero_vector
 
 
 def _extension_modules():

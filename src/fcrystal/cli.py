@@ -454,6 +454,8 @@ def main(argv=None) -> int:
         return 2
     except CapExceededError as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
+        error = {"kind": "cap", "message": str(err), "profile": err.profile}
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
         return 3
 
 

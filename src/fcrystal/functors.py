@@ -47,7 +47,6 @@ from .field import (
     saturate_fixed_points,
     semilinear_fixed_points,
 )
-from .series import level_json
 from .vfilt import (
     FiltrationSpec,
     KummerVFilt,

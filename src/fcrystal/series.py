@@ -21,8 +21,6 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, WindowError
 
-RationalLevel = Fraction
-
 
 def _min_hi(a, b):
     if a is None:
@@ -295,7 +293,7 @@ def parse_series(ctx, text: str, var: str = "t") -> LaurentSeries:
 
 
 def level_json(level) -> dict:
+    """An int or Fraction level (None for +infinity) as {num, den}."""
     if level is None:
         return {"num": None, "den": None}
-    fr = Fraction(level)
-    return {"num": fr.numerator, "den": fr.denominator}
+    return {"num": level.numerator, "den": level.denominator}

@@ -1,14 +1,19 @@
 """Rational-level filtrations, graded pieces, and the axiom checkers.
 
 A FiltrationSpec assigns every section x a level: the largest r with
-x in V^r (None for the zero section, read as +infinity).  Levels jump
-along a discrete set of rationals; each jump carries an explicit
-graded basis, and images of sections can be expressed exactly in that
-basis.  Graded coordinates are slice-exact: a section at level r can
-differ from its graded part only on the one slice of exponents that
-sits at r, so each spec reads the coordinates off that slice and checks
-them there exactly; the remainder then lies strictly deeper than r, and
-coordinates are never guessed.
+x in V^r (None for the zero section, read as +infinity).  Levels lie on
+one grid (1/den)Z per spec (den = d on the degree-d Kummer cover, p for
+the extension family), so inside the engine a level is its integer
+numerator over den.  graded(), the checkers, compare and
+shifted_exactness work on numerators; a Fraction is built only at the
+edge: the public level API, a graded report's levels and targets, and
+witness levels.  Each jump carries an explicit graded basis, and images
+of sections can be expressed exactly in that basis.  Graded coordinates
+are slice-exact: a section at level r can differ from its graded part
+only on the one slice of exponents that sits at r, so each spec reads
+the coordinates off that slice and checks them there exactly; the
+remainder then lies strictly deeper than r, and coordinates are never
+guessed.
 
 The checkers turn the defining conditions into finite, window-relative
 computations over a level range [lo, hi):
@@ -32,21 +37,14 @@ with exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .crystal import DeltaElement, ExtensionModule, KummerCrystal, build_extension
 from .errors import InvalidInputError
 from .series import LaurentSeries, level_json
-
-Window = tuple
-
-
-def _ge(level, bound) -> bool:
-    """level >= bound with None = +infinity."""
-    return level is None or level >= bound
 
 
 # ---------------------------------------------------------------------------
@@ -104,45 +102,61 @@ class KummerSections:
 
 
 class FiltrationSpec:
+    """A level function on the grid (1/den)Z, with its graded pieces.
+
+    Subclasses implement the integer core, where a level is its
+    numerator n over den:
+
+      ilevel(x)          the level numerator of x, None for zero;
+      ijumps(window)     the sorted jump numerators, lo <= n/den < hi;
+      idim(n), ibasis(n), ilabels(n)
+                         the graded piece at n;
+      _raw_coords(x, n)  coordinates of x in ibasis(n), given
+                         ilevel(x) == n; slice-exact: returned only when
+                         x - sum(c_i * b_i) lies strictly deeper than n;
+      spanning(window)   (label, section) pairs spanning the window;
+      family(window)     (key, level numerator) for the same sections.
+
+    The Fraction API (level, jumps, dim_at, graded_basis, graded_labels,
+    graded_coords) is defined here once and converts at entry or exit;
+    a rational off the grid has dim 0 and an empty basis.
+    """
+
     rule = "abstract"
+    den = 1
     default_depth = 0
     ideal_name = "t"
     ideal_den = 1  # one ideal power raises levels by 1/ideal_den
-
-    def level(self, x):
-        raise NotImplementedError
-
-    def jumps(self, window):
-        raise NotImplementedError
-
-    def dim_at(self, r) -> int:
-        raise NotImplementedError
-
-    def graded_basis(self, r):
-        raise NotImplementedError
-
-    def graded_labels(self, r):
-        raise NotImplementedError
-
-    def _raw_coords(self, x, r):
-        """Coordinates of x in graded_basis(r), given level(x) == r.
-
-        Slice-exact: returns coordinates c only when x - sum(c_i * b_i)
-        lies strictly deeper than r, else None.
-        """
-        raise NotImplementedError
-
-    def spanning(self, window):
-        raise NotImplementedError
-
-    def family(self, window):
-        raise NotImplementedError
 
     def t_preimage(self, y):
         return None
 
     def mul_ideal(self, x, power: int):
         return self.module.mul_t_pow(x, power)
+
+    def _num(self, r):
+        """The numerator of the rational r over den, None off the grid."""
+        n, rem = divmod(r.numerator * self.den, r.denominator)
+        return None if rem else n
+
+    def level(self, x):
+        n = self.ilevel(x)
+        return None if n is None else Fraction(n, self.den)
+
+    def jumps(self, window):
+        return [Fraction(n, self.den) for n in self.ijumps(window)]
+
+    def dim_at(self, r) -> int:
+        n = self._num(r)
+        return 0 if n is None else self.idim(n)
+
+    def graded_basis(self, r):
+        n = self._num(r)
+        return [] if n is None else self.ibasis(n)
+
+    def graded_labels(self, r):
+        n = self._num(r)
+        return [] if n is None else self.ilabels(n)
 
     def graded_coords(self, x, r):
         """Coordinates of the class of x in Gr^r, or None.
@@ -151,101 +165,84 @@ class FiltrationSpec:
         graded basis (level too shallow, or a leading part outside the
         basis span).  At level r itself the answer is _raw_coords, whose
         slice-exact contract puts the remainder x - sum(coords * basis)
-        strictly deeper than r.
+        strictly deeper than r.  Off the grid, n < r*den < n + 1.
         """
-        lvl = self.level(x)
-        if lvl is None or lvl > r:
-            return [self.module.ctx.zero] * self.dim_at(r)
-        if lvl < r:
+        n, rem = divmod(r.numerator * self.den, r.denominator)
+        lvl = self.ilevel(x)
+        if lvl is None or lvl > n:
+            return [self.module.ctx.zero] * (0 if rem else self.idim(n))
+        if lvl < n or rem:
             return None
-        return self._raw_coords(x, r)
+        return self._raw_coords(x, n)
 
     def to_json(self):
         return {"rule": self.rule}
 
 
-def _int_range_for(frac: Fraction, window) -> range:
-    lo, hi = window
-    start = math.ceil(Fraction(lo) - frac)
-    stop = math.ceil(Fraction(hi) - frac)
-    return range(start, stop)
-
-
 class KummerVFilt(FiltrationSpec):
-    """Standard filtration: level = cover valuation / cover degree."""
+    """Standard filtration: level = cover valuation / cover degree.
+
+    The level numerator over den = d is the cover valuation itself, and
+    the graded piece at exponent e is the weight class of e.
+    """
 
     rule = "standard"
 
     def __init__(self, kc: KummerCrystal):
         self.kc = kc
         self.module = KummerSections(kc)
-        self.d = kc.d
-        self.frac_of = {a: Fraction(kc.shifts[a], kc.d) for a in kc.dims}
-        self.weight_of = {fr: a for a, fr in self.frac_of.items()}
+        self.d = self.den = kc.d
 
-    def level(self, x):
-        v = self.module.valuation(x)
-        return None if v is None else Fraction(v, self.d)
+    def ilevel(self, x):
+        return min(x) if x else None
 
-    def jumps(self, window):
-        out = []
-        for fr in self.weight_of:
-            out.extend(fr + k for k in _int_range_for(fr, window))
-        return sorted(out)
+    def ijumps(self, window):
+        lo, hi = window
+        return sorted(s + k * self.d for s in self.kc.shifts.values() for k in range(lo, hi))
 
-    def _weight_exp(self, r):
-        """(weight, cover exponent e = r*d) at level r, in integers.
+    def idim(self, e) -> int:
+        a = self.kc.weight_of_shift(e)
+        return 0 if a is None else self.kc.dims[a]
 
-        The weight is None when no graded piece sits at r; both are None
-        when r is off the 1/d grid.
-        """
-        e, rem = divmod(r.numerator * self.d, r.denominator)
-        if rem:
-            return None, None
-        return self.kc.weight_of_shift(e), e
-
-    def dim_at(self, r) -> int:
-        a, _ = self._weight_exp(r)
-        return self.kc.dims[a] if a is not None else 0
-
-    def graded_basis(self, r):
-        a, e = self._weight_exp(r)
+    def ibasis(self, e):
+        a = self.kc.weight_of_shift(e)
         if a is None:
             return []
         return [self.module.monomial(a, i, e) for i in range(self.kc.dims[a])]
 
-    def graded_labels(self, r):
-        a, e = self._weight_exp(r)
+    def ilabels(self, e):
+        a = self.kc.weight_of_shift(e)
         if a is None:
             return []
         return [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
 
-    def _raw_coords(self, x, r):
-        """The basis at r is the monomials u_(a,i) s^e at the single
-        exponent e = r*d; linalg.express checks the slice of x at e
-        against them exactly, and every other exponent of x is above e."""
-        a, e = self._weight_exp(r)
-        if e is None:
-            return None
+    def _raw_coords(self, x, e):
+        """The basis at e is the monomials u_(a,i) s^e of weight a;
+        linalg.express checks the slice of x at e against them exactly,
+        and every other exponent of x is above e."""
+        a = self.kc.weight_of_shift(e)
         if a is None:
-            return [] if e not in x else None
+            return None
         rows, piv = self.kc.bases[a]
         return linalg.express(self.module.ctx, rows, piv, self.module.slice(x, e))
 
     def spanning(self, window):
-        for a in sorted(self.frac_of):
-            fr = self.frac_of[a]
-            for k in _int_range_for(fr, window):
+        lo, hi = window
+        for a in sorted(self.kc.dims):
+            for k in range(lo, hi):
                 e = self.kc.shifts[a] + k * self.d
                 for i in range(self.kc.dims[a]):
                     yield f"u{a}.{i}*s^{e}", self.module.monomial(a, i, e)
 
     def family(self, window):
-        for a in sorted(self.frac_of):
-            fr = self.frac_of[a]
-            for k in _int_range_for(fr, window):
+        # keyed by the reduced level mod 1: presentations over d and d*e agree
+        lo, hi = window
+        for a in sorted(self.kc.dims):
+            s = self.kc.shifts[a]
+            fr = Fraction(s, self.d)
+            for k in range(lo, hi):
                 for i in range(self.kc.dims[a]):
-                    yield ("w", fr, i, k), fr + k
+                    yield ("w", fr, i, k), s + k * self.d
 
     def t_preimage(self, y):
         return {e - self.d: v for e, v in y.items()}
@@ -256,8 +253,8 @@ class KummerVFilt(FiltrationSpec):
             "d": self.d,
             "rank": self.kc.rank,
             "jump_classes": [
-                {"level_mod_1": level_json(fr), "dim": self.kc.dims[a]}
-                for fr, a in sorted(self.weight_of.items())
+                {"level_mod_1": level_json(Fraction(self.kc.shifts[a], self.d)), "dim": self.kc.dims[a]}
+                for a in sorted(self.kc.dims, key=self.kc.shifts.get)
             ],
         }
 
@@ -278,7 +275,8 @@ EXACTNESS_RULES = ("extension", "split")
 class ExtensionVFilt(FiltrationSpec):
     """One filtration for the extension family, picked by rule.
 
-    The series generator at exponent i sits at i - shift and the delta
+    Levels lie on (1/p)Z, so den = p.  The series generator at exponent
+    i sits at i - shift, with numerator i*p - shift_num, and the delta
     generator e_m at -m.  The rules differ only in the shift and in
     what the series generator is:
 
@@ -297,14 +295,10 @@ class ExtensionVFilt(FiltrationSpec):
         self.rule = rule
         self.module = mod
         self.series_label, self.series_key, self.rewrite = _EXTENSION_RULES[rule]
-        p = mod.ctx.p
+        p = self.den = mod.ctx.p
         self.l = mod.n // p if self.rewrite else None
-        if rule == "extension":
-            self.shift = Fraction(mod.n, p)
-        elif self.rewrite:
-            self.shift = Fraction(self.l, p)
-        else:
-            self.shift = Fraction(0)
+        # the shift's numerator: n, l, or 0 for split and delta
+        self.shift_num = mod.n if rule == "extension" else self.l or 0
 
     def x_section(self, i: int):
         """The series generator at exponent i."""
@@ -326,52 +320,61 @@ class ExtensionVFilt(FiltrationSpec):
                 extra[m] = ctx.add(extra.get(m, ctx.zero), c)
         return f, g.add(DeltaElement(ctx, extra))
 
-    def _parts(self, r):
-        """(series exponent or None, delta index or None) at level r."""
-        i = r + self.shift
-        series = i.numerator if self.series_label and i.denominator == 1 else None
-        delta = -r.numerator if r.denominator == 1 and r.numerator <= -1 else None
+    def _exponents(self, window):
+        """The series exponents i whose level i - shift lies in the window."""
+        lo, hi = window
+        c = -(-self.shift_num // self.den)  # ceil(shift)
+        return range(lo + c, hi + c)
+
+    def _parts(self, n):
+        """(series exponent or None, delta index or None) at numerator n."""
+        p = self.den
+        i, rem = divmod(n + self.shift_num, p)
+        series = i if self.series_label and not rem else None
+        delta = -n // p if n % p == 0 and n <= -p else None
         return series, delta
 
-    def level(self, x):
+    def ilevel(self, x):
         f, g = self._rewrite(x)
+        p = self.den
         v = f.valuation() if self.series_label else None
         ms = g.max_support()
         if v is None:
-            return None if ms is None else Fraction(-ms)
-        lvl = v - self.shift
-        return lvl if ms is None else min(lvl, Fraction(-ms))
+            return None if ms is None else -ms * p
+        n = v * p - self.shift_num
+        return n if ms is None else min(n, -ms * p)
 
-    def jumps(self, window):
+    def ijumps(self, window):
         lo, hi = window
-        out = {Fraction(mneg) for mneg in range(lo, min(hi, 0))}
+        p = self.den
+        out = set(range(lo * p, min(hi, 0) * p, p))
         if self.series_label:
-            out.update(i - self.shift for i in _int_range_for(-self.shift, window))
+            out.update(i * p - self.shift_num for i in self._exponents(window))
         return sorted(out)
 
-    def dim_at(self, r) -> int:
-        series, delta = self._parts(r)
+    def idim(self, n) -> int:
+        series, delta = self._parts(n)
         return (series is not None) + (delta is not None)
 
-    def graded_basis(self, r):
-        series, delta = self._parts(r)
+    def ibasis(self, n):
+        series, delta = self._parts(n)
         out = [] if series is None else [self.x_section(series)]
         if delta is not None:
             out.append(self.module.delta_monomial(delta))
         return out
 
-    def graded_labels(self, r):
-        series, delta = self._parts(r)
+    def ilabels(self, n):
+        series, delta = self._parts(n)
         out = [] if series is None else [self.series_label.format(series)]
         if delta is not None:
             out.append(f"e_{delta}")
         return out
 
-    def _raw_coords(self, x, r):
+    def _raw_coords(self, x, n):
         """After the rewrite each x_i reads (t^i, 0), so the coefficients
         at the one series exponent and the one delta index are the
-        coordinates; every other term of x already sits above r."""
-        series, delta = self._parts(r)
+        coordinates; every other term of x already sits above n."""
+        series, delta = self._parts(n)
         if series is None and delta is None:
             return None
         f, g = self._rewrite(x)
@@ -384,18 +387,19 @@ class ExtensionVFilt(FiltrationSpec):
     def spanning(self, window):
         lo, hi = window
         if self.series_label:
-            for i in _int_range_for(-self.shift, window):
+            for i in self._exponents(window):
                 yield self.series_label.format(i), self.x_section(i)
         for mneg in range(lo, min(hi, 0)):
             yield f"e_{-mneg}", self.module.delta_monomial(-mneg)
 
     def family(self, window):
         lo, hi = window
+        p = self.den
         if self.series_label:
-            for i in _int_range_for(-self.shift, window):
-                yield (self.series_key, i), i - self.shift
+            for i in self._exponents(window):
+                yield (self.series_key, i), i * p - self.shift_num
         for mneg in range(lo, min(hi, 0)):
-            yield ("dl", -mneg), Fraction(mneg)
+            yield ("dl", -mneg), mneg * p
 
     def t_preimage(self, y):
         f, g = y
@@ -408,55 +412,51 @@ class ExtensionVFilt(FiltrationSpec):
         elif self.rewrite:
             out.update(n=self.module.n, l=self.l)
         if self.series_label:
-            out["shift"] = level_json(-self.shift)
+            out["shift"] = level_json(Fraction(-self.shift_num, self.den))
         return out
 
 
-class ShiftedVFilt(FiltrationSpec):
-    """The same filtration read offset steps deeper: level - offset."""
-
-    rule = "shifted"
+class _Reindexed(FiltrationSpec):
+    """A base spec read offset steps deeper: every integer hook is the
+    base's at the numerator n + offset * den."""
 
     def __init__(self, base: FiltrationSpec, offset: int):
-        if offset == 0:
-            raise InvalidInputError("offset 0 is the identity; use the base spec")
         self.base = base
         self.offset = offset
         self.module = base.module
-        self.default_depth = base.default_depth
-        self.ideal_name = base.ideal_name
-        self.ideal_den = base.ideal_den
+        self.den = base.den
+        self._step = offset * base.den
 
-    def _shift_window(self, window):
+    def _base_window(self, window):
         lo, hi = window
         return (lo + self.offset, hi + self.offset)
 
-    def level(self, x):
-        lvl = self.base.level(x)
-        return None if lvl is None else lvl - self.offset
+    def ilevel(self, x):
+        n = self.base.ilevel(x)
+        return None if n is None else n - self._step
 
-    def jumps(self, window):
-        return [r - self.offset for r in self.base.jumps(self._shift_window(window))]
+    def ijumps(self, window):
+        return [n - self._step for n in self.base.ijumps(self._base_window(window))]
 
-    def dim_at(self, r) -> int:
-        return self.base.dim_at(r + self.offset)
+    def idim(self, n) -> int:
+        return self.base.idim(n + self._step)
 
-    def graded_basis(self, r):
-        return self.base.graded_basis(r + self.offset)
+    def ibasis(self, n):
+        return self.base.ibasis(n + self._step)
 
-    def graded_labels(self, r):
-        return self.base.graded_labels(r + self.offset)
+    def ilabels(self, n):
+        return self.base.ilabels(n + self._step)
 
-    def _raw_coords(self, x, r):
-        """The base spec's, at the base level r + offset."""
-        return self.base._raw_coords(x, r + self.offset)
+    def _raw_coords(self, x, n):
+        """The base spec's, at the base numerator."""
+        return self.base._raw_coords(x, n + self._step)
 
     def spanning(self, window):
-        return self.base.spanning(self._shift_window(window))
+        return self.base.spanning(self._base_window(window))
 
     def family(self, window):
-        for key, lvl in self.base.family(self._shift_window(window)):
-            yield key, lvl - self.offset
+        for key, n in self.base.family(self._base_window(window)):
+            yield key, n - self._step
 
     def t_preimage(self, y):
         return self.base.t_preimage(y)
@@ -464,15 +464,29 @@ class ShiftedVFilt(FiltrationSpec):
     def mul_ideal(self, x, power: int):
         return self.base.mul_ideal(x, power)
 
+
+class ShiftedVFilt(_Reindexed):
+    """The same filtration read offset steps deeper: level - offset."""
+
+    rule = "shifted"
+
+    def __init__(self, base: FiltrationSpec, offset: int):
+        if offset == 0:
+            raise InvalidInputError("offset 0 is the identity; use the base spec")
+        super().__init__(base, offset)
+        self.default_depth = base.default_depth
+        self.ideal_name = base.ideal_name
+        self.ideal_den = base.ideal_den
+
     def to_json(self):
         return {"rule": self.rule, "offset": self.offset, "base": self.base.to_json()}
 
 
-class PullbackVFilt(FiltrationSpec):
+class PullbackVFilt(_Reindexed):
     """Reindex along a fresh degree-d' cover s^(d') = t.
 
-    Levels are untouched; the uniformizer ideal becomes (s), whose
-    single power raises levels by 1/d', and the recorded depth is
+    Levels are untouched (offset 0); the uniformizer ideal becomes (s),
+    whose single power raises levels by 1/d', and the recorded depth is
     d' * max(base depth, 1).  Concrete s-multiplication is available
     for powers divisible by d' (that is, honest t-powers); the A2
     check only ever needs those.
@@ -486,41 +500,15 @@ class PullbackVFilt(FiltrationSpec):
             raise InvalidInputError(f"cover degree {dprime} must be >= 1")
         if dprime % p == 0:
             raise InvalidInputError(f"cover degree {dprime} must be prime to p={p}")
-        self.base = base
+        super().__init__(base, 0)
         self.dprime = dprime
-        self.module = base.module
         self.default_depth = dprime * max(base.default_depth, 1)
         self.ideal_name = "s"
         self.ideal_den = dprime
 
-    def level(self, x):
-        return self.base.level(x)
-
-    def jumps(self, window):
-        return self.base.jumps(window)
-
-    def dim_at(self, r) -> int:
-        return self.base.dim_at(r)
-
-    def graded_basis(self, r):
-        return self.base.graded_basis(r)
-
-    def graded_labels(self, r):
-        return self.base.graded_labels(r)
-
-    def _raw_coords(self, x, r):
-        """The base spec's: levels are untouched."""
-        return self.base._raw_coords(x, r)
-
-    def spanning(self, window):
-        return self.base.spanning(window)
-
     def family(self, window):
-        for key, lvl in self.base.family(window):
-            yield ("pb", self.dprime, key), lvl
-
-    def t_preimage(self, y):
-        return self.base.t_preimage(y)
+        for key, n in self.base.family(window):
+            yield ("pb", self.dprime, key), n
 
     def mul_ideal(self, x, power: int):
         if power % self.dprime:
@@ -652,9 +640,8 @@ class GradedReport:
         }
 
 
-def _graded_map(spec: FiltrationSpec, basis, images, target) -> GradedMap:
+def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int) -> GradedMap:
     ctx = spec.module.ctx
-    tdim = spec.dim_at(target)
     cols = []
     for lbl_idx, y in enumerate(images):
         coords = spec.graded_coords(y, target)
@@ -680,14 +667,15 @@ def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     """Matrix of the induced Frobenius Gr^r -> Gr^(p*r)."""
     basis = spec.graded_basis(r)
     images = [spec.module.apply_F(b) for b in basis]
-    return _graded_map(spec, basis, images, spec.module.ctx.p * r)
+    target = spec.module.ctx.p * r
+    return _graded_map(spec, basis, images, target, spec.dim_at(target))
 
 
 def graded_t_map(spec: FiltrationSpec, r, power: int = 1) -> GradedMap:
     """Matrix of t^power multiplication Gr^r -> Gr^(r + power)."""
     basis = spec.graded_basis(r)
     images = [spec.module.mul_t_pow(b, power) for b in basis]
-    return _graded_map(spec, basis, images, r + power)
+    return _graded_map(spec, basis, images, r + power, spec.dim_at(r + power))
 
 
 def _check_window(window) -> None:
@@ -704,23 +692,26 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     matrix of the induced Frobenius into the piece at p * level, and
     the matrix of t-multiplication into level + 1.  Targets may fall
     outside the window; sections are exact so the matrices still are.
+    Levels are numerators throughout; the report holds one Fraction
+    per numerator.
     """
     _check_window(window)
-    p = spec.module.ctx.p
+    p, den = spec.module.ctx.p, spec.den
+    frac = cache(lambda n: Fraction(n, den))
     out = []
-    for r in spec.jumps(window):
-        basis = spec.graded_basis(r)
+    for n in spec.ijumps(window):
+        basis = spec.ibasis(n)
         if not basis:
             continue
         f_images = [spec.module.apply_F(b) for b in basis]
         t_images = [spec.module.mul_t(b) for b in basis]
         out.append(
             GradedLevel(
-                level=r,
+                level=frac(n),
                 dim=len(basis),
-                labels=spec.graded_labels(r),
-                f_map=_graded_map(spec, basis, f_images, p * r),
-                t_map=_graded_map(spec, basis, t_images, r + 1),
+                labels=spec.ilabels(n),
+                f_map=_graded_map(spec, basis, f_images, frac(p * n), spec.idim(p * n)),
+                t_map=_graded_map(spec, basis, t_images, frac(n + den), spec.idim(n + den)),
             )
         )
     return GradedReport(tuple(window), out)
@@ -728,6 +719,8 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
 
 # ---------------------------------------------------------------------------
 # axiom checks
+#
+# A zero spanning section (level None) fails A1 and meets the rest.
 
 
 @dataclass
@@ -774,6 +767,11 @@ def _fail(name, title, witness):
     return AxiomCheck(name, title, "fail", witness=witness)
 
 
+def _level_json(n, den):
+    """level_json of the numerator n over den."""
+    return level_json(None if n is None else Fraction(n, den))
+
+
 def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=None) -> AxiomReport:
     """A1-A4 on the window; failures carry witnesses, A4 per level.
 
@@ -782,13 +780,13 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     """
     _check_window(window)
     module = spec.module
-    p = module.ctx.p
+    p, den = module.ctx.p, spec.den
     if depth is None:
         depth = spec.default_depth
     power = max(depth, 1)
     sections = list(spec.spanning(window))
-    levels = [spec.level(x) for _, x in sections]
-    lo, hi = window
+    levels = [spec.ilevel(x) for _, x in sections]
+    top = window[1] * den
 
     checks = {}
 
@@ -800,10 +798,9 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
             break
     if a1_witness is None and sections:
         label, x = sections[0]
-        base = levels[0]
-        k = max(1, math.ceil(Fraction(hi) - base))
-        esc = spec.level(module.mul_t_pow(x, k))
-        if not _ge(esc, Fraction(hi)):
+        k = max(1, -((levels[0] - top) // den))  # ceil(hi - level)
+        esc = spec.ilevel(module.mul_t_pow(x, k))
+        if esc is not None and esc < top:
             a1_witness = {
                 "section": label,
                 "reason": f"t^{k} failed to push the level past the window top",
@@ -817,12 +814,14 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     # A2: ideal^power raises levels by at least 1
     a2_witness = None
     for (label, x), lvl in zip(sections, levels):
-        moved = spec.level(spec.mul_ideal(x, power))
-        if not _ge(moved, lvl + 1):
+        if lvl is None:
+            continue
+        moved = spec.ilevel(spec.mul_ideal(x, power))
+        if moved is not None and moved < lvl + den:
             a2_witness = {
                 "section": label,
-                "level": level_json(lvl),
-                "after": level_json(moved),
+                "level": _level_json(lvl, den),
+                "after": _level_json(moved, den),
                 "ideal_power": power,
             }
             break
@@ -840,12 +839,14 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     # A3: Frobenius multiplies levels by at least p
     a3_witness = None
     for (label, x), lvl in zip(sections, levels):
-        flvl = spec.level(module.apply_F(x))
-        if not _ge(flvl, p * lvl):
+        if lvl is None:
+            continue
+        flvl = spec.ilevel(module.apply_F(x))
+        if flvl is not None and flvl < p * lvl:
             a3_witness = {
                 "section": label,
-                "level": level_json(lvl),
-                "frobenius_level": level_json(flvl),
+                "level": _level_json(lvl, den),
+                "frobenius_level": _level_json(flvl, den),
             }
             break
     checks["A3"] = (
@@ -880,27 +881,20 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     """SS1-SS3 on the window; graded_report as in check_specializing."""
     _check_window(window)
     module = spec.module
+    den = spec.den
     sections = list(spec.spanning(window))
-    levels = [spec.level(x) for _, x in sections]
+    levels = [spec.ilevel(x) for _, x in sections]
     checks = {}
 
     # SS1: sections of level >= 0 are t-power multiples of the
     # generators at levels in [0, 1)
     ss1_witness = None
-    gens = 0
-    for r in spec.jumps((0, 1)):
-        gens += spec.dim_at(r)
+    gens = sum(spec.idim(n) for n in spec.ijumps((0, 1)))
     for (label, x), lvl in zip(sections, levels):
         if lvl is None or lvl < 0:
             continue
-        k = math.floor(lvl)
-        gl = lvl - k
-        hit = False
-        for g in spec.graded_basis(gl):
-            if module.eq(module.mul_t_pow(g, k), x):
-                hit = True
-                break
-        if not hit:
+        k, rest = divmod(lvl, den)
+        if not any(module.eq(module.mul_t_pow(g, k), x) for g in spec.ibasis(rest)):
             ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
             break
     checks["SS1"] = (
@@ -912,10 +906,13 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     # SS2: t V^i = V^(i+1) for i != -1
     ss2_witness = None
     for (label, x), lvl in zip(sections, levels):
-        if not _ge(spec.level(module.mul_t(x)), lvl + 1):
+        if lvl is None:
+            continue
+        up = spec.ilevel(module.mul_t(x))
+        if up is not None and up < lvl + den:
             ss2_witness = {"section": label, "reason": "t does not raise the level"}
             break
-        if lvl - 1 == -1:
+        if lvl == 0:
             continue
         pre = spec.t_preimage(x)
         if pre is None:
@@ -924,12 +921,12 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         if not module.eq(module.mul_t(pre), x):
             ss2_witness = {"section": label, "reason": "t-preimage does not multiply back"}
             break
-        pre_lvl = spec.level(pre)
-        if not _ge(pre_lvl, lvl - 1):
+        pre_lvl = spec.ilevel(pre)
+        if pre_lvl is not None and pre_lvl < lvl - den:
             ss2_witness = {
                 "section": label,
                 "reason": "t-preimage is too deep",
-                "preimage_level": level_json(pre_lvl),
+                "preimage_level": _level_json(pre_lvl, den),
             }
             break
     checks["SS2"] = (
@@ -944,7 +941,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     first_fail = None
     exception = None
     for gl in rep.levels:
-        if gl.level == Fraction(-1):
+        if gl.level == -1:
             note = None if gl.t_map.invertible else (gl.t_map.note or "not bijective")
             exception = {
                 "level": level_json(gl.level),
@@ -991,8 +988,11 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
 
     "equal": identical level functions; "contained": the first sits
     inside the second (levels never larger); "reverse-contained": the
-    opposite; "incomparable": neither, with a witness.
+    opposite; "incomparable": neither, with a witness.  Level numerators
+    over different grids are compared cross-multiplied, over
+    den1 * den2.
     """
+    den1, den2 = spec1.den, spec2.den
     concrete = (
         getattr(spec1.module, "kind", None) is not None
         and spec1.module.kind == spec2.module.kind
@@ -1000,7 +1000,7 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
     pairs = []
     if concrete:
         for label, x in list(spec1.spanning(window)) + list(spec2.spanning(window)):
-            l1, l2 = spec1.level(x), spec2.level(x)
+            l1, l2 = spec1.ilevel(x), spec2.ilevel(x)
             if l1 is None and l2 is None:
                 continue
             if l1 is None or l2 is None:
@@ -1008,19 +1008,17 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
                     "verdict": "incomparable",
                     "witness": {"section": label, "reason": "finite level on one side only"},
                 }
-            pairs.append((label, l1, l2))
+            pairs.append((label, l1 * den2, l2 * den1))
     else:
         fam1 = dict(spec1.family(window))
         fam2 = dict(spec2.family(window))
         if set(fam1) != set(fam2):
-            diff = sorted(
-                set(map(str, set(fam1) ^ set(fam2)))
-            )[:4]
+            diff = sorted(set(map(str, set(fam1) ^ set(fam2))))[:4]
             return {
                 "verdict": "incomparable",
                 "witness": {"reason": "spanning families differ", "keys": diff},
             }
-        pairs = [(str(k), fam1[k], fam2[k]) for k in fam1]
+        pairs = [(str(k), fam1[k] * den2, fam2[k] * den1) for k in fam1]
 
     le = all(l1 <= l2 for _, l1, l2 in pairs)
     ge = all(l1 >= l2 for _, l1, l2 in pairs)
@@ -1030,13 +1028,14 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
         return {"verdict": "contained", "sections": len(pairs)}
     if ge:
         return {"verdict": "reverse-contained", "sections": len(pairs)}
+    den = den1 * den2
     wit = next((lbl, l1, l2) for lbl, l1, l2 in pairs if l1 > l2)
     wit2 = next((lbl, l1, l2) for lbl, l1, l2 in pairs if l1 < l2)
     return {
         "verdict": "incomparable",
         "witness": {
-            "deeper_in_first": {"section": wit[0], "levels": [level_json(wit[1]), level_json(wit[2])]},
-            "deeper_in_second": {"section": wit2[0], "levels": [level_json(wit2[1]), level_json(wit2[2])]},
+            "deeper_in_first": {"section": wit[0], "levels": [_level_json(wit[1], den), _level_json(wit[2], den)]},
+            "deeper_in_second": {"section": wit2[0], "levels": [_level_json(wit2[1], den), _level_json(wit2[2], den)]},
         },
     }
 
@@ -1052,38 +1051,37 @@ def shifted_exactness(spec, window) -> dict:
     (level(0, e_m) = -m), and the quotient filtration of the series
     part must be the integer one shifted by -n/p (0 in the split
     case): the level of t^i maximized over delta lifts equals
-    i + shift.
+    i - n/p.
     """
     if spec.rule not in EXACTNESS_RULES:
         raise InvalidInputError("exactness report needs an extension filtration")
     module = spec.module
-    lo, hi = window
-    shift = -spec.shift
+    p = spec.den
     sub_ok = True
     witness = None
-    for m in range(1, -lo + 1):
-        got = spec.level(module.delta_monomial(m))
-        if got != Fraction(-m):
+    for m in range(1, -window[0] + 1):
+        got = spec.ilevel(module.delta_monomial(m))
+        if got != -m * p:
             sub_ok = False
-            witness = {"delta": m, "level": level_json(got)}
+            witness = {"delta": m, "level": _level_json(got, p)}
             break
     quo_ok = True
     checked = 0
-    for i in _int_range_for(shift, window):
+    for i in spec._exponents(window):
         lifts = [
             module.f_monomial(i),
             module.add(module.f_monomial(i), module.delta_monomial(1)),
             module.add(module.f_monomial(i), module.delta_monomial(2)),
         ]
-        best = max(spec.level(x) for x in lifts)
-        if best != i + shift:
+        best = max(spec.ilevel(x) for x in lifts)
+        if best != i * p - spec.shift_num:
             quo_ok = False
-            witness = {"series_exp": i, "level": level_json(best)}
+            witness = {"series_exp": i, "level": _level_json(best, p)}
             break
         checked += 1
     return {
         "sub_matches_delta": sub_ok,
-        "quotient_shift": level_json(shift),
+        "quotient_shift": _level_json(-spec.shift_num, p),
         "quotient_matches_shifted_integers": quo_ok,
         "levels_checked": checked,
         "witness": witness,

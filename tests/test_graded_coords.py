@@ -68,7 +68,7 @@ def remainder_graded_coords(spec, x, r):
         return [ctx.zero] * spec.dim_at(r)
     if lvl < r:
         return None
-    coords = spec._raw_coords(x, r)
+    coords = spec._raw_coords(x, int(r * spec.den))
     if coords is None:
         return None
     rem = x

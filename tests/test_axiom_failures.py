@@ -69,6 +69,14 @@ class ExtraSection(KummerVFilt):
         yield f"2*{label}", {e: tuple(self.module.ctx.mul(two, c) for c in v) for e, v in x.items()}
 
 
+class ZeroSection(KummerVFilt):
+    """The spanning family with the zero section in front."""
+
+    def spanning(self, window):
+        yield "0", self.module.zero()
+        yield from super().spanning(window)
+
+
 class ShallowIdeal(ExtensionModule):
     """t^k multiplies by t^(k-1) only."""
 
@@ -189,6 +197,20 @@ def test_ss1_fails_on_a_non_generator():
         "section": "2*u2.0*s^1",
         "reason": "not a t-power multiple of a generator",
     }
+
+
+def test_a1_fails_on_a_zero_section_and_the_other_checks_run():
+    report = check_axioms(kummer(CyclicRep.companion(3, 5), spec_cls=ZeroSection), WINDOW)
+    assert statuses(report) == {
+        "A1": "fail",
+        "A2": "pass",
+        "A3": "pass",
+        "A4": "pass",
+        "SS1": "pass",
+        "SS2": "pass",
+        "SS3": "pass",
+    }
+    assert report.checks["A1"].witness == {"section": "0", "reason": "no finite level on the window"}
 
 
 def test_extension_a1_a2_fail_on_the_one_over_p_grid():

@@ -179,6 +179,25 @@ def test_roundtrip_sampled(capsys):
     assert res["naturality"]["fail"] == 0
 
 
+def cap_error(err):
+    """The JSON error line that follows the message line of a cap exit."""
+    message, line = err.strip().splitlines()
+    assert message.startswith("resource cap exceeded: ")
+    error = json.loads(line)["error"]
+    assert error["kind"] == "cap" and message.endswith(error["message"])
+    return error
+
+
+def test_cap_exit_carries_the_profile(capsys):
+    code, out, err = run(capsys, ["sol", "--p", "5", "--c", "t^-5000"])
+    assert code == 3 and out == ""
+    assert cap_error(err) == {
+        "kind": "cap",
+        "message": "pole order 4999 exceeds the solution chain cap 4096",
+        "profile": [["pole", 4999]],
+    }
+
+
 def test_roundtrip_file_object(capsys, tmp_path):
     gamma = make_field(7, 2).generator
     entry = {"d": 1, "classes": [{"a": 0, "dim": 1, "C": [[list(gamma)]]}]}
@@ -191,6 +210,8 @@ def test_roundtrip_file_object(capsys, tmp_path):
     )
     assert code == 3
     assert "within 3 extension degrees" in err
+    assert out == ""
+    assert cap_error(err)["profile"] == [[1, 0], [2, 0], [3, 0]]
 
     code, rep, _ = report(
         capsys, ["roundtrip", "--p", "7", "--m", "2", "--rep", str(path), "--cap", "8"]

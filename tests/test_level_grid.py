@@ -19,6 +19,7 @@ from fcrystal import (
     LaurentSeries,
     build_extension,
     build_kummer_crystal,
+    compare,
     delta_vfilt,
     make_field,
     mc_depth_grading,
@@ -187,3 +188,26 @@ def test_off_grid_rationals_carry_no_graded_piece(case, k):
         assert spec.graded_basis(r) == [] and spec.graded_labels(r) == []
         want = [] if lvl is None or lvl > r else None
         assert spec.graded_coords(x, r) == want
+
+
+class DoubledGrid(KummerVFilt):
+    """The standard filtration with its level numerators written over 2d."""
+
+    def __init__(self, kc):
+        super().__init__(kc)
+        self.den = 2 * kc.d
+
+    def ilevel(self, x):
+        n = super().ilevel(x)
+        return None if n is None else 2 * n
+
+
+def test_compare_reads_each_spec_on_its_own_grid():
+    # one module, two grids: the section path must cross-multiply
+    spec = KUMMER_SPECS[1]
+    doubled = DoubledGrid(spec.kc)
+    window = (-2, 2)
+    sections = 2 * len(list(spec.spanning(window)))
+    assert compare(spec, doubled, window) == {"verdict": "equal", "sections": sections}
+    assert compare(doubled, shifted_filtration(spec, 1), window)["verdict"] == "reverse-contained"
+    assert compare(shifted_filtration(doubled, -1), spec, window)["verdict"] == "reverse-contained"

@@ -443,11 +443,18 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the least valid value of each integer flag that has one; a flag the
+# command lacks or the user left unset reads None
+_LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.window <= 0:
-            raise InvalidInputError(f"--window {args.window} must be positive")
+        for flag, least in _LEAST.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise InvalidInputError(f"--{flag} {value} must be >= {least}")
         return args.func(args)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)

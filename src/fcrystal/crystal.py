@@ -420,8 +420,7 @@ class ExtensionModule:
         return (s1[0].add(s2[0]), s1[1].add(s2[1]))
 
     def eq(self, s1, s2) -> bool:
-        """Equal values: the series' stored windows may differ."""
-        return s1[0].same_values(s2[0]) and s1[1] == s2[1]
+        return s1 == s2
 
     def to_json(self):
         return {
@@ -436,13 +435,11 @@ class ExtensionModule:
 def build_extension(ctx: FieldCtx, c: LaurentSeries, delta_cap: int = DEFAULT_DELTA_CAP) -> ExtensionModule:
     """The extension module twisted by the Laurent polynomial c.
 
-    Requires c to be exactly known; nonzero c must have a pole
-    (v_t(c) <= -1) so that n = -v_t(c) - 1 >= 0.
+    Nonzero c must have a pole (v_t(c) <= -1) so that
+    n = -v_t(c) - 1 >= 0.
     """
     if c.ctx is not ctx:
         raise InvalidInputError("twist series over the wrong field")
-    if not c.is_exact():
-        raise InvalidInputError("twist series must be exactly known (no window)")
     v = c.valuation()
     if v is None:
         return ExtensionModule(ctx, c, None, delta_cap)

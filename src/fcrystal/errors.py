@@ -28,7 +28,3 @@ class CapExceededError(FCrystalError, RuntimeError):
     def __init__(self, message: str, profile=None):
         super().__init__(message)
         self.profile = profile if profile is not None else []
-
-
-class WindowError(FCrystalError, RuntimeError):
-    """A computation needs data outside the available window."""

@@ -90,9 +90,6 @@ class KummerSections:
     def eq(self, x, y) -> bool:
         return x == y
 
-    def valuation(self, x):
-        return min(x) if x else None
-
     def slice(self, x, e: int):
         return x.get(e, self.zero_vector)
 
@@ -417,15 +414,35 @@ class ExtensionVFilt(FiltrationSpec):
 
 
 class _Reindexed(FiltrationSpec):
-    """A base spec read offset steps deeper: every integer hook is the
-    base's at the numerator n + offset * den."""
+    """A base spec reindexed: every integer hook is the base's at the
+    numerator n + offset * den.
 
-    def __init__(self, base: FiltrationSpec, offset: int):
+    Without dprime this is the shifted filtration, the base read offset
+    steps deeper (level - offset).  With dprime it is the pullback along
+    a fresh degree-d' cover s^(d') = t: levels are untouched (offset 0),
+    the uniformizer ideal becomes (s), whose single power raises levels
+    by 1/d', and the recorded depth is d' * max(base depth, 1).
+    Concrete s-multiplication is available for powers divisible by d'
+    (that is, honest t-powers); the A2 check only ever needs those.
+    """
+
+    def __init__(self, base: FiltrationSpec, offset: int, dprime=None):
         self.base = base
         self.offset = offset
+        self.dprime = dprime
         self.module = base.module
         self.den = base.den
         self._step = offset * base.den
+        if dprime is None:
+            self.rule = "shifted"
+            self.default_depth = base.default_depth
+            self.ideal_name = base.ideal_name
+            self.ideal_den = base.ideal_den
+        else:
+            self.rule = "pullback"
+            self.default_depth = dprime * max(base.default_depth, 1)
+            self.ideal_name = "s"
+            self.ideal_den = dprime
 
     def _base_window(self, window):
         lo, hi = window
@@ -456,68 +473,22 @@ class _Reindexed(FiltrationSpec):
 
     def family(self, window):
         for key, n in self.base.family(self._base_window(window)):
-            yield key, n - self._step
+            yield (key if self.dprime is None else ("pb", self.dprime, key)), n - self._step
 
     def t_preimage(self, y):
         return self.base.t_preimage(y)
 
     def mul_ideal(self, x, power: int):
-        return self.base.mul_ideal(x, power)
-
-
-class ShiftedVFilt(_Reindexed):
-    """The same filtration read offset steps deeper: level - offset."""
-
-    rule = "shifted"
-
-    def __init__(self, base: FiltrationSpec, offset: int):
-        if offset == 0:
-            raise InvalidInputError("offset 0 is the identity; use the base spec")
-        super().__init__(base, offset)
-        self.default_depth = base.default_depth
-        self.ideal_name = base.ideal_name
-        self.ideal_den = base.ideal_den
-
-    def to_json(self):
-        return {"rule": self.rule, "offset": self.offset, "base": self.base.to_json()}
-
-
-class PullbackVFilt(_Reindexed):
-    """Reindex along a fresh degree-d' cover s^(d') = t.
-
-    Levels are untouched (offset 0); the uniformizer ideal becomes (s),
-    whose single power raises levels by 1/d', and the recorded depth is
-    d' * max(base depth, 1).  Concrete s-multiplication is available
-    for powers divisible by d' (that is, honest t-powers); the A2
-    check only ever needs those.
-    """
-
-    rule = "pullback"
-
-    def __init__(self, base: FiltrationSpec, dprime: int):
-        p = base.module.ctx.p
-        if dprime < 1:
-            raise InvalidInputError(f"cover degree {dprime} must be >= 1")
-        if dprime % p == 0:
-            raise InvalidInputError(f"cover degree {dprime} must be prime to p={p}")
-        super().__init__(base, 0)
-        self.dprime = dprime
-        self.default_depth = dprime * max(base.default_depth, 1)
-        self.ideal_name = "s"
-        self.ideal_den = dprime
-
-    def family(self, window):
-        for key, n in self.base.family(window):
-            yield ("pb", self.dprime, key), n
-
-    def mul_ideal(self, x, power: int):
-        if power % self.dprime:
+        d = self.dprime or 1
+        if power % d:
             raise InvalidInputError(
-                f"s-power {power} is not a t-power (d'={self.dprime}); only level arithmetic exists for it"
+                f"s-power {power} is not a t-power (d'={d}); only level arithmetic exists for it"
             )
-        return self.base.mul_ideal(x, power // self.dprime)
+        return self.base.mul_ideal(x, power // d)
 
     def to_json(self):
+        if self.dprime is None:
+            return {"rule": self.rule, "offset": self.offset, "base": self.base.to_json()}
         return {
             "rule": self.rule,
             "dprime": self.dprime,
@@ -572,12 +543,21 @@ def mc_depth_grading(mod: ExtensionModule) -> ExtensionVFilt:
     return ExtensionVFilt(mod, "depth-grading")
 
 
-def shifted_filtration(spec: FiltrationSpec, offset: int) -> ShiftedVFilt:
-    return ShiftedVFilt(spec, offset)
+def shifted_filtration(spec: FiltrationSpec, offset: int) -> FiltrationSpec:
+    """The filtration read offset steps deeper: level - offset."""
+    if offset == 0:
+        raise InvalidInputError("offset 0 is the identity; use the base spec")
+    return _Reindexed(spec, offset)
 
 
-def pullback_filtration(spec: FiltrationSpec, dprime: int) -> PullbackVFilt:
-    return PullbackVFilt(spec, dprime)
+def pullback_filtration(spec: FiltrationSpec, dprime: int) -> FiltrationSpec:
+    """The filtration along a fresh degree-d' cover s^(d') = t."""
+    p = spec.module.ctx.p
+    if dprime < 1:
+        raise InvalidInputError(f"cover degree {dprime} must be >= 1")
+    if dprime % p == 0:
+        raise InvalidInputError(f"cover degree {dprime} must be prime to p={p}")
+    return _Reindexed(spec, 0, dprime)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +743,10 @@ class AxiomReport:
         return AxiomReport(out)
 
 
-def _fail(name, title, witness):
+def _verdict(name, title, witness, **info):
+    """A fail carrying witness, or (witness None) a pass carrying info."""
+    if witness is None:
+        return AxiomCheck(name, title, "pass", info=info)
     return AxiomCheck(name, title, "fail", witness=witness)
 
 
@@ -805,11 +788,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
                 "section": label,
                 "reason": f"t^{k} failed to push the level past the window top",
             }
-    checks["A1"] = (
-        AxiomCheck("A1", "finite presentation on the window", "pass", info={"sections": len(sections)})
-        if a1_witness is None
-        else _fail("A1", "finite presentation on the window", a1_witness)
-    )
+    checks["A1"] = _verdict("A1", "finite presentation on the window", a1_witness, sections=len(sections))
 
     # A2: ideal^power raises levels by at least 1
     a2_witness = None
@@ -825,15 +804,8 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
                 "ideal_power": power,
             }
             break
-    checks["A2"] = (
-        AxiomCheck(
-            "A2",
-            "ideal power deepens levels",
-            "pass",
-            info={"ideal": spec.ideal_name, "power": power},
-        )
-        if a2_witness is None
-        else _fail("A2", "ideal power deepens levels", a2_witness)
+    checks["A2"] = _verdict(
+        "A2", "ideal power deepens levels", a2_witness, ideal=spec.ideal_name, power=power
     )
 
     # A3: Frobenius multiplies levels by at least p
@@ -849,11 +821,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
                 "frobenius_level": _level_json(flvl, den),
             }
             break
-    checks["A3"] = (
-        AxiomCheck("A3", "Frobenius scales levels by p", "pass")
-        if a3_witness is None
-        else _fail("A3", "Frobenius scales levels by p", a3_witness)
-    )
+    checks["A3"] = _verdict("A3", "Frobenius scales levels by p", a3_witness)
 
     # A4: graded Frobenius bijective on nonzero pieces
     rep = graded_report if graded_report is not None else graded(spec, window)
@@ -897,11 +865,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         if not any(module.eq(module.mul_t_pow(g, k), x) for g in spec.ibasis(rest)):
             ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
             break
-    checks["SS1"] = (
-        AxiomCheck("SS1", "V^0 finitely generated on the window", "pass", info={"generators": gens})
-        if ss1_witness is None
-        else _fail("SS1", "V^0 finitely generated on the window", ss1_witness)
-    )
+    checks["SS1"] = _verdict("SS1", "V^0 finitely generated on the window", ss1_witness, generators=gens)
 
     # SS2: t V^i = V^(i+1) for i != -1
     ss2_witness = None
@@ -929,11 +893,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
                 "preimage_level": _level_json(pre_lvl, den),
             }
             break
-    checks["SS2"] = (
-        AxiomCheck("SS2", "t V^i = V^(i+1) away from -1", "pass")
-        if ss2_witness is None
-        else _fail("SS2", "t V^i = V^(i+1) away from -1", ss2_witness)
-    )
+    checks["SS2"] = _verdict("SS2", "t V^i = V^(i+1) away from -1", ss2_witness)
 
     # SS3: graded t bijective away from level -1
     rep = graded_report if graded_report is not None else graded(spec, window)

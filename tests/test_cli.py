@@ -285,6 +285,35 @@ def test_empty_window_is_invalid_input(capsys, window):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["build", "--p", "5", "--c", "t^-2", "--m", "0"], "--m 0"),
+        (["roundtrip", "--p", "5", "--count", "0"], "--count 0"),
+        (["roundtrip", "--p", "5", "--count", "-3"], "--count -3"),
+        (["check", "--p", "5", "--c", "t^-2", "--window", "3", "--depth", "-1"], "--depth -1"),
+        (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "0"], "--e 0"),
+        (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "-1"], "--e -1"),
+    ],
+    ids=["m-0", "count-0", "count-neg", "depth-neg", "e-0", "e-neg"],
+)
+def test_out_of_range_flag_is_invalid_input(capsys, argv, flag):
+    # unchecked, each would run with a silently changed value (m = 1,
+    # four roundtrip cases, depth 1) or fail later on another message
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= ")
+
+
+def test_build_reports_lo_after_cancellation(capsys):
+    # "lo" is the valuation of the parsed series, not its first written term
+    code, rep, _ = report(capsys, ["build", "--p", "5", "--c", "t^-3-t^-3+t^-2"])
+    assert code == 0
+    assert rep["result"]["n"] == 1
+    assert rep["result"]["object"]["c"] == {"lo": -2, "hi": None, "terms": [[-2, [1]]]}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sol", "--p", "5", "--c", "t^-2", "--rep", "companion"],

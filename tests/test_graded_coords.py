@@ -171,7 +171,7 @@ def _extension_extras(spec):
             mod.f_monomial(-3),
             mod.f_monomial(0),
             _add(ctx, mod.f_monomial(1), mod.delta_monomial(2)),
-            (LaurentSeries.exact(ctx, {-2: two, 5: ctx.one}), mod.delta_monomial(6)[1]),
+            (LaurentSeries(ctx, {-2: two, 5: ctx.one}), mod.delta_monomial(6)[1]),
         ]
     return out
 

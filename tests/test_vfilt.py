@@ -203,7 +203,7 @@ def test_extension_sections_have_a_class_at_their_level(rule, f, g):
     assert spec.rule == rule
     if rule == "delta":
         f = {}  # the delta module's sections are (0, g)
-    x = (LaurentSeries.exact(F25, f), DeltaElement(F25, g))
+    x = (LaurentSeries(F25, f), DeltaElement(F25, g))
     lvl = spec.level(x)
     assert (lvl is None) == (not f and not g)
     if lvl is not None:

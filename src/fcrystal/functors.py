@@ -4,7 +4,10 @@ A CGObject is the canonical form of a p-graded semilinear structure:
 per class a mod d a space of dimension n_a and an invertible matrix
 C_a carrying class a to class p*a.  Arbitrary (tau, tau-tilde) pairs
 are normalized on ingestion by absorbing the twist identification
-into tau, which makes equality of objects decidable.
+into tau, which makes equality of objects decidable.  Objects and
+their morphisms share one block form over the classes: the flattened
+transitions carry block a to block p*a, a morphism is block diagonal,
+and its naturality is one matrix identity, transition_residual = 0.
 
 build_to_classes: functor_F sends a representation to its weight data;
 functor_G flattens a CGObject to one semilinear operator, saturates
@@ -24,8 +27,10 @@ extension classes with a witness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .crystal import (
@@ -140,6 +145,29 @@ class CGObject:
         }
 
 
+def _blocks(ctx, out_dims, in_dims, mats, target):
+    """One matrix out of blocks: mats[a] sits at block (target(a), a).
+
+    Row blocks follow out_dims and column blocks in_dims, both in class
+    order.  A block with no rows or no columns has no entries to place,
+    so such a block may be written in either shape.
+    """
+    rows = [[ctx.zero] * sum(in_dims) for _ in range(sum(out_dims))]
+    row_off = (0, *accumulate(out_dims))
+    col_off = (0, *accumulate(in_dims))
+    for a, m in enumerate(mats):
+        r0, c0 = row_off[target(a)], col_off[a]
+        for i, row in enumerate(m):
+            rows[r0 + i][c0 : c0 + len(row)] = row
+    return tuple(tuple(r) for r in rows)
+
+
+def _flat(obj: CGObject):
+    """The matrix of flatten_object."""
+    p, d = obj.ctx.p, obj.d
+    return _blocks(obj.ctx, obj.dims, obj.dims, obj.mats, lambda a: (p * a) % d)
+
+
 def flatten_object(obj: CGObject) -> SemilinearOperator:
     """One semilinear operator on the sum of the classes.
 
@@ -147,30 +175,35 @@ def flatten_object(obj: CGObject) -> SemilinearOperator:
     p*a mod d by C_a, so the p-power permutation of classes needs no
     special-casing downstream.
     """
-    ctx = obj.ctx
-    R = obj.rank
-    offs = []
-    acc = 0
-    for a in range(obj.d):
-        offs.append(acc)
-        acc += obj.dims[a]
-    rows = [[ctx.zero] * R for _ in range(R)]
-    for a in range(obj.d):
-        if obj.dims[a] == 0:
-            continue
-        ta = (ctx.p * a) % obj.d
-        C = obj.mats[a]
-        for i in range(obj.dims[ta]):
-            for j in range(obj.dims[a]):
-                rows[offs[ta] + i][offs[a] + j] = C[i][j]
-    return SemilinearOperator(ctx, tuple(tuple(r) for r in rows))
+    return SemilinearOperator(obj.ctx, _flat(obj))
 
 
-def _class_of_coordinate(obj: CGObject):
-    out = []
-    for a in range(obj.d):
-        out.extend([a] * obj.dims[a])
-    return out
+def transition_residual(obj1: CGObject, obj2: CGObject, gmats):
+    """C2 G^(p) - G C1 on the flattened objects, G block diagonal.
+
+    gmats[a] is the component g_a: class a of obj1 -> class a of obj2.
+    Column block a of the residual is C2_a g_a^(p) - g_(pa) C1_a, so it
+    vanishes exactly when every transition square commutes.
+    """
+    ctx = obj1.ctx
+    G = _blocks(ctx, obj2.dims, obj1.dims, gmats, lambda a: a)
+    lhs = linalg.mat_mul(ctx, _flat(obj2), linalg.mat_frob(ctx, G))
+    rhs = linalg.mat_mul(ctx, G, _flat(obj1))
+    return tuple(tuple(ctx.sub(x, y) for x, y in zip(r, s)) for r, s in zip(lhs, rhs))
+
+
+def _transition_failure(obj1: CGObject, obj2: CGObject, gmats):
+    """The failed-square report naming the smallest class whose residual
+    column is nonzero, or None when the transition square commutes."""
+    ctx = obj1.ctx
+    res = transition_residual(obj1, obj2, gmats)
+    col = next(
+        (j for j in range(obj1.rank) if any(not ctx.is_zero(row[j]) for row in res)), None
+    )
+    if col is None:
+        return None
+    a = bisect_right(tuple(accumulate(obj1.dims)), col)
+    return {"status": "fail", "square": "transition", "witness": {"class": a}}
 
 
 def _flatten_vec(vec):
@@ -181,12 +214,15 @@ def _flatten_vec(vec):
 # the two functors
 
 
+def _graded_object(kc: KummerCrystal) -> CGObject:
+    dims = tuple(kc.dims.get(a, 0) for a in range(kc.d))
+    mats = tuple(kc.frob_mats.get(a, ()) for a in range(kc.d))
+    return CGObject(kc.ctx, kc.d, dims, mats)
+
+
 def functor_F(rep: CyclicRep, ctx) -> CGObject:
     """Weight dimensions and transition matrices of a representation."""
-    kc = build_kummer_crystal(rep, ctx)
-    dims = tuple(kc.dims.get(a, 0) for a in range(rep.d))
-    mats = tuple(kc.frob_mats.get(a, ()) for a in range(rep.d))
-    return CGObject(ctx, rep.d, dims, mats)
+    return _graded_object(build_kummer_crystal(rep, ctx))
 
 
 @dataclass(frozen=True)
@@ -216,25 +252,11 @@ def functor_G(obj: CGObject, cap: int = DEFAULT_SATURATION_CAP) -> GResult:
     success certifies the entries.
     """
     ctx = obj.ctx
-    R = obj.rank
-    if R == 0:
+    if obj.rank == 0:
         raise InvalidInputError("object has no nonzero class")
-    op = flatten_object(obj)
-    sat = saturate_fixed_points(ctx, op, cap)
-    big = sat.field
-    xi_big = sat.embedding.map(primitive_root_of_unity(ctx, obj.d))
-    classes = _class_of_coordinate(obj)
-    scal = {a: big.pow(xi_big, a) for a in set(classes)}
-    flat = [_flatten_vec(w) for w in sat.basis]
-    rows, piv = linalg.rref_int(flat, ctx.p)
-    cols = []
-    for w in sat.basis:
-        sw = [big.mul(scal[classes[i]], w[i]) for i in range(R)]
-        coords = linalg.express_int(rows, piv, _flatten_vec(sw), ctx.p)
-        if coords is None:
-            raise InvalidInputError("group action left the fixed space; object data inconsistent")
-        cols.append(coords)
-    mat = tuple(tuple(cols[j][i] for j in range(R)) for i in range(R))
+    sat = saturate_fixed_points(ctx, flatten_object(obj), cap)
+    rows, piv = linalg.rref_int([_flatten_vec(w) for w in sat.basis], ctx.p)
+    mat = _sigma_matrix(obj, sat.field, sat.embedding, sat.basis, rows, piv)
     return GResult(CyclicRep(obj.d, ctx.p, mat), sat, obj)
 
 
@@ -387,15 +409,6 @@ def recover_rep(kc: KummerCrystal, cap: int = DEFAULT_SATURATION_CAP) -> CyclicR
 # vanishing cycles and gluing
 
 
-def _mat_mul0(ctx, a, b, bcols: int):
-    """Matrix product tolerating zero-dimensional factors."""
-    if not a:
-        return ()
-    if not b:
-        return tuple(tuple(ctx.zero for _ in range(bcols)) for _ in a)
-    return linalg.mat_mul(ctx, a, b)
-
-
 @dataclass(frozen=True)
 class VanishingReport:
     """Gr^(-1) -> Gr^(-p) with its morphism (t, t^p) into Gr^0."""
@@ -448,8 +461,8 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
     if fm.matrix is None or tV.matrix is None or tW.matrix is None:
         note = "a graded image failed to land in its target piece"
     else:
-        lhs = _mat_mul0(ctx, tW.matrix, fm.matrix, dimV)
-        rhs = _mat_mul0(ctx, psi.matrix, linalg.mat_frob(ctx, tV.matrix), dimV)
+        lhs = linalg.mat_mul(ctx, tW.matrix, fm.matrix)
+        rhs = linalg.mat_mul(ctx, psi.matrix, linalg.mat_frob(ctx, tV.matrix))
         commutes = lhs == rhs
         if not commutes:
             note = "(t^p) after F differs from F after t"
@@ -522,30 +535,12 @@ def gluing_data(obj) -> GluingTriple:
     else:
         raise InvalidInputError(f"cannot extract gluing data from {type(obj).__name__}")
     van = vanishing(spec)
-    ctx = spec.module.ctx
-    t_rank = linalg.rank(ctx, van.t_source) if van.t_source else 0
+    t_rank = linalg.rank(spec.module.ctx, van.t_source) if van.t_source else 0
     k = van.source_dim - t_rank
-    consistent = (
-        van.commutes
-        and t_rank == van.psi.dim
-        and k + t_rank == van.source_dim
-    )
-    pair = {
-        "source_dim": van.source_dim,
-        "target_dim": van.target_dim,
-        "f_matrix": None
-        if van.f_matrix is None
-        else [[list(x) for x in row] for row in van.f_matrix],
-    }
-    morphism = {
-        "t_source": None
-        if van.t_source is None
-        else [[list(x) for x in row] for row in van.t_source],
-        "t_target": None
-        if van.t_target is None
-        else [[list(x) for x in row] for row in van.t_target],
-        "intertwines": van.commutes,
-    }
+    consistent = van.commutes and t_rank == van.psi.dim and k + t_rank == van.source_dim
+    vj = van.to_json()
+    pair = {key: vj[key] for key in ("source_dim", "target_dim", "f_matrix")}
+    morphism = {"t_source": vj["t_source"], "t_target": vj["t_target"], "intertwines": van.commutes}
     return GluingTriple(
         open_part=open_part,
         pair=pair,
@@ -589,24 +584,14 @@ def naturality_check_F(rep1: CyclicRep, rep2: CyclicRep, fmat, ctx) -> dict:
             "square": "equivariance",
             "witness": {"entry": [i, j], "lhs": lhs[i][j], "rhs": rhs[i][j]},
         }
-    dec1 = weight_decompose(rep1, ctx)
-    dec2 = weight_decompose(rep2, ctx)
     kc1 = build_kummer_crystal(rep1, ctx)
     kc2 = build_kummer_crystal(rep2, ctx)
+    fctx = tuple(tuple(ctx.from_int(x) for x in row) for row in fmat)
     comps = {}
-    for a, (rows1, _) in dec1.bases.items():
-        images = []
-        for u in rows1:
-            img = []
-            for i in range(rep2.rank):
-                acc = ctx.zero
-                for j in range(rep1.rank):
-                    if fmat[i][j]:
-                        acc = ctx.add(acc, ctx.smul(fmat[i][j], u[j]))
-                img.append(acc)
-            images.append(tuple(img))
-        if a not in dec2.bases:
-            if any(not all(ctx.is_zero(x) for x in img) for img in images):
+    for a, (rows1, _) in kc1.bases.items():
+        images = [linalg.mat_vec(ctx, fctx, u) for u in rows1]
+        if a not in kc2.bases:
+            if any(not ctx.is_zero(x) for img in images for x in img):
                 return {
                     "status": "fail",
                     "square": "graded-components",
@@ -614,7 +599,7 @@ def naturality_check_F(rep1: CyclicRep, rep2: CyclicRep, fmat, ctx) -> dict:
                 }
             comps[a] = ()
             continue
-        rows2, piv2 = dec2.bases[a]
+        rows2, piv2 = kc2.bases[a]
         cols = []
         for img in images:
             coords = linalg.express(ctx, rows2, piv2, img)
@@ -625,21 +610,12 @@ def naturality_check_F(rep1: CyclicRep, rep2: CyclicRep, fmat, ctx) -> dict:
                     "witness": {"class": a, "reason": "image leaves the weight space"},
                 }
             cols.append(coords)
-        comps[a] = tuple(
-            tuple(cols[j][i] for j in range(len(cols))) for i in range(len(rows2))
-        )
-    for a, fa in comps.items():
-        ta = (p * a) % d
-        n2a = len(dec2.bases[a][0]) if a in dec2.bases else 0
-        b1 = kc1.frob_mats[a]
-        lhs_m = _mat_mul0(ctx, kc2.frob_mats.get(a, ()), linalg.mat_frob(ctx, fa), len(fa[0]) if fa else 0) if n2a else ()
-        rhs_m = _mat_mul0(ctx, comps.get(ta, ()), b1, len(b1[0]) if b1 else 0)
-        if lhs_m != rhs_m:
-            return {
-                "status": "fail",
-                "square": "transition",
-                "witness": {"class": a},
-            }
+        comps[a] = tuple(zip(*cols))
+    obj1, obj2 = _graded_object(kc1), _graded_object(kc2)
+    gmats = tuple(comps.get(a, ((),) * obj2.dims[a]) for a in range(d))
+    failure = _transition_failure(obj1, obj2, gmats)
+    if failure is not None:
+        return failure
     return {
         "status": "pass",
         "squares": {"equivariance": True, "graded_components": True, "transition": True},
@@ -651,24 +627,26 @@ def _fixed_data(obj: CGObject, degree: int):
     ctx = obj.ctx
     big = ctx if degree == 1 else make_field(ctx.p, ctx.m * degree)
     emb = embed_field(ctx, big)
-    op = flatten_object(obj)
-    vecs = semilinear_fixed_points(big, emb.map_matrix(op.entries))
+    vecs = semilinear_fixed_points(big, emb.map_matrix(_flat(obj)))
     flat = [_flatten_vec(v) for v in vecs]
     rows, piv = linalg.rref_int(flat, ctx.p) if flat else ([], [])
     return big, emb, vecs, rows, piv
 
 
 def _sigma_matrix(obj: CGObject, big, emb, vecs, rows, piv):
+    """The generator's action, xi^a on class a, in the F_p-basis of vecs."""
     ctx = obj.ctx
     xi_big = emb.map(primitive_root_of_unity(ctx, obj.d))
-    classes = _class_of_coordinate(obj)
-    scal = {a: big.pow(xi_big, a) for a in set(classes)}
+    scal = []
+    for a, n in enumerate(obj.dims):
+        if n:
+            scal += [big.pow(xi_big, a)] * n
     cols = []
     for w in vecs:
-        sw = [big.mul(scal[classes[i]], w[i]) for i in range(len(w))]
+        sw = [big.mul(s, x) for s, x in zip(scal, w)]
         coords = linalg.express_int(rows, piv, _flatten_vec(sw), ctx.p)
         if coords is None:
-            raise InvalidInputError("group action left the fixed space")
+            raise InvalidInputError("group action left the fixed space; object data inconsistent")
         cols.append(coords)
     n = len(vecs)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
@@ -695,12 +673,9 @@ def naturality_check_G(
         m = gmats[a]
         if len(m) != obj2.dims[a] or any(len(row) != obj1.dims[a] for row in m):
             raise InvalidInputError(f"component at class {a} has the wrong shape")
-    for a in range(d):
-        ta = (p * a) % d
-        lhs = _mat_mul0(ctx, obj2.mats[a], linalg.mat_frob(ctx, gmats[a]), obj1.dims[a])
-        rhs = _mat_mul0(ctx, gmats[ta], obj1.mats[a], obj1.dims[a])
-        if lhs != rhs:
-            return {"status": "fail", "square": "transition", "witness": {"class": a}}
+    failure = _transition_failure(obj1, obj2, gmats)
+    if failure is not None:
+        return failure
     res1 = functor_G(obj1, cap)
     res2 = functor_G(obj2, cap)
     degree = math.lcm(res1.saturation.degree, res2.saturation.degree)
@@ -708,26 +683,10 @@ def naturality_check_G(
     big2, emb2, vecs2, rows2, piv2 = _fixed_data(obj2, degree)
     if len(vecs1) != obj1.rank or len(vecs2) != obj2.rank:
         raise InvalidInputError("fixed spaces did not stay saturated over the common field")
-    gbig = [emb.map_matrix(m) if m else () for m in gmats]
-    offs1 = []
-    acc = 0
-    for a in range(d):
-        offs1.append(acc)
-        acc += obj1.dims[a]
+    G = emb.map_matrix(_blocks(ctx, obj2.dims, obj1.dims, gmats, lambda a: a))
     cols = []
     for w in vecs1:
-        img = [big.zero] * obj2.rank
-        pos = 0
-        for a in range(d):
-            n1, n2 = obj1.dims[a], obj2.dims[a]
-            if n2:
-                block = [w[offs1[a] + j] for j in range(n1)]
-                for i in range(n2):
-                    acc2 = big.zero
-                    for j in range(n1):
-                        acc2 = big.add(acc2, big.mul(gbig[a][i][j], block[j]))
-                    img[pos + i] = acc2
-            pos += n2
+        img = linalg.mat_vec(big, G, w)
         coords = linalg.express_int(rows2, piv2, _flatten_vec(img), ctx.p)
         if coords is None:
             return {
@@ -753,17 +712,6 @@ def naturality_check_G(
         "induced_map": [list(r) for r in G],
         "common_degree": degree,
     }
-
-
-def naturality_check(tag: str, *args, **kwargs) -> dict:
-    """Dispatch on the functor: tag "F" for representation morphisms
-    (rep1, rep2, matrix, ctx), tag "G" for graded-object morphisms
-    (obj1, obj2, components)."""
-    if tag == "F":
-        return naturality_check_F(*args, **kwargs)
-    if tag == "G":
-        return naturality_check_G(*args, **kwargs)
-    raise InvalidInputError(f"unknown functor tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

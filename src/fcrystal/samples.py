@@ -15,7 +15,7 @@ from . import linalg
 from .crystal import CyclicRep
 from .errors import InvalidInputError
 from .field import primitive_root_of_unity
-from .functors import CGObject, functor_F
+from .functors import CGObject, functor_F, transition_residual
 
 
 def character_orbits(d: int, p: int) -> list:
@@ -158,6 +158,22 @@ def random_object(ctx, d: int, rng: Random, max_rank: int = 3) -> CGObject:
     return CGObject(ctx, d, tuple(base.dims), tuple(mats))
 
 
+def _random_solution(rows, n: int, p: int, rng: Random):
+    """A random combination, not all coefficients zero, of the echelon
+    basis of {v : rows @ v = 0} mod p; the zero vector of length n when
+    that kernel is zero."""
+    basis, _ = linalg.kernel_int(rows, p)
+    flat = [0] * n
+    if basis:
+        combo = [rng.randrange(p) for _ in basis]
+        if not any(combo):
+            combo[0] = 1
+        for c, vec in zip(combo, basis):
+            if c:
+                flat = [(x + c * y) % p for x, y in zip(flat, vec)]
+    return flat
+
+
 def random_rep_morphism(rep1: CyclicRep, rep2: CyclicRep, rng: Random):
     """A random equivariant matrix rep1 -> rep2 (possibly zero).
 
@@ -175,24 +191,17 @@ def random_rep_morphism(rep1: CyclicRep, rep2: CyclicRep, rng: Random):
             for k in range(r1):
                 row[i * r1 + k] = (row[i * r1 + k] - rep1.mat[k][j]) % p
             rows.append(row)
-    basis, _ = linalg.kernel_int(rows, p)
-    if not basis:
-        return tuple(tuple(0 for _ in range(r1)) for _ in range(r2))
-    combo = [rng.randrange(p) for _ in basis]
-    if not any(combo):
-        combo[0] = 1
-    flat = [0] * (r2 * r1)
-    for c, vec in zip(combo, basis):
-        if c:
-            flat = [(x + c * y) % p for x, y in zip(flat, vec)]
+    flat = _random_solution(rows, r2 * r1, p, rng)
     return tuple(tuple(flat[i * r1 + j] for j in range(r1)) for i in range(r2))
 
 
 def random_object_morphism(obj1: CGObject, obj2: CGObject, rng: Random):
     """A random morphism of graded objects (possibly zero).
 
-    Components g_a with C2_a g_a^(p) = g_(pa) C1_a; the condition is
-    prime-field-linear in the flattened entries, so the solution space
+    Components g_a of shape dim2(a) x dim1(a) with a zero transition
+    residual C2 G^(p) - G C1.  The residual is prime-field-linear in the
+    entries of the g_a written over the power basis of F_q, unknowns
+    ordered by (class, row, column, coordinate), so the solution space
     is an exact kernel.
     """
     if obj1.ctx is not obj2.ctx or obj1.d != obj2.d:
@@ -200,69 +209,17 @@ def random_object_morphism(obj1: CGObject, obj2: CGObject, rng: Random):
     ctx = obj1.ctx
     p, d, m = ctx.p, obj1.d, ctx.m
     n1, n2 = obj1.dims, obj2.dims
-    uoff = []
-    acc = 0
-    for a in range(d):
-        uoff.append(acc)
-        acc += n2[a] * n1[a] * m
-    nunk = acc
-    eoff = []
-    acc = 0
-    pinv = pow(p, -1, d) if d > 1 else 0
-    for a in range(d):
-        eoff.append(acc)
-        acc += n2[(p * a) % d] * n1[a] * m
-    neq = acc
-    rows = [[0] * nunk for _ in range(neq)]
-    basis_el = [tuple(1 if s == t else 0 for s in range(m)) for t in range(m)]
-    for b in range(d):
-        if n1[b] == 0 or n2[b] == 0:
-            continue
-        bprime = (pinv * b) % d
-        for i in range(n2[b]):
-            for j in range(n1[b]):
-                for t in range(m):
-                    col = uoff[b] + (i * n1[b] + j) * m + t
-                    ft = ctx.frob(basis_el[t])
-                    C2 = obj2.mats[b]
-                    for r in range(n2[(p * b) % d]):
-                        val = ctx.mul(C2[r][i], ft)
-                        for s in range(m):
-                            if val[s]:
-                                rows[eoff[b] + (r * n1[b] + j) * m + s][col] = (
-                                    rows[eoff[b] + (r * n1[b] + j) * m + s][col] + val[s]
-                                ) % p
-                    if n1[bprime]:
-                        C1 = obj1.mats[bprime]
-                        for c in range(n1[bprime]):
-                            val = ctx.mul(basis_el[t], C1[j][c])
-                            for s in range(m):
-                                if val[s]:
-                                    rows[eoff[bprime] + (i * n1[bprime] + c) * m + s][col] = (
-                                        rows[eoff[bprime] + (i * n1[bprime] + c) * m + s][col] - val[s]
-                                    ) % p
-    basis, _ = linalg.kernel_int(rows, p)
-    if not basis:
-        flat = [0] * nunk
-    else:
-        combo = [rng.randrange(p) for _ in basis]
-        if not any(combo):
-            combo[0] = 1
-        flat = [0] * nunk
-        for c, vec in zip(combo, basis):
-            if c:
-                flat = [(x + c * y) % p for x, y in zip(flat, vec)]
-    gmats = []
-    for a in range(d):
-        if n1[a] == 0 or n2[a] == 0:
-            gmats.append(())
-            continue
-        mat = []
-        for i in range(n2[a]):
-            row = []
-            for j in range(n1[a]):
-                base = uoff[a] + (i * n1[a] + j) * m
-                row.append(tuple(flat[base + t] for t in range(m)))
-            mat.append(tuple(row))
-        gmats.append(tuple(mat))
-    return tuple(gmats)
+    nunk = m * sum(a * b for a, b in zip(n1, n2))
+
+    def components(flat):
+        it = iter(flat)
+        return tuple(
+            tuple(tuple(tuple(next(it) for _ in range(m)) for _ in range(n1[a])) for _ in range(n2[a]))
+            for a in range(d)
+        )
+
+    cols = []
+    for u in range(nunk):
+        res = transition_residual(obj1, obj2, components([int(u == v) for v in range(nunk)]))
+        cols.append([x for row in res for el in row for x in el])
+    return components(_random_solution([list(r) for r in zip(*cols)], nunk, p, rng))

@@ -16,7 +16,6 @@ from fcrystal import (
     gluing_data,
     make_field,
     mc_vfilt,
-    naturality_check,
     naturality_check_F,
     naturality_check_G,
     nearby_full,
@@ -243,13 +242,6 @@ def test_naturality_object_morphisms():
         for a in range(3)
     )
     assert naturality_check_G(twisted, obj, zero)["status"] == "pass"
-
-
-def test_naturality_dispatch():
-    eye = ((1, 0), (0, 1))
-    assert naturality_check("F", COMP, COMP, eye, F25)["status"] == "pass"
-    with pytest.raises(InvalidInputError):
-        naturality_check("H", COMP, COMP, eye, F25)
 
 
 def test_split_filtration_feeds_nearby():

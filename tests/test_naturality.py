@@ -13,6 +13,7 @@ from collections import Counter
 from random import Random
 
 from fcrystal import (
+    InvalidInputError,
     build_kummer_crystal,
     gluing_data,
     make_field,
@@ -179,3 +180,20 @@ def test_vanishing_and_gluing_reports_are_pinned():
             "2333150903fc94cc45e538e25fcc4d54ac577f1c2a7f3fcda7cf48a5861d393e",
         ),
     }
+
+
+def test_sampled_object_morphisms_are_natural():
+    """The sampler's own components pass G-naturality as they come: each
+    has the explicit shape dim2(a) x dim1(a), including dim1(a) = 0."""
+    rejected, passed, nonzero = [], 0, 0
+    for ctx, obj1, obj2, g in _object_pairs():
+        try:
+            v = naturality_check_G(obj1, obj2, g)
+        except InvalidInputError as err:
+            rejected.append(str(err))  # the shape check of the components
+            continue
+        passed += v["status"] == "pass"
+        nonzero += any(any(x) for m in g for row in m for x in row)
+    assert len(rejected) == 0, rejected[:3]
+    assert passed == 240
+    assert nonzero > 0

@@ -1,7 +1,7 @@
 """Field tower arithmetic, fixed points, saturation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcrystal import (
@@ -15,7 +15,8 @@ from fcrystal import (
     saturate_fixed_points,
     semilinear_fixed_points,
 )
-from fcrystal.field import is_prime, prime_factors
+from fcrystal import linalg
+from fcrystal.field import ENUMERATION_BOUND, is_prime, prime_factors
 
 
 def test_is_prime_small():
@@ -220,3 +221,31 @@ def test_encode_decode_roundtrip_and_frobenius_additivity(i, j):
     assert ctx.encode(a) == i
     assert ctx.frob(ctx.add(a, b)) == ctx.add(ctx.frob(a), ctx.frob(b))
     assert ctx.frob(ctx.mul(a, b)) == ctx.mul(ctx.frob(a), ctx.frob(b))
+
+
+def test_saturation_is_idempotent():
+    # over the field that saturates A, A is already saturated: degree 1
+    # and the full dimension n; draws that hit the cap, or whose field is
+    # too large to embed into, are skipped and the rest are counted
+    kept = []
+
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 2), st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def check(p, m, n, data):
+        ctx = make_field(p, m)
+        coeff = st.lists(st.integers(0, p - 1), min_size=m, max_size=m).map(tuple)
+        A = tuple(tuple(data.draw(coeff) for _ in range(n)) for _ in range(n))
+        assume(linalg.is_invertible(ctx, A))
+        try:
+            sat = saturate_fixed_points(ctx, A, cap=8)
+        except CapExceededError:
+            return
+        if sat.field.order > ENUMERATION_BOUND:
+            return
+        again = saturate_fixed_points(sat.field, sat.embedding.map_matrix(A), cap=8)
+        assert (again.degree, again.dimension) == (1, n)
+        kept.append(sat.degree)
+
+    check()
+    assert len(kept) >= 30
+    assert sum(degree > 1 for degree in kept) >= 15

@@ -161,18 +161,26 @@ def _target(args):
     return build_kummer_crystal(rep, _field(args, rep.d))
 
 
+def _describe(obj) -> dict:
+    if isinstance(obj, ExtensionModule):
+        return {"kind": "extension", "n": obj.n, "split": obj.split}
+    return {"kind": "crystal", "d": obj.d, "rank": obj.rank}
+
+
 def _make_objects(args):
     """Resolve the target module and its filtration from the flags."""
     obj = _target(args)
-    if isinstance(obj, ExtensionModule):
-        if obj.split:
-            spec = split_vfilt(obj)
-        elif obj.n % args.p == 0:
-            spec = mc_depth_grading(obj)
-        else:
-            spec = mc_vfilt(obj)
-        return obj, spec, {"kind": "extension", "n": obj.n, "split": obj.split}
-    return obj, standard_vfilt(obj), {"kind": "crystal", "d": obj.d, "rank": obj.rank}
+    if not isinstance(obj, ExtensionModule):
+        spec = standard_vfilt(obj)
+    elif obj.split:
+        spec = split_vfilt(obj)
+    elif obj.n == 0:
+        raise InvalidInputError("a simple pole gives n = 0, which no filtration rule covers")
+    elif obj.n % args.p == 0:
+        spec = mc_depth_grading(obj)
+    else:
+        spec = mc_vfilt(obj)
+    return obj, spec, _describe(obj)
 
 
 def _window(args):
@@ -180,8 +188,8 @@ def _window(args):
 
 
 def cmd_build(args) -> int:
-    obj, spec, meta = _make_objects(args)
-    result = dict(meta)
+    obj = _target(args)
+    result = _describe(obj)
     result["object"] = obj.to_json()
     return _emit(args, "build", result, 0)
 
@@ -436,7 +444,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("sol", parents=[common]).set_defaults(func=cmd_sol)
 
     p_rt = sub.add_parser("roundtrip", parents=[common])
-    p_rt.add_argument("--count", type=int, default=24, help="total sampled cases")
+    p_rt.add_argument("--count", type=int, default=24, help="budget per order d: max(1, count // #orders) cases of each round trip, 1/4 as many naturality checks")
     p_rt.set_defaults(func=cmd_roundtrip)
 
     sub.add_parser("glue", parents=[common]).set_defaults(func=cmd_glue)

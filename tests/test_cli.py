@@ -326,3 +326,49 @@ def test_rep_and_class_conflict_in_sol_and_glue(capsys, argv):
     assert code == 2
     assert out == ""
     assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize("c", ["t^-1", "t^-3-t^-3+t^-1"])
+def test_build_with_a_simple_pole(capsys, c):
+    # build prints the module only, so n = 0 needs no filtration rule
+    code, rep, _ = report(capsys, ["build", "--p", "5", "--c", c])
+    assert code == 0
+    assert rep["result"]["kind"] == "extension"
+    assert rep["result"]["n"] == 0 and rep["result"]["split"] is False
+    assert rep["result"]["object"]["c"] == {"lo": -1, "hi": None, "terms": [[-1, [1]]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vfilt", "--p", "5", "--c", "t^-1"],
+        ["graded", "--p", "5", "--c", "t^-1"],
+        ["check", "--p", "7", "--c", "2t^-1+t"],
+        ["vanishing", "--p", "5", "--c", "t^-1"],
+        ["pullback", "--p", "5", "--c", "t^-1", "--dprime", "2"],
+    ],
+)
+def test_filtration_commands_name_a_simple_pole(capsys, argv):
+    # no rule covers n = 0: the extension filtration needs p not dividing
+    # n, the depth grading n = l*p with l >= 1
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a simple pole gives n = 0")
+
+
+@pytest.mark.parametrize(
+    "p, count, per_d, reps, naturality",
+    [(5, 1, 1, 4, 4), (5, 8, 2, 8, 4), (3, 1, 1, 2, 2), (5, 24, 6, 24, 4)],
+)
+def test_roundtrip_count_is_a_per_order_budget(capsys, p, count, per_d, reps, naturality):
+    # each order d runs max(1, count // #orders) representation and object
+    # cases and max(1, that // 4) naturality cases, so --count 1 still
+    # runs one case of each kind per order
+    code, rep, _ = report(capsys, ["roundtrip", "--p", str(p), "--count", str(count)])
+    assert code == 0
+    res = rep["result"]
+    assert res["per_d"] == per_d
+    assert sum(res["reps"].values()) == sum(res["objects"].values()) == reps
+    assert sum(res["naturality"].values()) == naturality
+    assert len(res["ds"]) * per_d == reps

@@ -30,6 +30,7 @@ from .crystal import (
 from .errors import CapExceededError, InvalidInputError
 from .field import DEFAULT_SATURATION_CAP, make_field
 from .functors import (
+    CGObject,
     fg_roundtrip,
     functor_F,
     gf_roundtrip,
@@ -344,8 +345,6 @@ def _roundtrip_from_file(args) -> dict:
                     a = _key(cls, "a")
                     dims[a] = _key(cls, "dim")
                     mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in _key(cls, "C"))
-                from .functors import CGObject
-
                 obj = CGObject(ctx, d, tuple(dims), tuple(mats))
                 verdict = fg_roundtrip(obj, args.cap)
             else:

@@ -12,10 +12,11 @@ B_a expressing the p-power images of the weight-a basis in the
 weight-(p*a) basis.
 
 ExtensionModule models extensions of the structure sheaf by the
-delta module at the origin: pairs (f, g) with f a Laurent series and
-g a finite combination of delta sections e_m (the class of t^(-m)),
-with Frobenius (f, g) |-> (f^p, [t f^p c] + g^p) for a fixed Laurent
-polynomial c.  The pole order of c enters through n = -v_t(c) - 1.
+delta module at the origin, k((t))/k[[t]]: pairs (f, g) of Laurent
+series, where the delta part g is a polar part (every exponent <= -1)
+and the generator e_m is the class [t^(-m)], with Frobenius
+(f, g) |-> (f^p, [t f^p c] + g^p) for a fixed Laurent polynomial c.
+The pole order of c enters through n = -v_t(c) - 1.
 """
 
 from __future__ import annotations
@@ -276,99 +277,15 @@ def galois_orbit_check(kc: KummerCrystal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# delta sections and extensions
-
-
-class DeltaElement:
-    """A finite combination sum g_m e_m, with e_m the class of t^(-m).
-
-    Frobenius sends e_m to e_(p*m) (coefficients to the p-th power);
-    t-multiplication sends e_m to e_(m-1) and kills e_1.
-    """
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs: dict):
-        self.ctx = ctx
-        self.coeffs = {m: c for m, c in coeffs.items() if not ctx.is_zero(c)}
-        if any(m < 1 for m in self.coeffs):
-            raise InvalidInputError("delta sections are indexed by m >= 1")
-
-    @classmethod
-    def zero(cls, ctx) -> "DeltaElement":
-        return cls(ctx, {})
-
-    @classmethod
-    def basis(cls, ctx, m: int) -> "DeltaElement":
-        return cls(ctx, {m: ctx.one})
-
-    @classmethod
-    def from_series_tail(cls, f: LaurentSeries) -> "DeltaElement":
-        """The class of a series in the quotient: its pole part."""
-        return cls(f.ctx, {-e: c for e, c in f.coeffs.items() if e <= -1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def max_support(self):
-        return max(self.coeffs) if self.coeffs else None
-
-    def add(self, other: "DeltaElement") -> "DeltaElement":
-        ctx = self.ctx
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = ctx.add(out.get(m, ctx.zero), c)
-        return DeltaElement(ctx, out)
-
-    def neg(self) -> "DeltaElement":
-        ctx = self.ctx
-        return DeltaElement(ctx, {m: ctx.neg(c) for m, c in self.coeffs.items()})
-
-    def sub(self, other: "DeltaElement") -> "DeltaElement":
-        return self.add(other.neg())
-
-    def smul(self, scalar) -> "DeltaElement":
-        ctx = self.ctx
-        return DeltaElement(ctx, {m: ctx.mul(scalar, c) for m, c in self.coeffs.items()})
-
-    def frob(self) -> "DeltaElement":
-        ctx = self.ctx
-        return DeltaElement(ctx, {ctx.p * m: ctx.pow(c, ctx.p) for m, c in self.coeffs.items()})
-
-    def mul_t(self) -> "DeltaElement":
-        return DeltaElement(self.ctx, {m - 1: c for m, c in self.coeffs.items() if m > 1})
-
-    def shift_up(self, k: int = 1) -> "DeltaElement":
-        """Multiply by t^(-k): e_m to e_(m+k)."""
-        return DeltaElement(self.ctx, {m + k: c for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.ctx), tuple(sorted(self.coeffs.items()))))
-
-    def to_json(self):
-        return {"terms": [[m, list(self.coeffs[m])] for m in sorted(self.coeffs)]}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<delta 0>"
-        parts = []
-        for m in sorted(self.coeffs):
-            c = self.ctx.encode(self.coeffs[m])
-            parts.append(f"e_{m}" if c == 1 else f"{c}*e_{m}")
-        return f"<delta {' + '.join(parts)}>"
+# extensions by the delta module
 
 
 @dataclass(frozen=True)
 class ExtensionModule:
     """Extension of the structure sheaf by the delta module, twisted by c.
 
-    Sections are pairs (f, g): f a Laurent series in t, g a delta
-    combination.  Frobenius acts by (f, g) |-> (f^p, [t f^p c] + g^p)
+    Sections are pairs (f, g) of Laurent series in t, g a polar part
+    (e_m is t^(-m)).  Frobenius acts by (f, g) |-> (f^p, [t f^p c] + g^p)
     where [.] is the pole part.  For nonzero c the invariant
     n = -v_t(c) - 1 >= 0 controls the filtration; c = 0 is the split
     extension and carries n = None.
@@ -388,39 +305,35 @@ class ExtensionModule:
         return ("ext", id(self.ctx))
 
     def f_monomial(self, i: int):
-        return (LaurentSeries.monomial(self.ctx, i), DeltaElement.zero(self.ctx))
+        return (LaurentSeries.monomial(self.ctx, i), LaurentSeries.zero(self.ctx))
 
     def delta_monomial(self, m: int):
-        return (LaurentSeries.zero(self.ctx), DeltaElement.basis(self.ctx, m))
+        return (LaurentSeries.zero(self.ctx), LaurentSeries.monomial(self.ctx, -m))
 
-    def _guard(self, g: DeltaElement) -> DeltaElement:
-        ms = g.max_support()
-        if ms is not None and ms > self.delta_cap:
+    def _guard(self, g: LaurentSeries) -> LaurentSeries:
+        v = g.valuation()
+        if v is not None and -v > self.delta_cap:
             raise CapExceededError(
-                f"delta support {ms} exceeds the cap {self.delta_cap}",
-                [("delta_support", ms)],
+                f"delta support {-v} exceeds the cap {self.delta_cap}",
+                [("delta_support", -v)],
             )
         return g
 
     def apply_F(self, sec):
         f, g = sec
         fp = f.frob()
-        tail = DeltaElement.from_series_tail(fp.mul(self.c).shift(1))
-        return (fp, self._guard(tail.add(g.frob())))
+        return (fp, self._guard(fp.mul(self.c).shift(1).pole_part().add(g.frob())))
 
     def mul_t(self, sec):
         f, g = sec
-        return (f.shift(1), g.mul_t())
+        return (f.shift(1), g.shift(1).pole_part())
 
     def mul_t_pow(self, sec, k: int):
         f, g = sec
-        return (f.shift(k), DeltaElement(self.ctx, {m - k: c for m, c in g.coeffs.items() if m > k}))
+        return (f.shift(k), g.shift(k).pole_part())
 
     def add(self, s1, s2):
         return (s1[0].add(s2[0]), s1[1].add(s2[1]))
-
-    def eq(self, s1, s2) -> bool:
-        return s1 == s2
 
     def to_json(self):
         return {
@@ -479,9 +392,9 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
     ctx = mod.ctx
     p = ctx.p
     if mod.split:
-        return SolutionReport(1, ((LaurentSeries.one(ctx), DeltaElement.zero(ctx)),))
-    h = DeltaElement.from_series_tail(mod.c.shift(1))
-    bound = h.max_support() or 0
+        return SolutionReport(1, ((LaurentSeries.one(ctx), LaurentSeries.zero(ctx)),))
+    h = mod.c.shift(1).pole_part()
+    bound = -(h.valuation() or 0)
     if bound > chain_cap:
         raise CapExceededError(
             f"pole order {bound} exceeds the solution chain cap {chain_cap}",
@@ -489,7 +402,7 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
         )
     gamma: dict = {}
     for m in range(1, bound + 1):
-        val = h.coeffs.get(m, ctx.zero)
+        val = h.coeffs.get(-m, ctx.zero)
         if m % p == 0 and m // p in gamma:
             val = ctx.add(val, ctx.pow(gamma[m // p], p))
         if not ctx.is_zero(val):
@@ -501,5 +414,5 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
         return SolutionReport(
             0, (), obstruction=[[m, list(gamma[m])] for m in blockers]
         )
-    g = DeltaElement(ctx, gamma)
+    g = LaurentSeries(ctx, {-m: c for m, c in gamma.items()})
     return SolutionReport(1, ((LaurentSeries.one(ctx), g),))

@@ -251,13 +251,30 @@ def functor_G(obj: CGObject, cap: int = DEFAULT_SATURATION_CAP) -> GResult:
     coordinates outside F_p would make the expression step fail, so
     success certifies the entries.
     """
-    ctx = obj.ctx
+    sat = _saturate(obj, cap)
+    mat = _sigma_matrix(obj, *_fixed_data(obj, sat, sat.degree))
+    return GResult(CyclicRep(obj.d, obj.ctx.p, mat), sat, obj)
+
+
+def _saturate(obj: CGObject, cap: int) -> SaturationResult:
     if obj.rank == 0:
         raise InvalidInputError("object has no nonzero class")
-    sat = saturate_fixed_points(ctx, flatten_object(obj), cap)
-    rows, piv = linalg.rref_int([_flatten_vec(w) for w in sat.basis], ctx.p)
-    mat = _sigma_matrix(obj, sat.field, sat.embedding, sat.basis, rows, piv)
-    return GResult(CyclicRep(obj.d, ctx.p, mat), sat, obj)
+    return saturate_fixed_points(obj.ctx, flatten_object(obj), cap)
+
+
+def _fixed_data(obj: CGObject, sat: SaturationResult, degree: int):
+    """(field, embedding, fixed vectors, their F_p rref rows and pivots)
+    over the degree-`degree` extension; sat is reused at its own degree."""
+    ctx = obj.ctx
+    if degree == sat.degree:
+        big, emb, vecs = sat.field, sat.embedding, sat.basis
+    else:
+        big = make_field(ctx.p, ctx.m * degree)
+        emb = embed_field(ctx, big)
+        vecs = semilinear_fixed_points(big, emb.map_matrix(_flat(obj)))
+    flat = [_flatten_vec(v) for v in vecs]
+    rows, piv = linalg.rref_int(flat, ctx.p) if flat else ([], [])
+    return big, emb, vecs, rows, piv
 
 
 def weight_dims_full(rep: CyclicRep, ctx):
@@ -623,16 +640,6 @@ def naturality_check_F(rep1: CyclicRep, rep2: CyclicRep, fmat, ctx) -> dict:
     }
 
 
-def _fixed_data(obj: CGObject, degree: int):
-    ctx = obj.ctx
-    big = ctx if degree == 1 else make_field(ctx.p, ctx.m * degree)
-    emb = embed_field(ctx, big)
-    vecs = semilinear_fixed_points(big, emb.map_matrix(_flat(obj)))
-    flat = [_flatten_vec(v) for v in vecs]
-    rows, piv = linalg.rref_int(flat, ctx.p) if flat else ([], [])
-    return big, emb, vecs, rows, piv
-
-
 def _sigma_matrix(obj: CGObject, big, emb, vecs, rows, piv):
     """The generator's action, xi^a on class a, in the F_p-basis of vecs."""
     ctx = obj.ctx
@@ -676,11 +683,10 @@ def naturality_check_G(
     failure = _transition_failure(obj1, obj2, gmats)
     if failure is not None:
         return failure
-    res1 = functor_G(obj1, cap)
-    res2 = functor_G(obj2, cap)
-    degree = math.lcm(res1.saturation.degree, res2.saturation.degree)
-    big, emb, vecs1, rows1, piv1 = _fixed_data(obj1, degree)
-    big2, emb2, vecs2, rows2, piv2 = _fixed_data(obj2, degree)
+    sat1, sat2 = _saturate(obj1, cap), _saturate(obj2, cap)
+    degree = math.lcm(sat1.degree, sat2.degree)
+    big, emb, vecs1, rows1, piv1 = _fixed_data(obj1, sat1, degree)
+    big2, emb2, vecs2, rows2, piv2 = _fixed_data(obj2, sat2, degree)
     if len(vecs1) != obj1.rank or len(vecs2) != obj2.rank:
         raise InvalidInputError("fixed spaces did not stay saturated over the common field")
     G = emb.map_matrix(_blocks(ctx, obj2.dims, obj1.dims, gmats, lambda a: a))

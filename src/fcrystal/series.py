@@ -84,6 +84,10 @@ class LaurentSeries:
         """Multiply by t^k."""
         return LaurentSeries(self.ctx, {e + k: c for e, c in self.coeffs.items()})
 
+    def pole_part(self) -> "LaurentSeries":
+        """The terms of negative exponent: the class in k((t))/k[[t]]."""
+        return LaurentSeries(self.ctx, {e: c for e, c in self.coeffs.items() if e < 0})
+
     def frob(self) -> "LaurentSeries":
         """The p-power map: sum c_i t^i |-> sum c_i^p t^(p*i)."""
         ctx = self.ctx

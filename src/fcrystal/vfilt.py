@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .crystal import DeltaElement, ExtensionModule, KummerCrystal, build_extension
+from .crystal import ExtensionModule, KummerCrystal, build_extension
 from .errors import InvalidInputError
 from .series import LaurentSeries, level_json
 
@@ -50,9 +50,11 @@ from .series import LaurentSeries, level_json
 # ---------------------------------------------------------------------------
 # sections
 #
-# A spec's module provides ctx, kind, apply_F, mul_t, mul_t_pow and eq.
-# ExtensionModule provides them itself (and add, which shifted_exactness
-# uses); Kummer crystals go through KummerSections.
+# A spec's module provides ctx, kind, apply_F, mul_t and mul_t_pow, on
+# sections with value equality (==): Kummer sections are dicts, extension
+# sections are pairs of LaurentSeries.  ExtensionModule provides them
+# itself (and add, which shifted_exactness uses); Kummer crystals go
+# through KummerSections.
 
 
 class KummerSections:
@@ -86,9 +88,6 @@ class KummerSections:
 
     def mul_t_pow(self, x, k: int):
         return {e + self.d * k: v for e, v in x.items()}
-
-    def eq(self, x, y) -> bool:
-        return x == y
 
     def slice(self, x, e: int):
         return x.get(e, self.zero_vector)
@@ -274,15 +273,16 @@ class ExtensionVFilt(FiltrationSpec):
 
     Levels lie on (1/p)Z, so den = p.  The series generator at exponent
     i sits at i - shift, with numerator i*p - shift_num, and the delta
-    generator e_m at -m.  The rules differ only in the shift and in
-    what the series generator is:
+    generator e_m = [t^(-m)] at -m, so a delta part g sits at v_t(g).
+    The rules differ only in the shift and in what the series generator
+    is:
 
       extension      non-split, p not dividing n: shift n/p, t^i;
       split          the split extension: shift 0, t^i;
       depth-grading  n = l*p: shift l/p, x_i = (t^i, -[t^(i-l)]);
                      sections are read through the rewrite
                      (f, g) = sum f_i x_i + (0, g') with
-                     g' = g + sum_(i<l) f_i e_(l-i);
+                     g' = g + sum_(i<l) f_i e_(l-i) = g + [t^(-l) f];
       delta          the delta module (0, g) alone: no series part.
     """
 
@@ -301,7 +301,7 @@ class ExtensionVFilt(FiltrationSpec):
         """The series generator at exponent i."""
         ctx = self.module.ctx
         if self.rewrite and i < self.l:
-            return (LaurentSeries.monomial(ctx, i), DeltaElement(ctx, {self.l - i: ctx.neg(ctx.one)}))
+            return (LaurentSeries.monomial(ctx, i), LaurentSeries.monomial(ctx, i - self.l, ctx.neg(ctx.one)))
         return self.module.f_monomial(i)
 
     def _rewrite(self, x):
@@ -309,13 +309,7 @@ class ExtensionVFilt(FiltrationSpec):
         if not self.rewrite:
             return x
         f, g = x
-        ctx = self.module.ctx
-        extra = {}
-        for i, c in f.coeffs.items():
-            if i < self.l:
-                m = self.l - i
-                extra[m] = ctx.add(extra.get(m, ctx.zero), c)
-        return f, g.add(DeltaElement(ctx, extra))
+        return f, g.add(f.shift(-self.l).pole_part())
 
     def _exponents(self, window):
         """The series exponents i whose level i - shift lies in the window."""
@@ -335,11 +329,11 @@ class ExtensionVFilt(FiltrationSpec):
         f, g = self._rewrite(x)
         p = self.den
         v = f.valuation() if self.series_label else None
-        ms = g.max_support()
+        w = g.valuation()
         if v is None:
-            return None if ms is None else -ms * p
+            return None if w is None else w * p
         n = v * p - self.shift_num
-        return n if ms is None else min(n, -ms * p)
+        return n if w is None else min(n, w * p)
 
     def ijumps(self, window):
         lo, hi = window
@@ -378,7 +372,7 @@ class ExtensionVFilt(FiltrationSpec):
         zero = self.module.ctx.zero
         out = [] if series is None else [f.coeffs.get(series, zero)]
         if delta is not None:
-            out.append(g.coeffs.get(delta, zero))
+            out.append(g.coeffs.get(-delta, zero))
         return out
 
     def spanning(self, window):
@@ -400,7 +394,7 @@ class ExtensionVFilt(FiltrationSpec):
 
     def t_preimage(self, y):
         f, g = y
-        return (f.shift(-1), g.shift_up(1))
+        return (f.shift(-1), g.shift(-1))
 
     def to_json(self):
         out = {"rule": self.rule}
@@ -862,7 +856,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         if lvl is None or lvl < 0:
             continue
         k, rest = divmod(lvl, den)
-        if not any(module.eq(module.mul_t_pow(g, k), x) for g in spec.ibasis(rest)):
+        if not any(module.mul_t_pow(g, k) == x for g in spec.ibasis(rest)):
             ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
             break
     checks["SS1"] = _verdict("SS1", "V^0 finitely generated on the window", ss1_witness, generators=gens)
@@ -882,7 +876,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         if pre is None:
             ss2_witness = {"section": label, "reason": "no t-preimage available"}
             break
-        if not module.eq(module.mul_t(pre), x):
+        if module.mul_t(pre) != x:
             ss2_witness = {"section": label, "reason": "t-preimage does not multiply back"}
             break
         pre_lvl = spec.ilevel(pre)

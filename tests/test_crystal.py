@@ -5,7 +5,6 @@ import pytest
 from fcrystal import (
     CapExceededError,
     CyclicRep,
-    DeltaElement,
     InvalidInputError,
     LaurentSeries,
     build_extension,
@@ -110,20 +109,23 @@ def test_galois_orbit_check():
 
 
 def test_delta_element_operations():
-    e1 = DeltaElement.basis(F5, 1)
-    e3 = DeltaElement.basis(F5, 3)
-    assert e1.mul_t().is_zero()
-    assert e3.mul_t() == DeltaElement.basis(F5, 2)
-    assert e3.frob() == DeltaElement.basis(F5, 15)
-    two_e2 = DeltaElement(F5, {2: F5.from_int(2)})
-    assert two_e2.frob() == DeltaElement(F5, {10: F5.from_int(2)})  # 2^5 = 2 mod 5
-    assert e1.add(e1.neg()).is_zero()
+    # a delta part is a polar part: e_m is the class of t^(-m)
+    mod = build_extension(F5, LaurentSeries.zero(F5))
+    e1, e3 = mod.delta_monomial(1), mod.delta_monomial(3)
+    assert e3 == (LaurentSeries.zero(F5), LaurentSeries.monomial(F5, -3))
+    assert mod.mul_t(e1)[1].is_zero()
+    assert mod.mul_t(e3) == mod.delta_monomial(2)
+    assert mod.mul_t_pow(e3, 2) == e1 and mod.mul_t_pow(e3, 3)[1].is_zero()
+    assert mod.apply_F(e3) == mod.delta_monomial(15)
+    two_e2 = (LaurentSeries.zero(F5), LaurentSeries.monomial(F5, -2, F5.from_int(2)))
+    assert mod.apply_F(two_e2)[1] == LaurentSeries.monomial(F5, -10, F5.from_int(2))  # 2^5 = 2 mod 5
+    assert e1[1].add(e1[1].neg()).is_zero()
 
 
 def test_delta_from_series_tail():
     f = parse_series(F5, "3t^-2+t+4")
-    g = DeltaElement.from_series_tail(f)
-    assert g.coeffs == {2: (3,)}
+    assert f.pole_part().coeffs == {-2: (3,)}
+    assert parse_series(F5, "t+4").pole_part().is_zero()
 
 
 def test_extension_pole_order():
@@ -139,17 +141,17 @@ def test_extension_pole_order():
 
 def test_extension_frobenius_values():
     mod = build_extension(F5, parse_series(F5, "t^-2"))
-    f, g = mod.apply_F((LaurentSeries.one(F5), DeltaElement.zero(F5)))
+    f, g = mod.apply_F((LaurentSeries.one(F5), LaurentSeries.zero(F5)))
     assert f.same_values(LaurentSeries.one(F5))
-    assert g == DeltaElement.basis(F5, 1)
-    f2, g2 = mod.apply_F((LaurentSeries.monomial(F5, -1), DeltaElement.zero(F5)))
+    assert g == LaurentSeries.monomial(F5, -1)
+    f2, g2 = mod.apply_F((LaurentSeries.monomial(F5, -1), LaurentSeries.zero(F5)))
     assert f2.same_values(LaurentSeries.monomial(F5, -5))
-    assert g2 == DeltaElement.basis(F5, 6)
+    assert g2 == LaurentSeries.monomial(F5, -6)
 
 
 def test_extension_t_kills_first_delta_level():
     mod = build_extension(F5, parse_series(F5, "t^-2"))
-    sec = (LaurentSeries.zero(F5), DeltaElement.basis(F5, 1))
+    sec = (LaurentSeries.zero(F5), LaurentSeries.monomial(F5, -1))
     f, g = mod.mul_t(sec)
     assert f.is_zero() and g.is_zero()
 
@@ -158,14 +160,14 @@ def test_extension_eq_ignores_the_stored_window():
     # t^2 + t^-1 - t^-1 cancels to t^2: no zero coefficient is stored
     mod = build_extension(F5, parse_series(F5, "t^-2"))
     f = parse_series(F5, "t^2+t^-1").sub(parse_series(F5, "t^-1"))
-    zero = DeltaElement.zero(F5)
-    assert mod.eq((f, zero), (parse_series(F5, "t^2"), zero))
-    assert not mod.eq((f, zero), (parse_series(F5, "t^3"), zero))
-    assert not mod.eq((f, zero), (f, DeltaElement.basis(F5, 1)))
+    zero = LaurentSeries.zero(F5)
+    assert (f, zero) == (parse_series(F5, "t^2"), zero)
+    assert (f, zero) != (parse_series(F5, "t^3"), zero)
+    assert (f, zero) != (f, LaurentSeries.monomial(F5, -1))
 
 def test_delta_cap_guard():
     mod = build_extension(F5, parse_series(F5, "t^-2"), delta_cap=3)
-    sec = (LaurentSeries.zero(F5), DeltaElement.basis(F5, 1))
+    sec = (LaurentSeries.zero(F5), LaurentSeries.monomial(F5, -1))
     with pytest.raises(CapExceededError):
         mod.apply_F(sec)  # e_1 maps to e_5, above the cap
 

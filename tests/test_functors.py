@@ -29,7 +29,7 @@ from fcrystal import (
     vanishing,
     weight_dims_full,
 )
-from fcrystal.samples import random_object, random_rep, random_rep_morphism
+from fcrystal.samples import random_object, random_object_morphism, random_rep, random_rep_morphism
 from random import Random
 
 F25 = make_field(5, 2)
@@ -242,6 +242,29 @@ def test_naturality_object_morphisms():
         for a in range(3)
     )
     assert naturality_check_G(twisted, obj, zero)["status"] == "pass"
+
+
+def test_naturality_G_computes_each_fixed_space_once(monkeypatch):
+    # both objects saturate at degree 1, the common degree, so each
+    # saturation is reused: one fixed space and one group action apiece
+    from fcrystal import field, functors
+
+    calls = {"fixed": 0, "sigma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(field, "_fixed_point_rows", counted("fixed", field._fixed_point_rows))
+    monkeypatch.setattr(functors, "_sigma_matrix", counted("sigma", functors._sigma_matrix))
+    rng = Random(1)
+    obj1, obj2 = random_object(F25, 3, rng), random_object(F25, 3, rng)
+    out = naturality_check_G(obj1, obj2, random_object_morphism(obj1, obj2, rng))
+    assert out["status"] == "pass" and out["common_degree"] == 1
+    assert calls == {"fixed": 2, "sigma": 2}
 
 
 def test_split_filtration_feeds_nearby():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrystal import (
-    DeltaElement,
     KummerVFilt,
     LaurentSeries,
     build_extension,
@@ -122,7 +121,7 @@ def spec_sections(draw):
     coeff = _nonzero(ctx)
     f = {} if root.rule == "delta" else draw(st.dictionaries(st.integers(-6, 6), coeff, max_size=3))
     g = draw(st.dictionaries(st.integers(1, 8), coeff, max_size=3))
-    return spec, (LaurentSeries(ctx, f), DeltaElement(ctx, g))
+    return spec, (LaurentSeries(ctx, f), LaurentSeries(ctx, {-m: c for m, c in g.items()}))
 
 
 @settings(max_examples=300, deadline=None)

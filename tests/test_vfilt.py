@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fcrystal import (
     CyclicRep,
-    DeltaElement,
     ExtensionVFilt,
     InvalidInputError,
     LaurentSeries,
@@ -180,7 +179,7 @@ def test_split_vfilt_rejects_nonsplit():
 def test_delta_filtration_axioms():
     spec = delta_vfilt(F25)
     assert check_axioms(spec, (-6, 2)).all_pass
-    assert spec.level((LaurentSeries.zero(F25), DeltaElement.basis(F25, 4))) == Fraction(-4)
+    assert spec.level((LaurentSeries.zero(F25), LaurentSeries.monomial(F25, -4))) == Fraction(-4)
 
 
 EXTENSION_RULE_SPECS = {
@@ -203,7 +202,7 @@ def test_extension_sections_have_a_class_at_their_level(rule, f, g):
     assert spec.rule == rule
     if rule == "delta":
         f = {}  # the delta module's sections are (0, g)
-    x = (LaurentSeries(F25, f), DeltaElement(F25, g))
+    x = (LaurentSeries(F25, f), LaurentSeries(F25, {-m: c for m, c in g.items()}))
     lvl = spec.level(x)
     assert (lvl is None) == (not f and not g)
     if lvl is not None:
@@ -306,7 +305,7 @@ def test_depth_grading_sections():
     dg = mc_depth_grading(mod)
     x0 = dg.x_section(0)
     assert x0[0].same_values(LaurentSeries.one(F5))
-    assert x0[1] == DeltaElement.basis(F5, 1).neg()
+    assert x0[1] == LaurentSeries.monomial(F5, -1).neg()
     assert dg.level(dg.x_section(-1)) == Fraction(-6, 5)
 
 

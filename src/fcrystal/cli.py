@@ -95,6 +95,20 @@ def _key(data, key: str):
     return data[key]
 
 
+def _rep_from_json(data, p: int) -> CyclicRep:
+    """The representation {"d", "mat", optional "p"} of a JSON object:
+    d, p and every entry JSON integers, mat a list of lists."""
+    d, mat, p = _key(data, "d"), _key(data, "mat"), data.get("p", p)
+    for name, value in (("d", d), ("p", p)):
+        if type(value) is not int:
+            raise InvalidInputError(f"representation {name} must be an integer, not {value!r}")
+    if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
+        raise InvalidInputError("representation mat must be a list of lists")
+    if any(type(x) is not int for row in mat for x in row):
+        raise InvalidInputError("representation mat entries must be integers")
+    return CyclicRep(d, p, tuple(map(tuple, mat)))
+
+
 def _field(args, d=None):
     """The job's field, recorded as its m: the prime field or --m for an
     extension (d None), else the smallest holding the d-th roots of unity."""
@@ -115,7 +129,7 @@ def _load_rep(args) -> CyclicRep:
             return CyclicRep.companion(d, args.p)
         return CyclicRep.regular(d, args.p)
     data = _read_json(name)
-    rep = CyclicRep(_key(data, "d"), data.get("p", args.p), tuple(tuple(r) for r in _key(data, "mat")))
+    rep = _rep_from_json(data, args.p)
     if d is not None and rep.d != d:
         raise InvalidInputError(f"--d {d} conflicts with representation d={rep.d}")
     return rep
@@ -333,7 +347,7 @@ def _roundtrip_from_file(args) -> dict:
             if not isinstance(entry, dict):
                 raise InvalidInputError("entry is not a JSON object")
             if "mat" in entry:
-                rep = CyclicRep(_key(entry, "d"), entry.get("p", args.p), tuple(tuple(r) for r in entry["mat"]))
+                rep = _rep_from_json(entry, args.p)
                 ctx = make_field(rep.p, resolve_m(rep.p, rep.d, args.m))
                 verdict = gf_roundtrip(rep, ctx, args.cap)
             elif "classes" in entry:
@@ -452,7 +466,7 @@ def _parser() -> argparse.ArgumentParser:
 
 # the least valid value of each integer flag that has one; a flag the
 # command lacks or the user left unset reads None
-_LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1}
+_LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1, "cap": 1}
 
 
 def main(argv=None) -> int:

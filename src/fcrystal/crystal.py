@@ -144,7 +144,13 @@ class WeightDecomposition:
 def weight_decompose(rep: CyclicRep, ctx: FieldCtx) -> WeightDecomposition:
     """Split F_q^r into eigenspaces of the generator's action.
 
-    Requires the d-th roots of unity to live in ctx (d | q-1).
+    Requires the d-th roots of unity to live in ctx (d | q-1).  One
+    kernel per Frobenius orbit a, p*a, p^2*a, ... (mod d), taken at the
+    orbit's least weight: the generator has F_p entries, so Frobenius
+    sends A - xi^a to A - xi^(p*a), and since it is a field automorphism
+    it commutes with reduced row echelon form.  The weight-(p*a) basis is
+    therefore the entrywise p-power of the weight-a basis, with the same
+    pivots, and an empty weight empties its whole orbit.
     """
     if ctx.p != rep.p:
         raise InvalidInputError("field characteristic does not match the representation")
@@ -152,23 +158,31 @@ def weight_decompose(rep: CyclicRep, ctx: FieldCtx) -> WeightDecomposition:
         raise InvalidInputError(
             f"weights need mu_{rep.d} in the field: {rep.d} does not divide q-1={ctx.order - 1}"
         )
-    xi = primitive_root_of_unity(ctx, rep.d)
+    d, r = rep.d, rep.rank
+    xi = primitive_root_of_unity(ctx, d)
     mat_q = tuple(tuple(ctx.from_int(x) for x in row) for row in rep.mat)
-    bases = {}
-    total = 0
-    for a in range(rep.d):
+    found = {}
+    for a in range(d):
+        if a in found:
+            continue
         lam = ctx.pow(xi, a)
         shifted = tuple(
-            tuple(ctx.sub(mat_q[i][j], lam) if i == j else mat_q[i][j] for j in range(rep.rank))
-            for i in range(rep.rank)
+            tuple(ctx.sub(mat_q[i][j], lam) if i == j else mat_q[i][j] for j in range(r))
+            for i in range(r)
         )
         rows, pivots = linalg.kernel(ctx, shifted)
-        if rows:
-            bases[a] = (tuple(map(tuple, rows)), tuple(pivots))
-            total += len(rows)
-    if total != rep.rank:
+        rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
+        b = a
+        while True:
+            found[b] = (rows, pivots)
+            b = (ctx.p * b) % d
+            if b in found:
+                break
+            rows = linalg.mat_frob(ctx, rows)
+    bases = {a: found[a] for a in range(d) if found[a][0]}
+    if sum(len(rows) for rows, _ in bases.values()) != r:
         raise InvalidInputError("action is not diagonalizable over this field")
-    return WeightDecomposition(ctx, rep.d, xi, rep.rank, bases)
+    return WeightDecomposition(ctx, d, xi, r, bases)
 
 
 def frobenius_on_weights(dec: WeightDecomposition) -> dict:

@@ -283,15 +283,19 @@ def weight_dims_full(rep: CyclicRep, ctx):
 
 
 def rep_isomorphic(rep1: CyclicRep, rep2: CyclicRep, ctx) -> bool:
-    """Same eigenvalue multiset over the splitting field.
+    """Same characteristic polynomial of the generator over F_p.
 
     Complete for isomorphism here: prime-to-p order makes both actions
-    semisimple, so the multiset of generator eigenvalues determines
-    the representation.
+    semisimple, and a semisimple F_p[x]-module is the direct sum of
+    F_p[x]/(f) over the irreducible factors f of its characteristic
+    polynomial, with their multiplicities.  The charpoly is also the
+    product of (x - xi^a)^dim(a) over the weights, so this is the
+    weight-multiset test of weight_dims_full without the eigenspaces.
+    ctx is not needed and is accepted for the callers that pass it.
     """
     if rep1.d != rep2.d or rep1.p != rep2.p:
         return False
-    return weight_dims_full(rep1, ctx) == weight_dims_full(rep2, ctx)
+    return linalg.charpoly_int(rep1.mat, rep1.p) == linalg.charpoly_int(rep2.mat, rep2.p)
 
 
 def gf_roundtrip(rep: CyclicRep, ctx, cap: int = DEFAULT_SATURATION_CAP) -> dict:

@@ -77,8 +77,17 @@ def express_int(rows, pivots, vec, p):
 
 
 def mat_mul_int(a, b, p):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+    """a @ b mod p; each output row is the combination sum_k a[i][k] b[k],
+    skipping zero coefficients and reduced once.  An empty b has width 0."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append([s % p for s in acc])
+    return out
 
 
 def identity_int(n):
@@ -95,6 +104,50 @@ def mat_pow_int(a, e, p):
         base = mat_mul_int(base, base, p)
         e >>= 1
     return out
+
+
+def charpoly_int(mat, p):
+    """Characteristic polynomial det(x - mat) mod p, as its coefficients
+    from the leading 1 down to the constant term.
+
+    Reduces a copy to upper Hessenberg form by similarity (row operation
+    and the inverse column operation), then expands by the recurrence
+    on leading principal minors: the Hessenberg method of Cohen, GTM 138,
+    section 2.2.
+    """
+    n = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[k] is the charpoly of the leading k x k block, constant term first
+    polys = [[1]]
+    for m in range(n):
+        nxt = [0] + polys[m]
+        for k, c in enumerate(polys[m]):
+            nxt[k] -= h[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = t * h[i][m]
+            for k, c in enumerate(polys[i]):
+                nxt[k] -= f * c
+        polys.append([c % p for c in nxt])
+    return polys[n][::-1]
 
 
 def invert_int(mat, p):

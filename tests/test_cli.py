@@ -258,6 +258,37 @@ def test_malformed_rep_is_invalid_input(capsys, rep, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "rep, message",
+    [
+        ('{"d":3,"mat":[["a"]]}', "entries must be integers"),
+        ('{"d":3,"mat":[[1.5]]}', "entries must be integers"),
+        ('{"d":3,"mat":[[true]]}', "entries must be integers"),
+        ('{"d":3,"mat":[[null]]}', "entries must be integers"),
+        ('{"d":"3","mat":[[1]]}', "d must be an integer"),
+        ('{"d":true,"mat":[[1]]}', "d must be an integer"),
+        ('{"d":3,"mat":[[1]],"p":"x"}', "p must be an integer"),
+        ('{"d":3,"mat":5}', "list of lists"),
+        ('{"d":3,"mat":[1]}', "list of lists"),
+    ],
+    ids=["str-entry", "float-entry", "bool-entry", "null-entry", "str-d", "bool-d", "str-p", "int-mat", "flat-mat"],
+)
+def test_non_integer_rep_is_invalid_input(capsys, rep, message):
+    # these used to crash with a traceback or be coerced to 1 and run
+    code, out, err = run(capsys, ["build", "--p", "5", "--rep", rep])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: representation ") and message in err
+
+
+def test_non_integer_roundtrip_entry_is_rejected(capsys, tmp_path):
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps([{"d": 3, "mat": [["a"]]}, {"d": 3, "mat": [[1.5]]}, {"d": 1, "mat": [[1]]}]))
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", str(path)])
+    assert code == 2
+    assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": 2}
+
+
 def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):
     code, _, err = run(capsys, ["roundtrip", "--p", "5", "--rep", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read --rep" in err
@@ -293,12 +324,15 @@ def test_empty_window_is_invalid_input(capsys, window):
         (["check", "--p", "5", "--c", "t^-2", "--window", "3", "--depth", "-1"], "--depth -1"),
         (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "0"], "--e 0"),
         (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "-1"], "--e -1"),
+        (["recover", "--p", "5", "--d", "3", "--rep", "companion", "--cap", "0"], "--cap 0"),
+        (["roundtrip", "--p", "5", "--cap", "-1"], "--cap -1"),
     ],
-    ids=["m-0", "count-0", "count-neg", "depth-neg", "e-0", "e-neg"],
+    ids=["m-0", "count-0", "count-neg", "depth-neg", "e-0", "e-neg", "cap-0", "cap-neg"],
 )
 def test_out_of_range_flag_is_invalid_input(capsys, argv, flag):
     # unchecked, each would run with a silently changed value (m = 1,
-    # four roundtrip cases, depth 1) or fail later on another message
+    # four roundtrip cases, depth 1), fail later on another message, or
+    # exit 3 as if a real cap had run out (cap < 1)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -29,7 +29,15 @@ from fcrystal import (
     vanishing,
     weight_dims_full,
 )
-from fcrystal.samples import random_object, random_object_morphism, random_rep, random_rep_morphism
+from fcrystal.cli import resolve_m
+from fcrystal.linalg import invert_int, mat_mul_int
+from fcrystal.samples import (
+    random_invertible_int,
+    random_object,
+    random_object_morphism,
+    random_rep,
+    random_rep_morphism,
+)
 from random import Random
 
 F25 = make_field(5, 2)
@@ -272,3 +280,27 @@ def test_split_filtration_feeds_nearby():
     psi = nearby_unipotent(split_vfilt(mod))
     assert psi.dim == 1
     assert psi.saturated_dimension() == 1
+
+
+def test_rep_isomorphic_agrees_with_weight_multisets():
+    # the charpoly verdict against the eigenspace dimensions over F_q,
+    # on sampled pairs and on random conjugates of each sample
+    kinds = {"isomorphic": 0, "same rank, not isomorphic": 0, "other rank": 0}
+    for p in (5, 7):
+        for d in (2, 3, 4, 6):
+            ctx = make_field(p, resolve_m(p, d, None))
+            rng = Random(7000 + 10 * p + d)
+            for _ in range(12):
+                rep1 = random_rep(ctx, d, rng)
+                conj = random_invertible_int(rng, rep1.rank, p)
+                moved = mat_mul_int(conj, mat_mul_int(rep1.mat, invert_int(conj, p), p), p)
+                for rep2 in (random_rep(ctx, d, rng), CyclicRep(d, p, tuple(map(tuple, moved)))):
+                    verdict = rep_isomorphic(rep1, rep2, ctx)
+                    assert verdict == (weight_dims_full(rep1, ctx) == weight_dims_full(rep2, ctx))
+                    if verdict:
+                        kinds["isomorphic"] += 1
+                    elif rep1.rank == rep2.rank:
+                        kinds["same rank, not isomorphic"] += 1
+                    else:
+                        kinds["other rank"] += 1
+    assert all(kinds.values()), kinds

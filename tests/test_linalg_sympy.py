@@ -4,7 +4,8 @@ rref_int and kernel_int are the integer-mod-p kernels behind the
 fixed-point computations.  sympy is an independent oracle: the reduced
 row echelon form is unique, so rank, pivots and rows must match exactly,
 and the kernel must have sympy's dimension, lie in the kernel and span
-the same space as sympy's nullspace.
+the same space as sympy's nullspace.  charpoly_int, the isomorphism
+test of rep_isomorphic, must give sympy's characteristic polynomial.
 """
 
 from random import Random
@@ -75,3 +76,36 @@ def test_kernel_int_matches_sympy(p):
             same_span, _ = linalg.rref_int(_ints(null, p), p)
             assert rows == same_span, mat
     assert nonzero
+
+
+def _square_matrices(p):
+    """For n in 0..9: uniform, singular (a product B C through an inner
+    dimension below n), upper Hessenberg, and sparse matrices; the sparse
+    ones have zero subdiagonal entries, so the reduction must search for
+    pivots below the subdiagonal or skip a column."""
+    rng = Random(9100 + p)
+    out = []
+    for n in range(10):
+        for _ in range(4):
+            out.append(("uniform", _random(rng, n, n, p)))
+            k = rng.randrange(n) if n else 0
+            b, c = _random(rng, n, k, p), _random(rng, k, n, p)
+            out.append(("singular", [[sum(b[i][t] * c[t][j] for t in range(k)) % p for j in range(n)] for i in range(n)]))
+            hess = _random(rng, n, n, p)
+            out.append(("hessenberg", [[x if i <= j + 1 else 0 for j, x in enumerate(row)] for i, row in enumerate(hess)]))
+            out.append(("sparse", [[x if rng.randrange(4) == 0 else 0 for x in row] for row in _random(rng, n, n, p)]))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_charpoly_int_matches_sympy(p):
+    kinds = set()
+    for kind, mat in _square_matrices(p):
+        n = len(mat)
+        K = sympy.GF(p)
+        ref = DomainMatrix([[K(x) for x in row] for row in mat], (n, n), K).charpoly()
+        assert linalg.charpoly_int(mat, p) == [int(c) % p for c in ref], (kind, mat)
+        if n and ref[-1] == 0:
+            kinds.add("det 0")
+        kinds.add(kind)
+    assert kinds == {"uniform", "singular", "hessenberg", "sparse", "det 0"}

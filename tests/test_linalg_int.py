@@ -40,11 +40,6 @@ def test_mat_mul_int_matches_triple_loop(p):
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
-def test_mat_mul_int_takes_tuples():
-    a = ((1, 2), (3, 4))
-    assert linalg.mat_mul_int(a, a, 5) == [[2, 0], [0, 2]]
-
-
 @pytest.mark.parametrize(
     "rep",
     [

@@ -27,7 +27,7 @@ from .crystal import (
     build_kummer_crystal,
     sol_extension,
 )
-from .errors import CapExceededError, InvalidInputError
+from .errors import BoundExceededError, CapExceededError, InvalidInputError
 from .field import DEFAULT_SATURATION_CAP, make_field
 from .functors import (
     CGObject,
@@ -296,7 +296,7 @@ def cmd_nearby(args) -> int:
     result = {
         "kind": meta["kind"],
         "nearby": psi.to_json(),
-        "saturated_dimension": psi.saturated_dimension(args.cap) if psi.dim else 0,
+        "saturated_dimension": psi.saturated_dimension(args.cap),
     }
     return _emit(args, "nearby", result, 0)
 
@@ -464,6 +464,13 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print_error(line, kind, err, profile):
+    """The message line, then the JSON error line, both on stderr."""
+    print(line, file=sys.stderr)
+    error = {"kind": kind, "message": str(err), "profile": profile}
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+
+
 # the least valid value of each integer flag that has one; a flag the
 # command lacks or the user left unset reads None
 _LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1, "cap": 1}
@@ -478,12 +485,11 @@ def main(argv=None) -> int:
                 raise InvalidInputError(f"--{flag} {value} must be >= {least}")
         return args.func(args)
     except InvalidInputError as err:
-        print(f"error: {err}", file=sys.stderr)
+        kind = "bound" if isinstance(err, BoundExceededError) else "invalid"
+        _print_error(f"error: {err}", kind, err, None)
         return 2
     except CapExceededError as err:
-        print(f"resource cap exceeded: {err}", file=sys.stderr)
-        error = {"kind": "cap", "message": str(err), "profile": err.profile}
-        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+        _print_error(f"resource cap exceeded: {err}", "cap", err, err.profile)
         return 3
 
 

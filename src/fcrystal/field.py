@@ -18,8 +18,13 @@ matrix A sends v to A @ v^(p), where v^(p) raises every coordinate to
 the p-th power.  Fixed vectors of such an operator form an F_p-subspace
 computed exactly by flattening F_{p^m}^n to an F_p-space of dimension
 n*m.  When an operator has too few fixed vectors over the base field,
-`saturate_fixed_points` walks up the extension tower F_{p^{m*r}} until
-the fixed space reaches full rank.
+`saturate_fixed_points` finds the least extension F_{p^{m*r}} where the
+fixed space reaches full rank from the norm matrix N of the operator:
+by Lang's theorem the fixed dimension over F_{p^{m*r}} is that of
+ker(N^r - I) (Katz, LNM 350, 4.1), so each degree costs one rank over
+F_p, and only the saturating degree builds its field.  Degree 1 is
+still tried first on its own, and degrees whose fields would exceed
+the order bound still raise.
 """
 
 from __future__ import annotations
@@ -484,10 +489,10 @@ class SemilinearOperator:
         }
 
 
-def _fixed_point_rows(ctx: FieldCtx, entries):
-    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)}."""
+def _flat_operator(ctx: FieldCtx, entries):
+    """The (n*m) x (n*m) F_p-matrix of v |-> A v^(p) on the flattened F_q^n."""
     n = len(entries)
-    p, m = ctx.p, ctx.m
+    m = ctx.m
     big_n = n * m
     # frobpow[t] = (x^t)^p; products of the image of x under Frobenius
     xp = ctx.frob((0, 1) + (0,) * (m - 2)) if m > 1 else ctx.one
@@ -498,14 +503,20 @@ def _fixed_point_rows(ctx: FieldCtx, entries):
     for j in range(n):
         for t in range(m):
             col = j * m + t
-            mat[col][col] = 1
             for i in range(n):
                 e = ctx.mul(entries[i][j], frobpow[t])
                 for s in range(m):
-                    if e[s]:
-                        row = i * m + s
-                        mat[row][col] = (mat[row][col] - e[s]) % p
-    return linalg.kernel_int(mat, p)
+                    mat[i * m + s][col] = e[s]
+    return mat
+
+
+def _minus_identity(mat, p):
+    return [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(mat)]
+
+
+def _fixed_point_rows(ctx: FieldCtx, entries):
+    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)}."""
+    return linalg.kernel_int(_minus_identity(_flat_operator(ctx, entries), ctx.p), ctx.p)
 
 
 def _decode_flat(ctx: FieldCtx, flat, n: int):
@@ -627,9 +638,20 @@ def saturate_fixed_points(
 ) -> SaturationResult:
     """Smallest extension degree r where the fixed space reaches rank n.
 
-    Works up the tower F_{p^{m*r}}, r = 1, 2, ..., cap, recomputing the
-    flattened fixed space each time.  Requires the operator matrix to
-    be invertible (otherwise full rank is never reached).  Raises
+    Requires the operator matrix A to be invertible (otherwise full rank
+    is never reached).  Degree 1 is tried first, by the F_p kernel of the
+    flattened operator over ctx itself.  Above it the profile comes from
+    the norm matrix N = A sigma(A) ... sigma^{m-1}(A), q = p^m: by Lang's
+    theorem (Amer. J. Math. 78, 1956) the fixed vectors over the
+    algebraic closure form an n-dimensional F_p-space on which the
+    q-Frobenius acts by a conjugate of N^{-1} (Katz, LNM 350, 4.1), so
+    over F_{q^r} the fixed space has dimension dim_{F_q} ker(N^r - I)
+    and the saturation degree is the multiplicative order of N.  The
+    m-th power of the flattened operator is the flattened N, so each
+    degree costs one F_p rank; only the degree that saturates builds
+    F_{q^r}, whose fixed-space kernel gives the basis and must have n
+    rows.  A degree whose field order exceeds DEFAULT_ORDER_BOUND raises
+    BoundExceededError, as building that field would.  Raises
     CapExceededError carrying the (r, dimension) profile when the cap
     runs out.
     """
@@ -637,18 +659,34 @@ def saturate_fixed_points(
         op = SemilinearOperator(ctx, tuple(tuple(row) for row in op))
     if not op.invertible:
         raise InvalidInputError("saturation requires an invertible operator matrix")
-    n = op.n
-    profile = []
-    for r in range(1, cap + 1):
-        big = ctx if r == 1 else make_field(ctx.p, ctx.m * r)
+    n, p, m = op.n, ctx.p, ctx.m
+    message = f"fixed space did not reach rank {n} within {cap} extension degrees"
+    if cap < 1:
+        raise CapExceededError(message, ())
+    emb = embed_field(ctx, ctx)
+    entries = emb.map_matrix(op.entries)
+    big = ctx
+    rows, _ = _fixed_point_rows(ctx, entries)
+    profile = [(1, len(rows))]
+    if len(rows) < n:
+        norm = linalg.mat_pow_int(_flat_operator(ctx, entries), m, p)
+        power = norm
+        for r in range(2, cap + 1):
+            if p ** (m * r) > DEFAULT_ORDER_BOUND:
+                make_field(p, m * r)  # raises BoundExceededError
+            power = linalg.mat_mul_int(power, norm, p)
+            _, pivots = linalg.rref_int(_minus_identity(power, p), p)
+            profile.append((r, n - len(pivots) // m))
+            if not pivots:
+                break
+        else:
+            raise CapExceededError(message, tuple(profile))
+        big = make_field(p, m * r)
         emb = embed_field(ctx, big)
-        entries = emb.map_matrix(op.entries)
-        rows, _ = _fixed_point_rows(big, entries)
-        profile.append((r, len(rows)))
-        if len(rows) == n:
-            basis = tuple(_decode_flat(big, fr, n) for fr in rows)
-            return SaturationResult(r, big, emb, basis, tuple(profile))
-    raise CapExceededError(
-        f"fixed space did not reach rank {n} within {cap} extension degrees",
-        tuple(profile),
-    )
+        rows, _ = _fixed_point_rows(big, emb.map_matrix(op.entries))
+        if len(rows) != n:
+            raise RuntimeError(
+                f"N^{r} = I but the fixed space over F_{{{p}^{m * r}}} has rank {len(rows)} < {n}"
+            )
+    basis = tuple(_decode_flat(big, fr, n) for fr in rows)
+    return SaturationResult(len(profile), big, emb, basis, tuple(profile))

@@ -198,6 +198,27 @@ def test_cap_exit_carries_the_profile(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (["vfilt", "--p", "5", "--d", "3", "--rep", "companion", "--window", "0"], "invalid", "--window 0 must be >= 1"),
+        (["vfilt", "--p", "4", "--d", "3", "--rep", "companion"], "invalid", "p=4 is not prime"),
+        (["build", "--p", "5", "--rep", '{"d":3,"mat":[[1.5]]}'], "invalid", "entries must be integers"),
+        (["build", "--p", "2", "--m", "200", "--c", "t^-2"], "bound", f"field order p^m={2**200} exceeds bound"),
+    ],
+    ids=["window-0", "p-not-prime", "rep-not-integer", "field-order-bound"],
+)
+def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    line, json_line = err.strip().splitlines()
+    error = json.loads(json_line)["error"]
+    assert line == f"error: {error['message']}"
+    assert error["kind"] == kind and error["profile"] is None
+    assert message in error["message"]
+    assert json_line == json.dumps({"error": error}, sort_keys=True)
+
+
 def test_roundtrip_file_object(capsys, tmp_path):
     gamma = make_field(7, 2).generator
     entry = {"d": 1, "classes": [{"a": 0, "dim": 1, "C": [[list(gamma)]]}]}

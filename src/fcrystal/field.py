@@ -506,12 +506,16 @@ def _flat_operator(ctx: FieldCtx, entries):
             for i in range(n):
                 e = ctx.mul(entries[i][j], frobpow[t])
                 for s in range(m):
-                    mat[i * m + s][col] = e[s]
+                    if e[s]:
+                        mat[i * m + s][col] = e[s]
     return mat
 
 
 def _minus_identity(mat, p):
-    return [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    """mat - I mod p, in place."""
+    for k, row in enumerate(mat):
+        row[k] = (row[k] - 1) % p
+    return mat
 
 
 def _fixed_point_rows(ctx: FieldCtx, entries):
@@ -675,7 +679,7 @@ def saturate_fixed_points(
             if p ** (m * r) > DEFAULT_ORDER_BOUND:
                 make_field(p, m * r)  # raises BoundExceededError
             power = linalg.mat_mul_int(power, norm, p)
-            _, pivots = linalg.rref_int(_minus_identity(power, p), p)
+            _, pivots = linalg.rref_int(_minus_identity([row[:] for row in power], p), p)
             profile.append((r, n - len(pivots) // m))
             if not pivots:
                 break

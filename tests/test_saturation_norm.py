@@ -81,8 +81,8 @@ def _jordan_conjugate(ctx, n, rng):
         start += size
     conj = random_invertible_int(rng, n, ctx.p)
     inv = linalg.invert_int(conj, ctx.p)
-    lift = lambda mat: tuple(tuple(ctx.from_int(x) for x in row) for row in mat)  # noqa: E731
-    return linalg.mat_mul(ctx, lift(conj), linalg.mat_mul(ctx, jordan, lift(inv)))
+    conj_q, inv_q = ([[ctx.from_int(x) for x in row] for row in mat] for mat in (conj, inv))
+    return linalg.mat_mul(ctx, conj_q, linalg.mat_mul(ctx, jordan, inv_q))
 
 
 def _uniform_invertible(ctx, n, rng):

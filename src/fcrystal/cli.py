@@ -415,8 +415,17 @@ def cmd_glue(args) -> int:
     return _emit(args, "glue", result, 0 if triple.consistent else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the usage text, the message and the JSON error line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _print_error(f"{self.prog}: error: {message}", "invalid", message, None)
+        self.exit(2)
+
+
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     common.add_argument("--m", type=int, default=None, help="field degree; minimal when omitted")
     common.add_argument("--d", type=int, default=None, help="cover degree / group order")
@@ -428,7 +437,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--depth", type=int, default=None, help="depth override for the ideal-power check")
 
-    ap = argparse.ArgumentParser(prog="fcrystal", description=__doc__)
+    ap = _Parser(prog="fcrystal", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("build", parents=[common]).set_defaults(func=cmd_build)

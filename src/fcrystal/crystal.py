@@ -129,13 +129,14 @@ class WeightDecomposition:
         return {a: len(rows) for a, (rows, _) in self.bases.items()}
 
     def to_json(self):
+        coeffs = self.ctx.coeffs
         return {
             "field": self.ctx.to_json(),
             "d": self.d,
-            "xi": list(self.xi),
+            "xi": list(coeffs(self.xi)),
             "dims": {str(a): len(rows) for a, (rows, _) in sorted(self.bases.items())},
             "bases": {
-                str(a): [[list(x) for x in row] for row in rows]
+                str(a): [[list(coeffs(x)) for x in row] for row in rows]
                 for a, (rows, _) in sorted(self.bases.items())
             },
         }
@@ -247,17 +248,18 @@ class KummerCrystal:
         return a if a in self.dims else None
 
     def to_json(self):
+        coeffs = self.ctx.coeffs
         return {
             "field": self.ctx.to_json(),
             "d": self.d,
             "rank": self.rank,
-            "xi": list(self.xi),
+            "xi": list(coeffs(self.xi)),
             "weights": {
                 str(a): {
                     "dim": self.dims[a],
                     "shift": self.shifts[a],
-                    "basis": [[list(x) for x in row] for row in self.bases[a][0]],
-                    "frob_mat": [[list(x) for x in row] for row in self.frob_mats[a]],
+                    "basis": [[list(coeffs(x)) for x in row] for row in self.bases[a][0]],
+                    "frob_mat": [[list(coeffs(x)) for x in row] for row in self.frob_mats[a]],
                     "frob_target": (self.ctx.p * a) % self.d,
                 }
                 for a in sorted(self.dims)
@@ -418,7 +420,7 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
     for m in range(1, bound + 1):
         val = h.coeffs.get(-m, ctx.zero)
         if m % p == 0 and m // p in gamma:
-            val = ctx.add(val, ctx.pow(gamma[m // p], p))
+            val = ctx.add(val, ctx.frob(gamma[m // p]))
         if not ctx.is_zero(val):
             gamma[m] = val
     # a chain keeps p-powering beyond the support bound; the last
@@ -426,7 +428,7 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
     blockers = sorted(m for m in gamma if m * p > bound)
     if blockers:
         return SolutionReport(
-            0, (), obstruction=[[m, list(gamma[m])] for m in blockers]
+            0, (), obstruction=[[m, list(ctx.coeffs(gamma[m]))] for m in blockers]
         )
     g = LaurentSeries(ctx, {-m: c for m, c in gamma.items()})
     return SolutionReport(1, ((LaurentSeries.one(ctx), g),))

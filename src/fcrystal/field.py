@@ -1,17 +1,24 @@
 """Deterministic arithmetic for the finite fields F_{p^m}.
 
-An element of F_{p^m} is a tuple of m ints in [0, p): the power-basis
-coefficients, constant term first, of a residue modulo the field's
-modulus.  The modulus is the first monic irreducible of degree m in the
-enumeration that increments the constant coefficient fastest (candidate
-k encodes the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i),
-so repeated constructions are identical across runs and platforms, and
-serialized elements are byte-stable.
+An element of F_{p^m} is a residue modulo the field's modulus.  The
+modulus is the first monic irreducible of degree m in the enumeration
+that increments the constant coefficient fastest (candidate k encodes
+the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i), so repeated
+constructions are identical across runs and platforms, and serialized
+elements are byte-stable.
+
+Only FieldCtx methods build, index, iterate, slice or serialize an
+element; to other code elements are opaque values that compare and
+hash.  ctx.coeffs(a) gives the m power-basis coefficients in [0, p),
+constant term first, for JSON and flat F_p coordinates;
+ctx.from_coeffs(cs) builds an element from such coefficients, and
+ctx.el parses outside input.  The stored form is today the coefficient
+tuple, which both methods return without a copy.
 
 Fields with m >= 2 and at most TABLE_BOUND elements multiply, invert,
 raise to powers and apply Frobenius by log/antilog table lookup; larger
 fields use polynomial products and extended Euclid.  Both paths return
-the same tuples: the encoding does not depend on the path taken.
+the same elements: the stored form does not depend on the path taken.
 
 Semilinear operators model Frobenius-twisted actions: the operator with
 matrix A sends v to A @ v^(p), where v^(p) raises every coordinate to
@@ -209,7 +216,7 @@ class FieldCtx:
         for _ in range(n1 - 1):
             powers.append(self._poly_mul(powers[-1], g))
         if self._poly_mul(powers[-1], g) != self.one or len(set(powers)) != n1:
-            raise InvalidInputError(f"{list(g)} does not generate the units of {self!r}")
+            raise InvalidInputError(f"{list(self.coeffs(g))} does not generate the units of {self!r}")
         log = {a: k for k, a in enumerate(powers)}
         log[self.zero] = 2 * n1
         return log, tuple(powers) * 2 + (self.zero,) * (2 * n1 + 1)
@@ -228,6 +235,14 @@ class FieldCtx:
 
     def from_int(self, k: int) -> tuple[int, ...]:
         return (k % self.p,) + (0,) * (self.m - 1)
+
+    def coeffs(self, a) -> tuple[int, ...]:
+        """The m power-basis coefficients of a, constant term first."""
+        return a
+
+    def from_coeffs(self, cs) -> tuple[int, ...]:
+        """The element with power-basis coefficients cs, each in [0, p)."""
+        return tuple(cs)
 
     def is_zero(self, a) -> bool:
         return not any(a)
@@ -443,7 +458,7 @@ def mu_log(ctx: FieldCtx, x, xi, d: int) -> int:
     """The exponent k in [0, d) with xi^k = x, for x in the group mu_d."""
     if ctx.pow(x, d) != ctx.one:
         raise InvalidInputError(
-            f"element {list(x)} is not a {d}-th root of unity (x^{d} != 1)"
+            f"element {list(ctx.coeffs(x))} is not a {d}-th root of unity (x^{d} != 1)"
         )
     acc = ctx.one
     for k in range(d):
@@ -484,7 +499,7 @@ class SemilinearOperator:
     def to_json(self):
         return {
             "field": self.ctx.to_json(),
-            "entries": [[list(x) for x in row] for row in self.entries],
+            "entries": [[list(self.ctx.coeffs(x)) for x in row] for row in self.entries],
             "invertible": self.invertible,
         }
 
@@ -494,8 +509,8 @@ def _flat_operator(ctx: FieldCtx, entries):
     n = len(entries)
     m = ctx.m
     big_n = n * m
-    # frobpow[t] = (x^t)^p; products of the image of x under Frobenius
-    xp = ctx.frob((0, 1) + (0,) * (m - 2)) if m > 1 else ctx.one
+    # frobpow[t] = (x^t)^p; products of the image of x (int code p) under Frobenius
+    xp = ctx.frob(ctx.decode(ctx.p)) if m > 1 else ctx.one
     frobpow = [ctx.one]
     for _ in range(m - 1):
         frobpow.append(ctx.mul(frobpow[-1], xp))
@@ -504,7 +519,7 @@ def _flat_operator(ctx: FieldCtx, entries):
         for t in range(m):
             col = j * m + t
             for i in range(n):
-                e = ctx.mul(entries[i][j], frobpow[t])
+                e = ctx.coeffs(ctx.mul(entries[i][j], frobpow[t]))
                 for s in range(m):
                     if e[s]:
                         mat[i * m + s][col] = e[s]
@@ -525,7 +540,7 @@ def _fixed_point_rows(ctx: FieldCtx, entries):
 
 def _decode_flat(ctx: FieldCtx, flat, n: int):
     m = ctx.m
-    return tuple(tuple(flat[j * m : (j + 1) * m]) for j in range(n))
+    return tuple(ctx.from_coeffs(flat[j * m : (j + 1) * m]) for j in range(n))
 
 
 def semilinear_fixed_points(ctx: FieldCtx, op) -> list:
@@ -552,7 +567,7 @@ class Embedding:
     def map(self, a):
         big = self.big
         out = big.zero
-        for c, tp in zip(a, self.theta_pows):
+        for c, tp in zip(self.small.coeffs(a), self.theta_pows):
             if c:
                 out = big.add(out, big.smul(c, tp))
         return out
@@ -581,11 +596,8 @@ def embed_field(small: FieldCtx, big: FieldCtx) -> Embedding:
     p, ms, mb = small.p, small.m, big.m
     if small.m == 1:
         return Embedding(small, big, (big.one,))
-    # Frobenius as an mb x mb matrix over F_p, columns = frob(x^t)
-    basis_imgs = []
-    for t in range(mb):
-        e = tuple(1 if i == t else 0 for i in range(mb))
-        basis_imgs.append(big.frob(e))
+    # Frobenius as an mb x mb matrix over F_p, columns = frob(x^t), x^t of int code p^t
+    basis_imgs = [big.coeffs(big.frob(big.decode(p**t))) for t in range(mb)]
     phi = [[basis_imgs[t][s] for t in range(mb)] for s in range(mb)]
     phim = linalg.mat_pow_int(phi, ms, p)
     diff = [[(phim[i][j] - (1 if i == j else 0)) % p for j in range(mb)] for i in range(mb)]
@@ -596,15 +608,10 @@ def embed_field(small: FieldCtx, big: FieldCtx) -> Embedding:
     f = list(small.modulus) + [1]
     roots = []
     for n in range(p**ms):
-        coeffs = []
-        k = n
-        for _ in range(ms):
-            coeffs.append(k % p)
-            k //= p
         theta = big.zero
-        for c, row in zip(coeffs, sub_rows):
+        for c, row in zip(small.coeffs(small.decode(n)), sub_rows):
             if c:
-                theta = big.add(theta, big.smul(c, tuple(row)))
+                theta = big.add(theta, big.smul(c, big.from_coeffs(row)))
         acc = big.one
         val = big.zero
         for c in f:
@@ -667,13 +674,11 @@ def saturate_fixed_points(
     message = f"fixed space did not reach rank {n} within {cap} extension degrees"
     if cap < 1:
         raise CapExceededError(message, ())
-    emb = embed_field(ctx, ctx)
-    entries = emb.map_matrix(op.entries)
-    big = ctx
-    rows, _ = _fixed_point_rows(ctx, entries)
+    big, emb = ctx, embed_field(ctx, ctx)
+    rows, _ = _fixed_point_rows(ctx, op.entries)
     profile = [(1, len(rows))]
     if len(rows) < n:
-        norm = linalg.mat_pow_int(_flat_operator(ctx, entries), m, p)
+        norm = linalg.mat_pow_int(_flat_operator(ctx, op.entries), m, p)
         power = norm
         for r in range(2, cap + 1):
             if p ** (m * r) > DEFAULT_ORDER_BOUND:

@@ -137,7 +137,7 @@ class CGObject:
                 {
                     "a": a,
                     "dim": self.dims[a],
-                    "C": [[list(x) for x in row] for row in self.mats[a]],
+                    "C": [[list(self.ctx.coeffs(x)) for x in row] for row in self.mats[a]],
                 }
                 for a in range(self.d)
                 if self.dims[a]
@@ -206,8 +206,8 @@ def _transition_failure(obj1: CGObject, obj2: CGObject, gmats):
     return {"status": "fail", "square": "transition", "witness": {"class": a}}
 
 
-def _flatten_vec(vec):
-    return [int(x) for el in vec for x in el]
+def _flatten_vec(ctx, vec):
+    return [x for el in vec for x in ctx.coeffs(el)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,8 @@ def _saturate(obj: CGObject, cap: int) -> SaturationResult:
 
 def _fixed_data(obj: CGObject, sat: SaturationResult, degree: int):
     """(field, embedding, fixed vectors, their F_p rref rows and pivots)
-    over the degree-`degree` extension; sat is reused at its own degree."""
+    over the degree-`degree` extension; sat is reused at its own degree.
+    The vectors are decoded rref kernel rows: flattening gives them back."""
     ctx = obj.ctx
     if degree == sat.degree:
         big, emb, vecs = sat.field, sat.embedding, sat.basis
@@ -272,8 +273,8 @@ def _fixed_data(obj: CGObject, sat: SaturationResult, degree: int):
         big = make_field(ctx.p, ctx.m * degree)
         emb = embed_field(ctx, big)
         vecs = semilinear_fixed_points(big, emb.map_matrix(_flat(obj)))
-    flat = [_flatten_vec(v) for v in vecs]
-    rows, piv = linalg.rref_int(flat, ctx.p) if flat else ([], [])
+    rows = [_flatten_vec(big, v) for v in vecs]
+    piv = [next(j for j, x in enumerate(r) if x) for r in rows]
     return big, emb, vecs, rows, piv
 
 
@@ -348,6 +349,7 @@ def fg_roundtrip(obj: CGObject, cap: int = DEFAULT_SATURATION_CAP) -> dict:
 class UnipotentNearby:
     """Level-0 graded piece with its induced semilinear endomorphism."""
 
+    ctx: object  # the FieldCtx of the matrix entries
     dim: int
     labels: tuple
     matrix: tuple
@@ -356,28 +358,29 @@ class UnipotentNearby:
     def saturated_dimension(self, cap: int = DEFAULT_SATURATION_CAP) -> int:
         if self.dim == 0:
             return 0
-        sat = saturate_fixed_points(self.operator.ctx, self.operator, cap)
+        sat = saturate_fixed_points(self.ctx, self.operator, cap)
         return sat.dimension
 
     def to_json(self):
         return {
             "dim": self.dim,
             "labels": list(self.labels),
-            "matrix": [[list(x) for x in row] for row in self.matrix],
+            "matrix": [[list(self.ctx.coeffs(x)) for x in row] for row in self.matrix],
         }
 
 
 def nearby_unipotent(spec: FiltrationSpec) -> UnipotentNearby:
     """Gr^0 with the induced Frobenius (level 0 maps to level p*0 = 0)."""
+    ctx = spec.module.ctx
     r0 = Fraction(0)
     basis = spec.graded_basis(r0)
     if not basis:
-        return UnipotentNearby(0, (), (), None)
+        return UnipotentNearby(ctx, 0, (), (), None)
     gm = graded_frobenius_map(spec, r0)
     if gm.matrix is None:
         raise InvalidInputError("level-0 Frobenius image has no graded class")
-    op = SemilinearOperator(spec.module.ctx, gm.matrix)
-    return UnipotentNearby(len(basis), tuple(spec.graded_labels(r0)), gm.matrix, op)
+    op = SemilinearOperator(ctx, gm.matrix)
+    return UnipotentNearby(ctx, len(basis), tuple(spec.graded_labels(r0)), gm.matrix, op)
 
 
 def nearby_full(spec: FiltrationSpec) -> CGObject:
@@ -434,6 +437,7 @@ def recover_rep(kc: KummerCrystal, cap: int = DEFAULT_SATURATION_CAP) -> CyclicR
 class VanishingReport:
     """Gr^(-1) -> Gr^(-p) with its morphism (t, t^p) into Gr^0."""
 
+    ctx: object  # the FieldCtx of the matrix entries
     source_dim: int
     target_dim: int
     source_labels: tuple
@@ -446,7 +450,7 @@ class VanishingReport:
 
     def to_json(self):
         def mat(m):
-            return None if m is None else [[list(x) for x in row] for row in m]
+            return None if m is None else [[list(self.ctx.coeffs(x)) for x in row] for row in m]
 
         return {
             "source_dim": self.source_dim,
@@ -488,6 +492,7 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
         if not commutes:
             note = "(t^p) after F differs from F after t"
     return VanishingReport(
+        ctx=ctx,
         source_dim=dimV,
         target_dim=dimW,
         source_labels=tuple(spec.graded_labels(rV)),
@@ -527,7 +532,7 @@ def _pole_string(series) -> str:
     for e in sorted(series.coeffs):
         if e < 0:
             c = series.coeffs[e]
-            terms.append(f"{list(c)}*t^{e}")
+            terms.append(f"{list(series.ctx.coeffs(c))}*t^{e}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -655,7 +660,7 @@ def _sigma_matrix(obj: CGObject, big, emb, vecs, rows, piv):
     cols = []
     for w in vecs:
         sw = [big.mul(s, x) for s, x in zip(scal, w)]
-        coords = linalg.express_int(rows, piv, _flatten_vec(sw), ctx.p)
+        coords = linalg.express_int(rows, piv, _flatten_vec(big, sw), ctx.p)
         if coords is None:
             raise InvalidInputError("group action left the fixed space; object data inconsistent")
         cols.append(coords)
@@ -697,7 +702,7 @@ def naturality_check_G(
     cols = []
     for w in vecs1:
         img = linalg.mat_vec(big, G, w)
-        coords = linalg.express_int(rows2, piv2, _flatten_vec(img), ctx.p)
+        coords = linalg.express_int(rows2, piv2, _flatten_vec(big, img), ctx.p)
         if coords is None:
             return {
                 "status": "fail",

@@ -51,11 +51,9 @@ def orbit_polynomial(ctx, d: int, orbit) -> list:
             nxt[i + 1] = ctx.add(nxt[i + 1], c)
             nxt[i] = ctx.sub(nxt[i], ctx.mul(root, c))
         poly = nxt
-    out = []
-    for c in poly:
-        if any(x for x in c[1:]):
-            raise InvalidInputError(f"orbit {orbit} is not p-stable over this field")
-        out.append(c[0])
+    out = [ctx.coeffs(c)[0] for c in poly]
+    if poly != [ctx.from_int(c) for c in out]:
+        raise InvalidInputError(f"orbit {orbit} is not p-stable over this field")
     return out
 
 
@@ -214,12 +212,12 @@ def random_object_morphism(obj1: CGObject, obj2: CGObject, rng: Random):
     def components(flat):
         it = iter(flat)
         return tuple(
-            tuple(tuple(tuple(next(it) for _ in range(m)) for _ in range(n1[a])) for _ in range(n2[a]))
+            tuple(tuple(ctx.from_coeffs([next(it) for _ in range(m)]) for _ in range(n1[a])) for _ in range(n2[a]))
             for a in range(d)
         )
 
     cols = []
     for u in range(nunk):
         res = transition_residual(obj1, obj2, components([int(u == v) for v in range(nunk)]))
-        cols.append([x for row in res for el in row for x in el])
+        cols.append([x for row in res for el in row for x in ctx.coeffs(el)])
     return components(_random_solution([list(r) for r in zip(*cols)], nunk, p, rng))

@@ -91,8 +91,7 @@ class LaurentSeries:
     def frob(self) -> "LaurentSeries":
         """The p-power map: sum c_i t^i |-> sum c_i^p t^(p*i)."""
         ctx = self.ctx
-        p = ctx.p
-        return LaurentSeries(ctx, {p * e: ctx.pow(c, p) for e, c in self.coeffs.items()})
+        return LaurentSeries(ctx, {ctx.p * e: ctx.frob(c) for e, c in self.coeffs.items()})
 
     # -- comparison / io ----------------------------------------------------
 
@@ -113,7 +112,7 @@ class LaurentSeries:
         return {
             "lo": self.valuation() or 0,
             "hi": None,
-            "terms": [[e, list(self.coeffs[e])] for e in sorted(self.coeffs)],
+            "terms": [[e, list(self.ctx.coeffs(self.coeffs[e]))] for e in sorted(self.coeffs)],
         }
 
     def __repr__(self):
@@ -122,7 +121,7 @@ class LaurentSeries:
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            cs = str(self.ctx.encode(c)) if self.ctx.m == 1 else str(list(c))
+            cs = str(self.ctx.encode(c)) if self.ctx.m == 1 else str(list(self.ctx.coeffs(c)))
             if e == 0:
                 parts.append(cs)
             elif e == 1:

@@ -560,6 +560,7 @@ def pullback_filtration(spec: FiltrationSpec, dprime: int) -> FiltrationSpec:
 
 @dataclass
 class GradedMap:
+    ctx: object  # the FieldCtx of the matrix entries
     target: Fraction
     target_dim: int
     matrix: object  # tuple rows or None
@@ -572,7 +573,7 @@ class GradedMap:
             "target_dim": self.target_dim,
             "matrix": None
             if self.matrix is None
-            else [[list(x) for x in row] for row in self.matrix],
+            else [[list(self.ctx.coeffs(x)) for x in row] for row in self.matrix],
             "invertible": self.invertible,
             "note": self.note,
         }
@@ -621,6 +622,7 @@ def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int) -> Grade
         coords = spec.graded_coords(y, target)
         if coords is None:
             return GradedMap(
+                ctx,
                 target,
                 tdim,
                 None,
@@ -631,10 +633,10 @@ def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int) -> Grade
     matrix = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(tdim))
     if tdim != len(basis):
         return GradedMap(
-            target, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
+            ctx, target, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
         )
     inv = linalg.is_invertible(ctx, matrix) if tdim else True
-    return GradedMap(target, tdim, matrix, inv, None if inv else "matrix is singular")
+    return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:

@@ -219,6 +219,35 @@ def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):
     assert json_line == json.dumps({"error": error}, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        (["vfilt", "--p", "5", "--window", "abc"], "fcrystal vfilt", "argument --window: invalid int value: 'abc'"),
+        (["vfilt"], "fcrystal vfilt", "the following arguments are required: --p"),
+        ([], "fcrystal", "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "missing-p", "no-command"],
+)
+def test_usage_error_prints_usage_and_the_json_error_line(capsys, argv, prog, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-2] == f"{prog}: error: {message}"
+    error = {"kind": "invalid", "message": message, "profile": None}
+    assert lines[-1] == json.dumps({"error": error}, sort_keys=True)
+
+
+def test_help_exits_zero_without_a_json_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.out.startswith("usage: fcrystal ")
+    assert "error" not in captured.err and "{" not in captured.err
+
+
 def test_roundtrip_file_object(capsys, tmp_path):
     gamma = make_field(7, 2).generator
     entry = {"d": 1, "classes": [{"a": 0, "dim": 1, "C": [[list(gamma)]]}]}

@@ -125,6 +125,16 @@ def test_embedding_commutes_with_frobenius():
     assert emb.map(small.frob(a)) == big.frob(emb.map(a))
 
 
+@pytest.mark.parametrize("p, m", [(2, 2), (5, 2), (7, 2), (2, 6), (3, 4), (5, 3)])
+def test_self_embedding_is_the_identity(p, m):
+    # x is the root of the modulus with the least int code (p), so
+    # saturation at degree 1 may skip mapping the operator through it
+    ctx = make_field(p, m)
+    emb = embed_field(ctx, ctx)
+    assert emb.theta_pows == tuple(ctx.decode(p**t) for t in range(m))
+    assert all(emb.map(a) == a for a in ctx.elements())
+
+
 def test_embedding_requires_divisible_degree():
     with pytest.raises(InvalidInputError):
         embed_field(make_field(5, 2), make_field(5, 3))

@@ -82,11 +82,19 @@ def test_valuations_add_under_multiplication(da, db):
         assert a.mul(b).valuation() == va + vb
 
 
+F25 = make_field(5, 2)
+
+
 @given(exps)
 @settings(max_examples=40, deadline=None)
 def test_frobenius_is_multiplicative(da):
     a = _mk(da)
     assert a.mul(a).frob().same_values(a.frob().mul(a.frob()))
+    # coefficientwise c -> c^p, also off the prime field: c + c*x over F_25
+    b = LaurentSeries(F25, {e: F25.decode(6 * c) for e, c in da.items()})
+    for s in (a, b):
+        ctx = s.ctx
+        assert s.frob().coeffs == {5 * e: ctx.pow(c, 5) for e, c in s.coeffs.items()}
 
 
 @given(exps, st.integers(min_value=-4, max_value=4))

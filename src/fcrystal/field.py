@@ -414,14 +414,14 @@ class FieldCtx:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldCtx:
     """The field F_{p^m} with its canonical modulus.
 
     Deterministic: the modulus is the first irreducible in the fixed
     enumeration, so two calls anywhere agree coefficient for
     coefficient.  Raises for non-prime p, m < 1, or orders beyond
-    order_bound.
+    order_bound.  Every call for one (p, m), however it is spelled,
+    returns the same context, so identity checks on ctx compare fields.
     """
     if not is_prime(p):
         raise InvalidInputError(f"p={p} is not prime")
@@ -429,6 +429,11 @@ def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldC
         raise InvalidInputError(f"m={m} must be >= 1")
     if p**m > order_bound:
         raise BoundExceededError(f"field order p^m={p**m} exceeds bound {order_bound}")
+    return _canonical_field(p, m)
+
+
+@functools.cache
+def _canonical_field(p: int, m: int) -> FieldCtx:
     for enc in range(p**m):
         coeffs = []
         n = enc

@@ -188,6 +188,8 @@ class KummerVFilt(FiltrationSpec):
         self.kc = kc
         self.module = KummerSections(kc)
         self.d = self.den = kc.d
+        # (weight class, slice) -> express result as a tuple, or None
+        self._coords = {}
 
     def ilevel(self, x):
         return min(x) if x else None
@@ -215,12 +217,22 @@ class KummerVFilt(FiltrationSpec):
     def _raw_coords(self, x, e):
         """The basis at e is the monomials u_(a,i) s^e of weight a;
         linalg.express checks the slice of x at e against them exactly,
-        and every other exponent of x is above e."""
+        and every other exponent of x is above e.
+
+        The solve depends only on the weight class and the slice, so it
+        is shared between sections with equal ones (the t- and
+        Frobenius-periodicity of the filtration makes most of them
+        repeat); each caller gets a fresh list."""
         a = self.kc.weight_of_shift(e)
         if a is None:
             return None
-        rows, piv = self.kc.bases[a]
-        return linalg.express(self.module.ctx, rows, piv, self.module.slice(x, e))
+        key = (a, tuple(self.module.slice(x, e)))
+        if key not in self._coords:
+            rows, piv = self.kc.bases[a]
+            coords = linalg.express(self.module.ctx, rows, piv, key[1])
+            self._coords[key] = None if coords is None else tuple(coords)
+        coords = self._coords[key]
+        return None if coords is None else list(coords)
 
     def spanning(self, window):
         lo, hi = window
@@ -615,7 +627,9 @@ class GradedReport:
         }
 
 
-def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int) -> GradedMap:
+def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int, invertible: dict) -> GradedMap:
+    """The map's matrix in the target basis.  invertible maps each matrix
+    already tested over spec's field to its verdict; it is filled in here."""
     ctx = spec.module.ctx
     cols = []
     for lbl_idx, y in enumerate(images):
@@ -635,7 +649,9 @@ def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int) -> Grade
         return GradedMap(
             ctx, target, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
         )
-    inv = linalg.is_invertible(ctx, matrix) if tdim else True
+    if matrix not in invertible:
+        invertible[matrix] = linalg.is_invertible(ctx, matrix)
+    inv = invertible[matrix]
     return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
@@ -644,14 +660,14 @@ def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     basis = spec.graded_basis(r)
     images = [spec.module.apply_F(b) for b in basis]
     target = spec.module.ctx.p * r
-    return _graded_map(spec, basis, images, target, spec.dim_at(target))
+    return _graded_map(spec, basis, images, target, spec.dim_at(target), {})
 
 
 def graded_t_map(spec: FiltrationSpec, r, power: int = 1) -> GradedMap:
     """Matrix of t^power multiplication Gr^r -> Gr^(r + power)."""
     basis = spec.graded_basis(r)
     images = [spec.module.mul_t_pow(b, power) for b in basis]
-    return _graded_map(spec, basis, images, r + power, spec.dim_at(r + power))
+    return _graded_map(spec, basis, images, r + power, spec.dim_at(r + power), {})
 
 
 def _check_window(window) -> None:
@@ -674,6 +690,7 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     _check_window(window)
     p, den = spec.module.ctx.p, spec.den
     frac = cache(lambda n: Fraction(n, den))
+    invertible = {}  # matrix -> is_invertible, for this call's one field
     out = []
     for n in spec.ijumps(window):
         basis = spec.ibasis(n)
@@ -686,8 +703,8 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
                 level=frac(n),
                 dim=len(basis),
                 labels=spec.ilabels(n),
-                f_map=_graded_map(spec, basis, f_images, frac(p * n), spec.idim(p * n)),
-                t_map=_graded_map(spec, basis, t_images, frac(n + den), spec.idim(n + den)),
+                f_map=_graded_map(spec, basis, f_images, frac(p * n), spec.idim(p * n), invertible),
+                t_map=_graded_map(spec, basis, t_images, frac(n + den), spec.idim(n + den), invertible),
             )
         )
     return GradedReport(tuple(window), out)

@@ -5,12 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcrystal import (
+    BoundExceededError,
     CapExceededError,
     InvalidInputError,
     SemilinearOperator,
     embed_field,
     make_field,
     mu_log,
+    parse_series,
     primitive_root_of_unity,
     saturate_fixed_points,
     semilinear_fixed_points,
@@ -36,6 +38,21 @@ def test_modulus_is_first_irreducible_in_encoding_order():
     assert make_field(7, 2).modulus == (1, 0)
     assert make_field(5, 2).modulus == (2, 0)
     assert make_field(5, 1).modulus == (0,)
+
+
+def test_make_field_returns_one_context_per_field():
+    """Every spelling of one (p, m) gives the same context, so objects
+    built over it combine; the size bound is still checked per call."""
+    ctx = make_field(5, 2)
+    assert make_field(5, 2, 2**192) is ctx
+    assert make_field(p=5, m=2) is ctx
+    assert make_field(5, m=2, order_bound=25) is ctx
+    total = parse_series(ctx, "t").add(parse_series(make_field(5, 2, 2**192), "t"))
+    assert total == parse_series(make_field(p=5, m=2), "2t")
+    with pytest.raises(BoundExceededError):
+        make_field(5, 2, 24)
+    with pytest.raises(InvalidInputError):
+        make_field(4, 2)
 
 
 def test_prime_field_arithmetic():

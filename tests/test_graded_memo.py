@@ -1,0 +1,230 @@
+"""graded() against a cache-free oracle.
+
+graded() shares each exact solve between maps with equal inputs: a
+KummerVFilt keeps the coordinates of each (weight class, slice) it has
+solved, and one graded() call keeps the invertibility verdict of each
+matrix it has tested.  The oracle below rebuilds the report with a fresh
+linalg.express for every coordinate vector and a fresh
+linalg.is_invertible for every matrix, and the two reports must be equal
+entry for entry: levels, labels, matrices, verdicts and notes.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from test_acceptance import PAIRS, PER_PAIR, SEED, WINDOW
+
+from fcrystal import (
+    CyclicRep,
+    build_extension,
+    build_kummer_crystal,
+    delta_vfilt,
+    graded,
+    linalg,
+    make_field,
+    mc_depth_grading,
+    mc_vfilt,
+    parse_series,
+    pullback_filtration,
+    shifted_filtration,
+    split_vfilt,
+    standard_vfilt,
+)
+from fcrystal.cli import resolve_m
+from fcrystal.samples import random_rep
+from fcrystal.vfilt import ExtensionVFilt, GradedLevel, GradedMap, GradedReport, KummerVFilt
+
+
+def oracle_raw_coords(spec, x, n):
+    """spec._raw_coords(x, n) with every solve done afresh."""
+    if isinstance(spec, KummerVFilt):
+        a = spec.kc.weight_of_shift(n)
+        if a is None:
+            return None
+        rows, piv = spec.kc.bases[a]
+        return linalg.express(spec.module.ctx, rows, piv, spec.module.slice(x, n))
+    if isinstance(spec, ExtensionVFilt):
+        return spec._raw_coords(x, n)  # reads coefficients off, solves nothing
+    return oracle_raw_coords(spec.base, x, n + spec._step)  # shifted or pullback
+
+
+def oracle_map(spec, dim, images, n):
+    """The GradedMap of images (of a dim-dimensional basis) into the
+    graded piece at numerator n."""
+    ctx = spec.module.ctx
+    target, tdim = Fraction(n, spec.den), spec.idim(n)
+    cols = []
+    for j, y in enumerate(images):
+        lvl = spec.ilevel(y)
+        if lvl is None or lvl > n:
+            coords = [ctx.zero] * tdim
+        else:
+            coords = None if lvl < n else oracle_raw_coords(spec, y, n)
+        if coords is None:
+            note = f"image of basis vector {j} has no class in the graded piece at the target"
+            return GradedMap(ctx, target, tdim, None, False, note)
+        cols.append(coords)
+    matrix = tuple(tuple(col[i] for col in cols) for i in range(tdim))
+    if tdim != dim:
+        return GradedMap(ctx, target, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+    inv = linalg.is_invertible(ctx, matrix)
+    return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
+
+
+def oracle_graded(spec, window):
+    mod, den = spec.module, spec.den
+    levels = []
+    for n in spec.ijumps(window):
+        basis = spec.ibasis(n)
+        if not basis:
+            continue
+        f_map = oracle_map(spec, len(basis), [mod.apply_F(b) for b in basis], mod.ctx.p * n)
+        t_map = oracle_map(spec, len(basis), [mod.mul_t(b) for b in basis], n + den)
+        levels.append(GradedLevel(Fraction(n, den), len(basis), spec.ilabels(n), f_map, t_map))
+    return GradedReport(tuple(window), levels)
+
+
+def assert_matches_oracle(spec, window):
+    got, want = graded(spec, window), oracle_graded(spec, window)
+    assert want.levels
+    assert got == want, spec.to_json()
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def _acceptance_crystals(p, d):
+    """The acceptance corpus's crystals for one (p, d) pair."""
+    ctx = make_field(p, resolve_m(p, d, None))
+    rng = Random(SEED + 100 * p + d)
+    return [build_kummer_crystal(random_rep(ctx, d, rng, max_rank=4), ctx) for _ in range(PER_PAIR)]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"p{p}-d{d}" for p, d in PAIRS])
+def test_acceptance_crystals_match_the_oracle(pair):
+    for kc in _acceptance_crystals(*pair):
+        assert_matches_oracle(standard_vfilt(kc), WINDOW)
+
+
+def _extension_specs():
+    """The extension-family jobs' twists, each with the rule the CLI
+    picks for it, plus a twist over F_(p^2) and the delta filtration."""
+    out = {}
+    for p in (5, 7):
+        ctx, big = make_field(p, 1), make_field(p, 2)
+        twists = [(ctx, c) for c in ("0", "t^-2", "t^-3", f"t^-{p + 1}", f"2t^-{2 * p + 1}+t^-1+3t^2")]
+        for F, c in twists + [(big, "t^-2+t^-1"), (big, f"t^-{p + 1}")]:
+            mod = build_extension(F, parse_series(F, c))
+            if mod.split:
+                spec = split_vfilt(mod)
+            elif mod.n % p:
+                spec = mc_vfilt(mod)
+            else:
+                spec = mc_depth_grading(mod)
+            out[f"F{F.order}-{spec.rule}-{c}"] = spec
+        out[f"F{p}-delta"] = delta_vfilt(ctx)
+    return out
+
+
+EXTENSION_SPECS = _extension_specs()
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_SPECS))
+def test_extension_specs_match_the_oracle(name):
+    spec = EXTENSION_SPECS[name]
+    for window in ((-6, 6), WINDOW):
+        assert_matches_oracle(spec, window)
+        assert_matches_oracle(shifted_filtration(spec, 1), window)
+
+
+def _derived_specs():
+    """Shifted and pullback specs of acceptance Kummer specs."""
+    out = {}
+    for p, d in ((5, 3), (7, 6), (5, 4)):
+        spec = standard_vfilt(_acceptance_crystals(p, d)[0])
+        out[f"p{p}-d{d}-shift+1"] = shifted_filtration(spec, 1)
+        out[f"p{p}-d{d}-shift-3"] = shifted_filtration(spec, -3)
+        out[f"p{p}-d{d}-pullback-2"] = pullback_filtration(spec, 2)
+        out[f"p{p}-d{d}-pullback-shift"] = pullback_filtration(shifted_filtration(spec, 1), 3)
+    return out
+
+
+DERIVED_SPECS = _derived_specs()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_SPECS))
+def test_derived_kummer_specs_match_the_oracle(name):
+    assert_matches_oracle(DERIVED_SPECS[name], WINDOW)
+
+
+def test_the_oracle_specs_meet_every_kind_of_map():
+    """Extension specs fail A4 off the nonpositive levels and shifted
+    Kummer specs fail it everywhere, so the comparisons above cover
+    classless, mis-sized and singular maps, not only bijections."""
+    kinds = set()
+    for spec in list(EXTENSION_SPECS.values()) + list(DERIVED_SPECS.values()):
+        for gl in oracle_graded(spec, (-6, 6)).levels:
+            for gm in (gl.f_map, gl.t_map):
+                kinds.add(gm.note and gm.note.split(" ")[0])
+    assert kinds == {None, "image", "graded", "matrix"}, kinds
+
+
+def test_specs_built_and_dropped_in_a_loop_match_the_oracle():
+    """Hundreds of specs live one at a time, so object ids are reused; a
+    solve keyed on anything but values would hand one spec's coordinates
+    to the next.  Diagonal reps of ranks 2-4 over F_5 put one coordinate
+    vector at different positions of different specs' bases, so such a
+    stale answer is wrong, not just repeated."""
+    ctx = make_field(5, 1)
+    rng = Random(SEED)
+    for _ in range(300):
+        r = rng.choice((2, 3, 4))
+        mat = tuple(tuple(rng.choice((1, 4)) if i == j else 0 for j in range(r)) for i in range(r))
+        spec = standard_vfilt(build_kummer_crystal(CyclicRep(2, 5, mat), ctx))
+        assert_matches_oracle(spec, (-3, 3))
+        del spec
+
+
+def test_mutating_returned_coordinates_leaves_later_answers_unchanged():
+    p, d = PAIRS[5]
+    spec = standard_vfilt(_acceptance_crystals(p, d)[0])
+    ctx = spec.module.ctx
+    for view in (spec, shifted_filtration(spec, 2)):
+        n = view.ijumps((0, 1))[0]
+        r = Fraction(n + view.den, view.den)
+        y = spec.module.mul_t(view.ibasis(n)[0])
+        first = view.graded_coords(y, r)
+        want = list(first)
+        assert want and ctx.one in want
+        first[:] = [ctx.from_int(2)] * (len(first) + 1)
+        assert view.graded_coords(y, r) == want
+        raw = view._raw_coords(y, n + view.den)
+        raw.clear()
+        assert view.graded_coords(y, r) == want
+        assert_matches_oracle(view, (-2, 2))
+
+
+def test_a_long_window_solves_no_more_systems_than_one_period(monkeypatch):
+    """t- and Frobenius-periodicity: each (weight class, slice) and each
+    matrix repeats in every period, so a fresh spec graded on 128 periods
+    runs exactly the solves of one period."""
+    calls = {"express": 0, "is_invertible": 0}
+    for name in calls:
+        fn = getattr(linalg, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    for p, d in PAIRS:
+        kc = _acceptance_crystals(p, d)[1]
+        seen = []
+        for window in ((0, 1), WINDOW):
+            for name in calls:
+                calls[name] = 0
+            graded(standard_vfilt(kc), window)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1], (p, d, seen)
+        assert seen[0]["express"] and seen[0]["is_invertible"], (p, d, seen)

@@ -4,7 +4,9 @@ One subcommand per pipeline stage; every run prints a single JSON
 report on stdout (diagnostics go to stderr) carrying the resolved job
 parameters, the result, the tool version, and a sha256 digest of the
 canonical serialization.  Identical jobs produce byte-identical
-reports.
+reports: indented JSON with sorted keys, byte for byte what
+``json.dumps(indent=2, sort_keys=True)`` prints.  The argument parser
+is built once per process, on the first call of ``main``.
 
 Exit codes: 0 all checks pass, 1 check failures, 2 invalid input,
 3 resource cap exceeded.
@@ -13,9 +15,11 @@ Exit codes: 0 all checks pass, 1 check failures, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from random import Random
 
@@ -160,8 +164,32 @@ def _emit(args, command: str, result: dict, code: int, extra_job=None) -> int:
     }
     canon = json.dumps(report, sort_keys=True, separators=(",", ":"))
     report["digest"] = hashlib.sha256(canon.encode()).hexdigest()
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_pretty(report) + "\n")
     return code
+
+
+def _pretty(x, ind: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for str-keyed JSON
+    values without floats; ``indent`` sends the stdlib to its pure-Python
+    encoder, which is twice as slow as these joins."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = ind + "  "
+        return "[" + inner + ("," + inner).join([_pretty(v, inner) for v in x]) + ind + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = ind + "  "
+        items = [_quote(k) + ": " + _pretty(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _target(args):
@@ -424,7 +452,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; it holds no command functions, so
+    ``main`` finds ``cmd_<command>`` on the module when it runs."""
     common = _Parser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     common.add_argument("--m", type=int, default=None, help="field degree; minimal when omitted")
@@ -440,36 +471,31 @@ def _parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="fcrystal", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("build", parents=[common]).set_defaults(func=cmd_build)
-    sub.add_parser("vfilt", parents=[common]).set_defaults(func=cmd_vfilt)
-    sub.add_parser("graded", parents=[common]).set_defaults(func=cmd_graded)
+    sub.add_parser("build", parents=[common])
+    sub.add_parser("vfilt", parents=[common])
+    sub.add_parser("graded", parents=[common])
 
     p_check = sub.add_parser("check", parents=[common])
     p_check.add_argument("--shift", type=int, default=0, help="check the filtration shifted this much")
-    p_check.set_defaults(func=cmd_check)
 
     p_cmp = sub.add_parser("compare", parents=[common])
     p_cmp.add_argument("--e", type=int, default=None, help="compare against the degree-d*e presentation")
     p_cmp.add_argument("--shift", type=int, default=None, help="compare against the shifted filtration")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_pb = sub.add_parser("pullback", parents=[common])
     p_pb.add_argument("--dprime", type=int, required=True, help="degree of the fresh cover")
-    p_pb.set_defaults(func=cmd_pullback)
 
     p_nb = sub.add_parser("nearby", parents=[common])
     p_nb.add_argument("--full", action="store_true", help="assemble all fractional pieces, not just level 0")
-    p_nb.set_defaults(func=cmd_nearby)
 
-    sub.add_parser("vanishing", parents=[common]).set_defaults(func=cmd_vanishing)
-    sub.add_parser("recover", parents=[common]).set_defaults(func=cmd_recover)
-    sub.add_parser("sol", parents=[common]).set_defaults(func=cmd_sol)
+    sub.add_parser("vanishing", parents=[common])
+    sub.add_parser("recover", parents=[common])
+    sub.add_parser("sol", parents=[common])
 
     p_rt = sub.add_parser("roundtrip", parents=[common])
     p_rt.add_argument("--count", type=int, default=24, help="budget per order d: max(1, count // #orders) cases of each round trip, 1/4 as many naturality checks")
-    p_rt.set_defaults(func=cmd_roundtrip)
 
-    sub.add_parser("glue", parents=[common]).set_defaults(func=cmd_glue)
+    sub.add_parser("glue", parents=[common])
     return ap
 
 
@@ -492,7 +518,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise InvalidInputError(f"--{flag} {value} must be >= {least}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InvalidInputError as err:
         kind = "bound" if isinstance(err, BoundExceededError) else "invalid"
         _print_error(f"error: {err}", kind, err, None)

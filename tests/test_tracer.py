@@ -8,6 +8,7 @@ CLI job and uninstalls it again.
 
 import importlib
 import importlib.util
+from contextlib import contextmanager
 from pathlib import Path
 
 from fcrystal import cli
@@ -23,9 +24,8 @@ def _tracer_module():
     return mod
 
 
-def test_tracer_counts_series_frobenius(capsys):
-    code = cli.main(ARGV)
-    plain = capsys.readouterr().out
+@contextmanager
+def _traced():
     tracer_mod = _tracer_module()
     modules = {"fcrystal": importlib.import_module("fcrystal")}
     for layer in tracer_mod.LAYERS:
@@ -33,9 +33,16 @@ def test_tracer_counts_series_frobenius(capsys):
     tracer = tracer_mod.Tracer(modules)
     tracer.install()
     try:
-        assert cli.main(ARGV) == code
+        yield tracer
     finally:
         tracer.uninstall()
+
+
+def test_tracer_counts_series_frobenius(capsys):
+    code = cli.main(ARGV)
+    plain = capsys.readouterr().out
+    with _traced() as tracer:
+        assert cli.main(ARGV) == code
     assert capsys.readouterr().out == plain
     spans = (
         "series.LaurentSeries.frob",
@@ -47,3 +54,16 @@ def test_tracer_counts_series_frobenius(capsys):
         assert tracer.span(name)[0] > 0, name
     assert tracer.leaf("series.LaurentSeries.__init__")[0] > 0
     assert not hasattr(cli.main, "__wrapped__")  # uninstalled
+
+
+def test_tracer_sees_commands_after_the_parser_is_built(capsys):
+    """The parser is built once per process.  If it held the command
+    functions (``set_defaults(func=...)``), a tracer installed after the
+    first ``main`` call would never see ``cli.cmd_check`` run."""
+    cli.main(ARGV)
+    assert cli._parser.cache_info().currsize == 1
+    with _traced() as tracer:
+        cli.main(ARGV)
+    capsys.readouterr()
+    assert tracer.span("cli.cmd_check")[0] == 1
+    assert tracer.span("cli.cmd_check")[1] > 0

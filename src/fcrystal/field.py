@@ -5,7 +5,11 @@ modulus is the first monic irreducible of degree m in the enumeration
 that increments the constant coefficient fastest (candidate k encodes
 the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i), so repeated
 constructions are identical across runs and platforms, and serialized
-elements are byte-stable.
+elements are byte-stable.  A candidate f is irreducible iff it is
+squarefree (gcd(f, f') = 1) and Q - I has rank m - 1 over F_p, Q the
+matrix of Frobenius on F_p[x]/(f) (Berlekamp, Bell Syst. Tech. J. 46,
+1967): the fixed part of a squarefree quotient is F_p^k, k the number
+of irreducible factors.
 
 Only FieldCtx methods build, index, iterate, slice or serialize an
 element; to other code elements are opaque values that compare and
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 
 from . import linalg
 from .errors import BoundExceededError, CapExceededError, InvalidInputError
@@ -77,8 +82,9 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p (little-endian int lists), used only to pick
-# and validate the field modulus
+# dense polynomials over F_p (little-endian int lists): the modulus search
+# (f squarefree and rank(Q - I) = m - 1) and the field's reduction,
+# inverse and Frobenius tables are built on these
 
 
 def _pol_trim(a):
@@ -87,76 +93,69 @@ def _pol_trim(a):
     return a
 
 
-def _pol_rem(a, f, p):
-    a = [x % p for x in a]
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j, fj in enumerate(f[:-1]):
-                a[i - df + j] = (a[i - df + j] - c * fj) % p
-    return _pol_trim(a)
-
-
-def _pol_mulmod(a, b, f, p):
+def _pol_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pol_rem(out, f, p)
+                out[i + j] += x * y
+    return _pol_trim([c % p for c in out])
 
 
-def _pol_powmod(a, e, f, p):
-    out = [1]
-    base = _pol_rem(list(a), f, p)
-    while e:
-        if e & 1:
-            out = _pol_mulmod(out, base, f, p)
-        base = _pol_mulmod(base, base, f, p)
-        e >>= 1
-    return out
+def _pol_divmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b, for trimmed b != 0."""
+    r = [x % p for x in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            for j, y in enumerate(b):
+                r[i - db + j] = (r[i - db + j] - c * y) % p
+    return _pol_trim(q), _pol_trim(r[:db])
 
 
-def _pol_gcd(a, b, p):
-    a, b = _pol_trim([x % p for x in a]), _pol_trim([x % p for x in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            c = (r[-1] * inv) % p
-            if c:
-                off = len(r) - len(b)
-                for j, y in enumerate(b):
-                    r[off + j] = (r[off + j] - c * y) % p
-            r.pop()
-            _pol_trim(r)
-        a, b = b, r
-    return a
+def _pol_xgcd(a, b, p):
+    """(g, s): g the monic gcd of a and b != 0, and g = s*a mod b."""
+    r0, r1 = _pol_trim([x % p for x in b]), _pol_trim([x % p for x in a])
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _pol_divmod(r0, r1, p)
+        qs = _pol_mul(q, s1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _pol_trim([(x - y) % p for x, y in zip_longest(s0, qs, fillvalue=0)])
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
+
+
+def _frobenius_rows(f, p):
+    """Row t is x^(p*t) mod f, padded to m = deg f: the matrix Q of
+    a |-> a^p on F_p[x]/(f) in the power basis."""
+    m = len(f) - 1
+    xp = [1]  # x^p mod f, by square-and-shift over the bits of p
+    for bit in bin(p)[2:]:
+        xp = _pol_divmod(_pol_mul(xp, xp, p), f, p)[1]
+        if bit == "1":
+            xp = _pol_divmod([0] + xp, f, p)[1]
+    rows = [[1]]
+    for _ in range(m - 1):
+        rows.append(_pol_divmod(_pol_mul(rows[-1], xp, p), f, p)[1])
+    return [r + [0] * (m - len(r)) for r in rows]
 
 
 def _is_irreducible(f, p):
-    """Monic f (little-endian, leading 1) irreducible over F_p."""
+    """Monic f (little-endian, leading 1) irreducible over F_p: squarefree
+    (f' = 0 makes f a p-th power) and rank(Q - I) = m - 1, Q = _frobenius_rows."""
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1]
-    xp = list(x)
-    for _ in range(m):
-        xp = _pol_powmod(xp, p, f, p)
-    diff = [(a - b) % p for a, b in zip(xp + [0] * 2, x + [0] * (len(xp)))]
-    if _pol_trim(diff[: max(len(xp), 2)]):
+    df = _pol_trim([i * c % p for i, c in enumerate(f)][1:])
+    if not df or len(_pol_xgcd(df, f, p)[0]) > 1:
         return False
-    for ell in prime_factors(m):
-        xq = list(x)
-        for _ in range(m // ell):
-            xq = _pol_powmod(xq, p, f, p)
-        d = [(a - b) % p for a, b in zip(xq + [0, 0], x + [0] * len(xq))]
-        g = _pol_gcd(_pol_trim(d[: max(len(xq), 2)]), f, p)
-        if len(g) > 1:
-            return False
-    return True
+    _, pivots = linalg.rref_int(_minus_identity(_frobenius_rows(f, p), p), p)
+    return len(pivots) == m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ class FieldCtx:
         "zero",
         "one",
         "_xred",
-        "_frob_basis",
+        "_frob_rows",
         "_gen",
         "_log",
         "_exp",
@@ -186,17 +185,15 @@ class FieldCtx:
         self.order = p**m
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
+        f = list(modulus) + [1]
         # x^(m+k) reduced mod the modulus, for k in [0, m-2]
-        xred = []
-        cur = tuple((-c) % p for c in modulus)
-        xred.append(cur)
-        for _ in range(m - 2):
-            shifted = (0,) + cur[: m - 1]
-            top = cur[m - 1]
-            cur = tuple((s + top * r) % p for s, r in zip(shifted, xred[0]))
-            xred.append(cur)
+        xred, xk = [], [0] * m + [1]
+        for _ in range(m - 1):
+            xk = _pol_divmod(xk, f, p)[1]
+            xred.append(tuple(xk) + (0,) * (m - len(xk)))
+            xk = [0] + xk
         self._xred = tuple(xred)
-        self._frob_basis = None
+        self._frob_rows = _frobenius_rows(f, p)
         self._gen = None
         self._log = self._exp = None
         if m >= 2 and self.order <= TABLE_BOUND:
@@ -295,37 +292,8 @@ class FieldCtx:
             return (pow(a[0], -1, p),)
         if self._log is not None:
             return self._exp[-self._log[a] % (self.order - 1)]
-        # extended Euclid over F_p[x] against the modulus
-        f = list(self.modulus) + [1]
-        r0, r1 = f, _pol_trim([x for x in a])
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], -1, p)
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * inv_lead) % p
-                off = len(r) - len(r1)
-                if c:
-                    q[off] = c
-                    for j, y in enumerate(r1):
-                        r[off + j] = (r[off + j] - c * y) % p
-                r.pop()
-                _pol_trim(r)
-            s = [x % p for x in s0]
-            prod = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            ln = max(len(s), len(prod))
-            s = [(s[i] if i < len(s) else 0) - (prod[i] if i < len(prod) else 0) for i in range(ln)]
-            s = [x % p for x in s]
-            r0, r1 = r1, r
-            s0, s1 = s1, _pol_trim(s)
-        lead_inv = pow(r0[-1], -1, p)
-        out = [(x * lead_inv) % p for x in s0]
-        return tuple(out[:m] + [0] * (m - len(out)))
+        s = _pol_xgcd(list(a), list(self.modulus) + [1], p)[1]
+        return tuple(s) + (0,) * (m - len(s))
 
     def pow(self, a, e: int):
         if self.is_zero(a):
@@ -354,13 +322,8 @@ class FieldCtx:
             if self.is_zero(a):
                 return a
             return self._exp[self._log[a] * self.p % (self.order - 1)]
-        fb = self._frob_basis
-        if fb is None:
-            x = (0, 1) + (0,) * (self.m - 2)
-            fb = tuple(self.pow(x, self.p * t) for t in range(self.m))
-            self._frob_basis = fb
         out = [0] * self.m
-        for c, img in zip(a, fb):
+        for c, img in zip(a, self._frob_rows):
             if c:
                 for t in range(self.m):
                     out[t] += c * img[t]

@@ -122,7 +122,6 @@ class FiltrationSpec:
     den = 1
     default_depth = 0
     ideal_name = "t"
-    ideal_den = 1  # one ideal power raises levels by 1/ideal_den
 
     def t_preimage(self, y):
         return None
@@ -443,12 +442,10 @@ class _Reindexed(FiltrationSpec):
             self.rule = "shifted"
             self.default_depth = base.default_depth
             self.ideal_name = base.ideal_name
-            self.ideal_den = base.ideal_den
         else:
             self.rule = "pullback"
             self.default_depth = dprime * max(base.default_depth, 1)
             self.ideal_name = "s"
-            self.ideal_den = dprime
 
     def _base_window(self, window):
         lo, hi = window

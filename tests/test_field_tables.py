@@ -3,13 +3,16 @@
 Fields with m >= 2 and q <= TABLE_BOUND multiply, invert, raise to powers
 and apply Frobenius by table lookup.  Each table field is compared with a
 twin built on the same modulus with tables disabled, which runs the
-polynomial product and extended Euclid.
+polynomial product and extended Euclid.  The F_p[x] helpers beneath both,
+and the irreducibility test that picks each modulus, are checked against
+sympy.
 """
 
+from itertools import zip_longest
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcrystal import InvalidInputError, field, make_field
@@ -99,17 +102,90 @@ def test_build_rejects_reducible_modulus():
         FieldCtx(2, 2, (0, 0))
 
 
-def test_moduli_are_irreducible_per_sympy():
+def _sympy_irreducible():
+    """sympy's irreducibility test on little-endian coefficient lists."""
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
+    return lambda f, p: galoistools.gf_irreducible_p([int(c) for c in reversed(f)], p, ZZ)
+
+
+def _candidate(p, m, enc):
+    """The monic degree-m candidate with encoding enc, little-endian."""
+    return [enc // p**i % p for i in range(m)] + [1]
+
+
+# the tower fields (p in {5, 7}, r <= the saturation cap 24); the corpus
+# fields F_5, F_25, F_7, F_49 and the heavy fields F_125 and F_7 are among
+# them, and F_64 is the other heavy field
+FIRST_FIELDS = [(p, r) for p in (5, 7) for r in range(1, 25)] + [(2, 6)]
+
+
+def test_moduli_are_irreducible_per_sympy():
+    irreducible = _sympy_irreducible()
     for p, m in SMALL + LARGE + [(2, 13), (5, 6), (7, 5)]:
         ctx = make_field(p, m)
-        big_endian = [1] + [int(c) for c in reversed(ctx.modulus)]
-        assert galoistools.gf_irreducible_p(big_endian, p, ZZ), (p, m, ctx.modulus)
+        assert irreducible(list(ctx.modulus) + [1], p), (p, m, ctx.modulus)
+    for p, m in FIRST_FIELDS:
+        modulus = make_field(p, m).modulus
+        enc = sum(c * p**i for i, c in enumerate(modulus))
+        for k in range(enc):
+            assert not irreducible(_candidate(p, m, k), p), (p, m, k)
+        assert irreducible(_candidate(p, m, enc), p), (p, m, modulus)
 
 
-AXIOM_FIELDS = {"table": (5, 3), "prime": (7, 1), "polynomial": (5, 6)}
+# every monic polynomial of degree 1 to ORACLE_DEGREES[p] over F_p: 14,078
+# in all, squareful ones and p-th powers (f' = 0, e.g. x^5 + c over F_5)
+# among them
+ORACLE_DEGREES = {2: 11, 3: 7, 5: 5, 7: 4}
+
+
+@pytest.mark.parametrize("p", sorted(ORACLE_DEGREES))
+def test_is_irreducible_matches_sympy(p):
+    irreducible = _sympy_irreducible()
+    verdicts = set()
+    for m in range(1, ORACLE_DEGREES[p] + 1):
+        for enc in range(p**m):
+            f = _candidate(p, m, enc)
+            verdict = field._is_irreducible(f, p)
+            assert verdict == irreducible(f, p), (p, f)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _pol_add(a, b, p):
+    return field._pol_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+_pol = st.lists(st.integers(0, 6), max_size=14)
+
+
+@given(p=st.sampled_from((2, 3, 5, 7)), a=_pol, b=_pol, c=_pol)
+@settings(max_examples=300, deadline=None)
+def test_polynomial_helpers(p, a, b, c):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    a, b, c = (field._pol_trim([x % p for x in pol]) for pol in (a, b, c))
+    assume(b)
+    mul, divmod_ = field._pol_mul, field._pol_divmod
+    assert mul(a, b, p) == mul(b, a, p)
+    assert len(mul(a, b, p)) == (len(a) + len(b) - 1 if a and b else 0)
+    q, r = divmod_(a, b, p)
+    assert len(r) < len(b) and r == field._pol_trim(list(r))
+    assert _pol_add(mul(q, b, p), r, p) == a
+    # a common factor c makes the gcd nontrivial in some draws
+    if c:
+        a, b = mul(a, c, p), mul(b, c, p)
+    g, s = field._pol_xgcd(a, b, p)
+    assert g and g[-1] == 1
+    assert divmod_(mul(s, a, p), b, p)[1] == divmod_(g, b, p)[1]
+    assert divmod_(a, g, p)[1] == [] and divmod_(b, g, p)[1] == []
+    expected = galoistools.gf_gcd(a[::-1], b[::-1], p, ZZ)
+    assert g == [int(x) for x in reversed(expected)]
+
+
+AXIOM_FIELDS = {"table": (5, 3), "prime": (7, 1), "polynomial": (5, 6), "big": (7, 24)}
 _element = st.integers(min_value=0)
 
 

@@ -246,7 +246,7 @@ def test_pullback_keeps_levels_and_jumps(companion_spec):
     x = companion_spec.module.monomial(1, 0, 2)
     assert pb.level(x) == companion_spec.level(x)
     assert pb.jumps((-2, 2)) == companion_spec.jumps((-2, 2))
-    assert pb.ideal_name == "s" and pb.ideal_den == 2
+    assert pb.ideal_name == "s" and pb.dprime == 2
 
 
 def test_pullback_ideal_powers(companion_spec):

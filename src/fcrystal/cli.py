@@ -32,7 +32,7 @@ from .crystal import (
     sol_extension,
 )
 from .errors import BoundExceededError, CapExceededError, InvalidInputError
-from .field import DEFAULT_SATURATION_CAP, make_field
+from .field import DEFAULT_SATURATION_CAP, is_prime, make_field
 from .functors import (
     CGObject,
     fg_roundtrip,
@@ -70,8 +70,8 @@ _BUILTIN_REPS = ("trivial", "companion", "regular")
 def resolve_m(p: int, d: int, m=None) -> int:
     """Smallest m with d | p^m - 1 unless m is forced explicitly."""
     if m is not None:
-        if d > 1 and (p**m - 1) % d:
-            raise InvalidInputError(f"d={d} does not divide p^m-1={p**m - 1}")
+        if d > 1 and pow(p, m, d) != 1:
+            raise InvalidInputError(f"d={d} does not divide p^m-1 for p={p}, m={m}")
         return m
     mm = 1
     while d > 1 and (p**mm - 1) % d:
@@ -514,6 +514,8 @@ _LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1, "cap": 1}
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if not is_prime(args.p):
+            raise InvalidInputError(f"p={args.p} is not prime")
         for flag, least in _LEAST.items():
             value = getattr(args, flag, None)
             if value is not None and value < least:

@@ -5,11 +5,13 @@ modulus is the first monic irreducible of degree m in the enumeration
 that increments the constant coefficient fastest (candidate k encodes
 the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i), so repeated
 constructions are identical across runs and platforms, and serialized
-elements are byte-stable.  A candidate f is irreducible iff it is
-squarefree (gcd(f, f') = 1) and Q - I has rank m - 1 over F_p, Q the
-matrix of Frobenius on F_p[x]/(f) (Berlekamp, Bell Syst. Tech. J. 46,
-1967): the fixed part of a squarefree quotient is F_p^k, k the number
-of irreducible factors.
+elements are byte-stable.  A sieve drops every candidate f with a
+factor of degree 1 or 2 (f(0) = 0, or gcd(x^(p^i) - x, f) != 1 for
+i = 1, 2: the first steps of Ben-Or's test, FOCS 1981).  Berlekamp's
+test decides the rest (Bell Syst. Tech. J. 46, 1967): f is irreducible
+iff it is squarefree (gcd(f, f') = 1) and Q - I has rank m - 1 over
+F_p, Q the matrix of Frobenius on F_p[x]/(f), since the fixed part of a
+squarefree quotient is F_p^k, k the number of irreducible factors.
 
 Only FieldCtx methods build, index, iterate, slice or serialize an
 element; to other code elements are opaque values that compare and
@@ -83,8 +85,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomials over F_p (little-endian int lists): the modulus search
-# (f squarefree and rank(Q - I) = m - 1) and the field's reduction,
-# inverse and Frobenius tables are built on these
+# and the field's reduction, inverse and Frobenius tables are built on these
 
 
 def _pol_trim(a):
@@ -130,31 +131,54 @@ def _pol_xgcd(a, b, p):
     return [c * inv % p for c in r0], [c * inv % p for c in s0]
 
 
-def _frobenius_rows(f, p):
-    """Row t is x^(p*t) mod f, padded to m = deg f: the matrix Q of
-    a |-> a^p on F_p[x]/(f) in the power basis."""
-    m = len(f) - 1
-    xp = [1]  # x^p mod f, by square-and-shift over the bits of p
-    for bit in bin(p)[2:]:
-        xp = _pol_divmod(_pol_mul(xp, xp, p), f, p)[1]
+def _pol_powmod(a, e, f, p):
+    """a^e mod f, by square-and-multiply over the bits of e."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pol_divmod(_pol_mul(out, out, p), f, p)[1]
         if bit == "1":
-            xp = _pol_divmod([0] + xp, f, p)[1]
+            out = _pol_divmod(_pol_mul(out, a, p), f, p)[1]
+    return out
+
+
+def _frobenius_rows(f, p, xp):
+    """Row t is x^(p*t) mod f, padded to m = deg f, for xp = x^p mod f:
+    the matrix Q of a |-> a^p on F_p[x]/(f) in the power basis."""
+    m = len(f) - 1
     rows = [[1]]
     for _ in range(m - 1):
         rows.append(_pol_divmod(_pol_mul(rows[-1], xp, p), f, p)[1])
     return [r + [0] * (m - len(r)) for r in rows]
 
 
+def _has_factor_dividing(h, f, p):
+    """gcd(h - x, f) != 1: for h = x^(p^i) mod f, f has an irreducible
+    factor whose degree divides i."""
+    hx = h + [0] * (2 - len(h))
+    hx[1] = (hx[1] - 1) % p
+    return len(_pol_xgcd(_pol_trim(hx), f, p)[0]) > 1
+
+
 def _is_irreducible(f, p):
-    """Monic f (little-endian, leading 1) irreducible over F_p: squarefree
-    (f' = 0 makes f a p-th power) and rank(Q - I) = m - 1, Q = _frobenius_rows."""
+    """Monic f (little-endian, leading 1) irreducible over F_p.  The sieve
+    rejects f(0) = 0 and a factor of degree dividing i for i = 1 and, when
+    m >= 4, i = 2 (each i < m, so a hit is a proper factor); Berlekamp
+    decides the rest: f squarefree (f' = 0 makes f a p-th power) and
+    rank(Q - I) = m - 1, Q = _frobenius_rows."""
     m = len(f) - 1
     if m == 1:
         return True
+    if f[0] == 0:
+        return False
+    xp = _pol_powmod([0, 1], p, f, p)
+    if _has_factor_dividing(xp, f, p):
+        return False
+    if m >= 4 and _has_factor_dividing(_pol_powmod(xp, p, f, p), f, p):
+        return False
     df = _pol_trim([i * c % p for i, c in enumerate(f)][1:])
     if not df or len(_pol_xgcd(df, f, p)[0]) > 1:
         return False
-    _, pivots = linalg.rref_int(_minus_identity(_frobenius_rows(f, p), p), p)
+    _, pivots = linalg.rref_int(_minus_identity(_frobenius_rows(f, p, xp), p), p)
     return len(pivots) == m - 1
 
 
@@ -193,7 +217,7 @@ class FieldCtx:
             xred.append(tuple(xk) + (0,) * (m - len(xk)))
             xk = [0] + xk
         self._xred = tuple(xred)
-        self._frob_rows = _frobenius_rows(f, p)
+        self._frob_rows = _frobenius_rows(f, p, _pol_powmod([0, 1], p, f, p))
         self._gen = None
         self._log = self._exp = None
         if m >= 2 and self.order <= TABLE_BOUND:
@@ -390,6 +414,8 @@ def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldC
         raise InvalidInputError(f"p={p} is not prime")
     if m < 1:
         raise InvalidInputError(f"m={m} must be >= 1")
+    if m >= order_bound.bit_length():  # p^m >= 2^m > order_bound; p^m is not formed
+        raise BoundExceededError(f"field order {p}^{m} exceeds bound {order_bound}")
     if p**m > order_bound:
         raise BoundExceededError(f"field order p^m={p**m} exceeds bound {order_bound}")
     return _canonical_field(p, m)

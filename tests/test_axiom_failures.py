@@ -58,15 +58,37 @@ class WrongPreimage(KummerVFilt):
         return {e - self.d - 1: v for e, v in y.items()}
 
 
+class PreimageWrongAtOneStep(KummerVFilt):
+    """The t-preimage of a section at level 1/d lands one cover step too
+    deep; every other preimage is right."""
+
+    def t_preimage(self, y):
+        pre = super().t_preimage(y)
+        return {e - 1: v for e, v in pre.items()} if self.ilevel(y) == 1 else pre
+
+
+def twice(spec, label, x):
+    ctx = spec.module.ctx
+    two = ctx.from_int(2)
+    return f"2*{label}", {e: tuple(ctx.mul(two, c) for c in v) for e, v in x.items()}
+
+
 class ExtraSection(KummerVFilt):
     """The spanning family plus 2 times its last section."""
 
     def spanning(self, window):
         sections = list(super().spanning(window))
         yield from sections
-        label, x = sections[-1]
-        two = self.module.ctx.from_int(2)
-        yield f"2*{label}", {e: tuple(self.module.ctx.mul(two, c) for c in v) for e, v in x.items()}
+        yield twice(self, *sections[-1])
+
+
+class DoubledLevelZero(KummerVFilt):
+    """The spanning family with its level-0 section doubled: still a
+    spanning family, but that section is no generator."""
+
+    def spanning(self, window):
+        for label, x in super().spanning(window):
+            yield twice(self, label, x) if self.ilevel(x) == 0 else (label, x)
 
 
 class ZeroSection(KummerVFilt):
@@ -195,6 +217,47 @@ def test_ss1_fails_on_a_non_generator():
     assert report.checks["A1"].info == {"sections": 5}
     assert report.checks["SS1"].witness == {
         "section": "2*u2.0*s^1",
+        "reason": "not a t-power multiple of a generator",
+    }
+
+
+def test_ss2_checks_the_preimage_just_above_level_zero():
+    # only u2.0*s^1, at level 1/3, pulls back wrongly: to s^-3, and t
+    # multiplies that to s^0
+    spec = kummer(CyclicRep.companion(3, 5), spec_cls=PreimageWrongAtOneStep)
+    report = check_axioms(spec, WINDOW)
+    assert statuses(report) == {
+        "A1": "pass",
+        "A2": "pass",
+        "A3": "pass",
+        "A4": "pass",
+        "SS1": "pass",
+        "SS2": "fail",
+        "SS3": "pass",
+    }
+    assert report.checks["SS2"].witness == {
+        "section": "u2.0*s^1",
+        "reason": "t-preimage does not multiply back",
+    }
+
+
+def test_ss1_checks_the_sections_at_level_zero():
+    # the regular representation has the weight-0 section u0.0*s^0 at
+    # level 0; doubled, it is no t-power multiple of a generator
+    spec = kummer(CyclicRep.regular(3, 5), spec_cls=DoubledLevelZero)
+    report = check_axioms(spec, WINDOW)
+    assert statuses(report) == {
+        "A1": "pass",
+        "A2": "pass",
+        "A3": "pass",
+        "A4": "pass",
+        "SS1": "fail",
+        "SS2": "pass",
+        "SS3": "pass",
+    }
+    assert report.checks["A1"].info == {"sections": 6}
+    assert report.checks["SS1"].witness == {
+        "section": "2*u0.0*s^0",
         "reason": "not a t-power multiple of a generator",
     }
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -198,18 +199,42 @@ def test_cap_exit_carries_the_profile(capsys):
     }
 
 
+HUGE_M = str(2**70)
+
+
 @pytest.mark.parametrize(
     "argv, kind, message",
     [
         (["vfilt", "--p", "5", "--d", "3", "--rep", "companion", "--window", "0"], "invalid", "--window 0 must be >= 1"),
         (["vfilt", "--p", "4", "--d", "3", "--rep", "companion"], "invalid", "p=4 is not prime"),
         (["build", "--p", "5", "--rep", '{"d":3,"mat":[[1.5]]}'], "invalid", "entries must be integers"),
-        (["build", "--p", "2", "--m", "200", "--c", "t^-2"], "bound", f"field order p^m={2**200} exceeds bound"),
+        (["build", "--p", "2", "--m", "200", "--c", "t^-2"], "bound", "field order 2^200 exceeds bound"),
+        # p is checked before any representation is built
+        (["graded", "--p", "0", "--rep", "companion", "--window", "4"], "invalid", "p=0 is not prime"),
+        (["build", "--p", "0", "--d", "11", "--rep", "companion"], "invalid", "p=0 is not prime"),
+        (["compare", "--p", "0", "--d", "3", "--rep", "companion", "--e", "2"], "invalid", "p=0 is not prime"),
+        # a huge m fails without forming p^m
+        (["nearby", "--p", "2", "--m", HUGE_M, "--d", "4", "--c", "t^-1"], "bound", f"field order 2^{HUGE_M} exceeds"),
+        (["nearby", "--p", "5", "--m", HUGE_M, "--d", "4"], "bound", f"field order 5^{HUGE_M} exceeds"),
+        (["nearby", "--p", "2", "--m", HUGE_M, "--d", "7", "--rep", "companion"], "invalid", "d=7 does not divide p^m-1"),
     ],
-    ids=["window-0", "p-not-prime", "rep-not-integer", "field-order-bound"],
+    ids=[
+        "window-0",
+        "p-not-prime",
+        "rep-not-integer",
+        "field-order-bound",
+        "graded-p-0",
+        "build-p-0",
+        "compare-p-0",
+        "extension-huge-m",
+        "kummer-huge-m",
+        "huge-m-not-divisible",
+    ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):
+    start = time.perf_counter()
     code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     line, json_line = err.strip().splitlines()
     error = json.loads(json_line)["error"]

@@ -8,6 +8,7 @@ and the irreducibility test that picks each modulus, are checked against
 sympy.
 """
 
+from collections import Counter
 from itertools import zip_longest
 from random import Random
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcrystal import InvalidInputError, field, make_field
+from fcrystal import InvalidInputError, field, linalg, make_field
 from fcrystal.field import TABLE_BOUND, FieldCtx
 
 # every table field with q <= 256, compared exhaustively
@@ -151,6 +152,73 @@ def test_is_irreducible_matches_sympy(p):
             assert verdict == irreducible(f, p), (p, f)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _rank_steps(monkeypatch):
+    """A list that gains the matrix size of each rank step from now on."""
+    steps, rref_int = [], linalg.rref_int
+    monkeypatch.setattr(linalg, "rref_int", lambda rows, p: steps.append(len(rows)) or rref_int(rows, p))
+    return steps
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_sieve_and_berlekamp_match_sympy_on_degrees_6_to_14(p, monkeypatch):
+    # seeded products whose factor degrees are known: the sieve rejects a
+    # quadratic factor before the rank step, a square fails the squarefree
+    # test, and only a product of two irreducibles of degree >= 3 and an
+    # irreducible reach the rank step, where Berlekamp decides
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    irreducible = _sympy_irreducible()
+    rng = Random(p)
+
+    def mul(a, b):
+        return [int(c) for c in reversed(galoistools.gf_mul(a[::-1], b[::-1], p, ZZ))]
+
+    def draw(n, other=None):
+        """A seeded monic irreducible of degree n over F_p other than other."""
+        while True:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            if f != other and irreducible(f, p):
+                return f
+
+    cases = []
+    for m in range(6, 15):
+        cases += [("quadratic", mul(draw(2), draw(m - 2))) for _ in range(2)]
+        if m % 2 == 0:
+            g = draw(m // 2)
+            cases.append(("square", mul(g, g)))
+        k = rng.randrange(3, m - 2)
+        a = draw(k)
+        cases.append(("wide", mul(a, draw(m - k, a))))
+        cases += [("irreducible", draw(m)) for _ in range(2)]
+    steps = _rank_steps(monkeypatch)
+    tally = Counter()
+    for kind, f in cases:
+        before = len(steps)
+        verdict = field._is_irreducible(f, p)
+        assert verdict == irreducible(f, p) == (kind == "irreducible"), (kind, f)
+        ranked = len(steps) > before
+        assert ranked == (kind in ("wide", "irreducible")), (kind, f)
+        tally[kind, verdict, ranked] += 1
+    assert tally == {
+        ("quadratic", False, False): 18,
+        ("square", False, False): 5,
+        ("wide", False, True): 9,
+        ("irreducible", True, True): 18,
+    }
+
+
+def test_modulus_search_runs_few_rank_steps(monkeypatch):
+    # the search over FIRST_FIELDS tries 1,586 candidates; the sieve
+    # leaves 280 for the rank step (1,298 without it), and every accepted
+    # modulus of degree >= 2 still passes the rank step
+    moduli = [make_field(p, m).modulus for p, m in FIRST_FIELDS]
+    steps = _rank_steps(monkeypatch)
+    rebuilt = [field._canonical_field.__wrapped__(p, m).modulus for p, m in FIRST_FIELDS]
+    assert rebuilt == moduli
+    assert sum(m >= 2 for _, m in FIRST_FIELDS) <= len(steps) <= 300
 
 
 def _pol_add(a, b, p):

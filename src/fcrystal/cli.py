@@ -506,9 +506,21 @@ def _print_error(line, kind, err, profile):
     print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
 
 
-# the least valid value of each integer flag that has one; a flag the
-# command lacks or the user left unset reads None
-_LEAST = {"window": 1, "m": 1, "depth": 0, "count": 1, "e": 1, "cap": 1}
+# the valid range (least, most) of each integer flag that has one, None
+# where a side is open; a flag the command lacks or the user left unset
+# reads None.  The upper bounds are checked before any matrix is built:
+# a regular rep is d x d, a trivial one rank x rank, the level grid
+# grows with window, and roundtrip runs count cases per order.
+_RANGE = {
+    "window": (1, 1024),
+    "m": (1, None),
+    "d": (None, 256),
+    "rank": (None, 64),
+    "depth": (0, None),
+    "count": (1, 1024),
+    "e": (1, None),
+    "cap": (1, None),
+}
 
 
 def main(argv=None) -> int:
@@ -516,10 +528,14 @@ def main(argv=None) -> int:
     try:
         if not is_prime(args.p):
             raise InvalidInputError(f"p={args.p} is not prime")
-        for flag, least in _LEAST.items():
+        for flag, (least, most) in _RANGE.items():
             value = getattr(args, flag, None)
-            if value is not None and value < least:
+            if value is None:
+                continue
+            if least is not None and value < least:
                 raise InvalidInputError(f"--{flag} {value} must be >= {least}")
+            if most is not None and value > most:
+                raise BoundExceededError(f"--{flag} {value} must be <= {most}")
         return globals()[f"cmd_{args.command}"](args)
     except InvalidInputError as err:
         kind = "bound" if isinstance(err, BoundExceededError) else "invalid"

@@ -22,9 +22,16 @@ ctx.el parses outside input.  The stored form is today the coefficient
 tuple, which both methods return without a copy.
 
 Fields with m >= 2 and at most TABLE_BOUND elements multiply, invert,
-raise to powers and apply Frobenius by log/antilog table lookup; larger
-fields use polynomial products and extended Euclid.  Both paths return
-the same elements: the stored form does not depend on the path taken.
+raise to powers and apply Frobenius by log/antilog table lookup, and
+subtract through Zech logarithms (Lidl-Niederreiter, Finite Fields,
+section 10.3): with Z[k] = log(1 - g^k), log(a - b) = log a +
+Z[(log b - log a) mod (q-1)].  Larger fields use polynomial products,
+extended Euclid and coefficientwise subtraction.  Every path returns the
+same elements: the stored form does not depend on the path taken.
+
+ctx.sub_scaled(u, c, v) is the row kernel of elimination: it returns the
+list [a - c*b for a, b in zip(u, v)] for any c and any entries, zero
+included, so linalg eliminates a whole row in one call.
 
 Semilinear operators model Frobenius-twisted actions: the operator with
 matrix A sends v to A @ v^(p), where v^(p) raises every coordinate to
@@ -118,6 +125,15 @@ def _pol_divmod(a, b, p):
     return _pol_trim(q), _pol_trim(r[:db])
 
 
+def _pol_gcd(a, b, p):
+    """The monic gcd of a and b != 0, by Euclid on remainders alone."""
+    r0, r1 = _pol_trim([x % p for x in b]), _pol_trim([x % p for x in a])
+    while r1:
+        r0, r1 = r1, _pol_divmod(r0, r1, p)[1]
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0]
+
+
 def _pol_xgcd(a, b, p):
     """(g, s): g the monic gcd of a and b != 0, and g = s*a mod b."""
     r0, r1 = _pol_trim([x % p for x in b]), _pol_trim([x % p for x in a])
@@ -156,7 +172,7 @@ def _has_factor_dividing(h, f, p):
     factor whose degree divides i."""
     hx = h + [0] * (2 - len(h))
     hx[1] = (hx[1] - 1) % p
-    return len(_pol_xgcd(_pol_trim(hx), f, p)[0]) > 1
+    return len(_pol_gcd(_pol_trim(hx), f, p)) > 1
 
 
 def _is_irreducible(f, p):
@@ -176,7 +192,7 @@ def _is_irreducible(f, p):
     if m >= 4 and _has_factor_dividing(_pol_powmod(xp, p, f, p), f, p):
         return False
     df = _pol_trim([i * c % p for i, c in enumerate(f)][1:])
-    if not df or len(_pol_xgcd(df, f, p)[0]) > 1:
+    if not df or len(_pol_gcd(df, f, p)) > 1:
         return False
     _, pivots = linalg.rref_int(_minus_identity(_frobenius_rows(f, p, xp), p), p)
     return len(pivots) == m - 1
@@ -200,6 +216,7 @@ class FieldCtx:
         "_gen",
         "_log",
         "_exp",
+        "_zech",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -219,17 +236,19 @@ class FieldCtx:
         self._xred = tuple(xred)
         self._frob_rows = _frobenius_rows(f, p, _pol_powmod([0, 1], p, f, p))
         self._gen = None
-        self._log = self._exp = None
+        self._log = self._exp = self._zech = None
         if m >= 2 and self.order <= TABLE_BOUND:
-            self._log, self._exp = self._build_tables()
+            self._log, self._exp, self._zech = self._build_tables()
 
     def _build_tables(self):
-        """Log and antilog tables of the multiplicative group.
+        """Log, antilog and Zech tables of the multiplicative group.
 
         exp holds g^k for k in [0, 2(q-1)), so exp[log a + log b] needs no
         reduction.  Zero logs to 2(q-1) and exp is zero from that index
         on, so a product with a zero factor needs no branch either.
-        Raises unless the generator g has order exactly q-1.
+        zech[k] = log(1 - g^k) for k in [0, q-1), from the coefficient
+        difference, so zech[0] is the zero code.  Raises unless the
+        generator g has order exactly q-1.
         """
         g = self.generator
         n1 = self.order - 1
@@ -240,7 +259,9 @@ class FieldCtx:
             raise InvalidInputError(f"{list(self.coeffs(g))} does not generate the units of {self!r}")
         log = {a: k for k, a in enumerate(powers)}
         log[self.zero] = 2 * n1
-        return log, tuple(powers) * 2 + (self.zero,) * (2 * n1 + 1)
+        p = self.p
+        zech = tuple(log[tuple((x - y) % p for x, y in zip(self.one, gk))] for gk in powers)
+        return log, tuple(powers) * 2 + (self.zero,) * (2 * n1 + 1), zech
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
@@ -273,8 +294,55 @@ class FieldCtx:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
+        """a - b; on a table field the Zech step of sub_scaled with c = 1."""
+        log = self._log
+        if log is not None:
+            n1 = self.order - 1
+            la, lb = log[a], log[b]
+            if lb == 2 * n1:
+                return a
+            if la == 2 * n1:
+                return self._exp[lb if self.p == 2 else lb + n1 // 2]
+            return self._exp[la + self._zech[(lb - la) % n1]]
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
+
+    def sub_scaled(self, u, c, v) -> list:
+        """The list [a - c*b for a, b in zip(u, v)]: one elimination step
+        on a row, for any c, zero entries included.
+
+        Table fields read log c once and take one Zech step per entry:
+        log(a - c*b) = log a + zech[(log c + log b - log a) mod (q-1)]
+        when a, b and c are nonzero; a zero b leaves a, and a zero a gives
+        -c*b at log c + log(-1) + log b, where log(-1) is (q-1)/2, or 0
+        when p = 2.  Prime fields work on the ints; larger fields multiply
+        and subtract.
+        """
+        if self.m == 1:
+            p, k = self.p, c[0]
+            return [((a[0] - k * b[0]) % p,) for a, b in zip(u, v)]
+        log = self._log
+        if log is None:
+            sub, mul = self.sub, self.mul
+            return [sub(a, mul(c, b)) for a, b in zip(u, v)]
+        n1 = self.order - 1
+        zc, lc = 2 * n1, log[c]
+        if lc == zc:
+            return list(u)
+        exp, zech = self._exp, self._zech
+        lneg = lc if self.p == 2 else (lc + n1 // 2) % n1
+        out = []
+        for a, b in zip(u, v):
+            lb = log[b]
+            if lb == zc:
+                out.append(a)
+                continue
+            la = log[a]
+            if la == zc:
+                out.append(exp[lneg + lb])
+            else:
+                out.append(exp[la + zech[(lc + lb - la) % n1]])
+        return out
 
     def neg(self, a):
         p = self.p
@@ -343,9 +411,11 @@ class FieldCtx:
         if self.m == 1:
             return a
         if self._log is not None:
-            if self.is_zero(a):
+            n1 = self.order - 1
+            la = self._log[a]
+            if la == 2 * n1:
                 return a
-            return self._exp[self._log[a] * self.p % (self.order - 1)]
+            return self._exp[la * self.p % n1]
         out = [0] * self.m
         for c, img in zip(a, self._frob_rows):
             if c:

@@ -4,7 +4,10 @@ Two parallel toolkits.  The ``*_int`` functions work on matrices of
 Python ints reduced mod p (rows are lists/tuples of ints); they are the
 hot path for the flattened F_p computations.  The ctx functions work on
 matrices whose entries are field elements of a ``FieldCtx`` (any object
-providing add/sub/neg/mul/inv/is_zero/zero/one).
+providing add/sub/neg/mul/inv/is_zero/zero/one and the row kernel
+``sub_scaled(u, c, v)``, the list of u[k] - c*v[k]); they reach the
+elements only through these methods.  ``rref`` and ``express`` eliminate
+one row per ``sub_scaled`` call.
 
 Echelonized bases are returned as (rows, pivots): ``rows`` is in
 reduced row echelon form with leading entries 1, ``pivots`` the column
@@ -208,8 +211,7 @@ def rref(ctx, rows):
         mat[r] = [ctx.mul(inv, x) for x in mat[r]]
         for i in range(nrows):
             if i != r and not ctx.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = ctx.sub_scaled(mat[i], mat[i][c], mat[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -247,7 +249,7 @@ def express(ctx, rows, pivots, vec):
     rem = list(vec)
     for x, row in zip(coords, rows):
         if not ctx.is_zero(x):
-            rem = [ctx.sub(a, ctx.mul(x, b)) for a, b in zip(rem, row)]
+            rem = ctx.sub_scaled(rem, x, row)
     if any(not ctx.is_zero(x) for x in rem):
         return None
     return coords

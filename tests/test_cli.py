@@ -217,6 +217,12 @@ HUGE_M = str(2**70)
         (["nearby", "--p", "2", "--m", HUGE_M, "--d", "4", "--c", "t^-1"], "bound", f"field order 2^{HUGE_M} exceeds"),
         (["nearby", "--p", "5", "--m", HUGE_M, "--d", "4"], "bound", f"field order 5^{HUGE_M} exceeds"),
         (["nearby", "--p", "2", "--m", HUGE_M, "--d", "7", "--rep", "companion"], "invalid", "d=7 does not divide p^m-1"),
+        # sizes are bounded before any matrix is built
+        (["graded", "--p", "11", "--d", HUGE_M, "--rep", "regular"], "bound", f"--d {HUGE_M} must be <= 256"),
+        (["nearby", "--p", "13", "--rank", HUGE_M], "bound", f"--rank {HUGE_M} must be <= 64"),
+        (["build", "--p", "5", "--d", "100000", "--rep", "regular"], "bound", "--d 100000 must be <= 256"),
+        (["vfilt", "--p", "7", "--d", "3", "--rep", "companion", "--window", "1025"], "bound", "--window 1025 must be <= 1024"),
+        (["roundtrip", "--p", "5", "--count", HUGE_M], "bound", f"--count {HUGE_M} must be <= 1024"),
     ],
     ids=[
         "window-0",
@@ -229,6 +235,11 @@ HUGE_M = str(2**70)
         "extension-huge-m",
         "kummer-huge-m",
         "huge-m-not-divisible",
+        "graded-huge-d",
+        "nearby-huge-rank",
+        "build-d-100000",
+        "window-1025",
+        "roundtrip-huge-count",
     ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):

@@ -58,6 +58,11 @@ class IntField:
     def sub(self, a, b):
         return self._wrap("sub", a, b)
 
+    def sub_scaled(self, u, c, v):
+        inner = self.inner
+        out = inner.sub_scaled([inner.decode(a) for a in u], inner.decode(c), [inner.decode(b) for b in v])
+        return [inner.encode(a) for a in out]
+
     def neg(self, a):
         return self._wrap("neg", a)
 

@@ -1,9 +1,11 @@
 """Log/antilog table arithmetic, checked against the polynomial path.
 
 Fields with m >= 2 and q <= TABLE_BOUND multiply, invert, raise to powers
-and apply Frobenius by table lookup.  Each table field is compared with a
-twin built on the same modulus with tables disabled, which runs the
-polynomial product and extended Euclid.  The F_p[x] helpers beneath both,
+and apply Frobenius by table lookup, and subtract by Zech logarithms.
+Each table field is compared with a twin built on the same modulus with
+tables disabled, which runs the polynomial product, extended Euclid and
+coefficientwise subtraction; the linear algebra built on the row kernel
+sub_scaled is compared the same way.  The F_p[x] helpers beneath both,
 and the irreducibility test that picks each modulus, are checked against
 sympy.
 """
@@ -41,6 +43,12 @@ def _exponents(ctx):
 
 def _assert_same(ctx, twin, a, b, exps):
     assert ctx.mul(a, b) == twin.mul(a, b), (a, b)
+    assert ctx.sub(a, b) == twin.sub(a, b) and ctx.add(a, b) == twin.add(a, b), (a, b)
+    assert ctx.neg(a) == twin.neg(a), a
+    z = ctx.zero
+    u, v = [a, b, z, a, z], [b, a, a, z, z]
+    for c in (z, ctx.one, ctx.neg(ctx.one), a, b):
+        assert ctx.sub_scaled(u, c, v) == twin.sub_scaled(u, c, v), (a, b, c)
     assert ctx.frob(a) == twin.frob(a), a
     if ctx.is_zero(a):
         for c in (ctx, twin):
@@ -69,8 +77,16 @@ def test_tables_match_polynomial_path_exhaustively(p, m):
     assert ctx._log is not None
     twin = _poly_twin(ctx)
     elems = [ctx.decode(n) for n in range(ctx.order)]
-    for a in elems:
-        assert [ctx.mul(a, b) for b in elems] == [twin.mul(a, b) for b in elems], a
+    # each a meets every b with c in {0, 1, -1, g}, and every c = a meets
+    # every a' with b rotated against it
+    scaled = {c: [twin.mul(c, b) for b in elems] for c in (ctx.zero, ctx.one, ctx.neg(ctx.one), ctx.generator)}
+    for k, a in enumerate(elems):
+        for op in ("mul", "add", "sub"):
+            assert [getattr(ctx, op)(a, b) for b in elems] == [getattr(twin, op)(a, b) for b in elems], (op, a)
+        for c, cb in scaled.items():
+            assert ctx.sub_scaled([a] * len(elems), c, elems) == [twin.sub(a, x) for x in cb], (a, c)
+        turned = elems[k:] + elems[:k]
+        assert ctx.sub_scaled(elems, a, turned) == twin.sub_scaled(elems, a, turned), a
         _assert_same(ctx, twin, a, a, _exponents(ctx))
 
 
@@ -86,6 +102,72 @@ def test_tables_match_polynomial_path_on_samples(p, m):
         b = ctx.decode(rng.randrange(ctx.order))
         _assert_same(ctx, twin, a, b, exps + (rng.randrange(-ctx.order**2, ctx.order**2),))
     _assert_same(ctx, twin, ctx.zero, ctx.generator, exps)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+def test_prime_field_kernel_matches_int_arithmetic(p):
+    ctx = make_field(p, 1)
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    for c in range(p):
+        got = ctx.sub_scaled([(a,) for a, _ in pairs], (c,), [(b,) for _, b in pairs])
+        assert got == [((a - c * b) % p,) for a, b in pairs], c
+
+
+def test_zech_table_is_log_of_one_minus_power():
+    for p, m in ((2, 3), (3, 2), (5, 3)):
+        ctx = make_field(p, m)
+        twin, n1 = _poly_twin(ctx), ctx.order - 1
+        assert len(ctx._zech) == n1 and ctx._zech[0] == 2 * n1
+        for k, z in enumerate(ctx._zech):
+            assert ctx._exp[z] == twin.sub(ctx.one, twin.pow(ctx.generator, k)), k
+
+
+def _random_matrix(ctx, rng, rows, cols, rank):
+    """A seeded rows x cols matrix of rank at most rank: a product of
+    random rows x rank and rank x cols factors."""
+    if rank == 0:
+        return tuple((ctx.zero,) * cols for _ in range(rows))
+    left = [[ctx.decode(rng.randrange(ctx.order)) for _ in range(rank)] for _ in range(rows)]
+    right = [[ctx.decode(rng.randrange(ctx.order)) for _ in range(cols)] for _ in range(rank)]
+    return linalg.mat_mul(ctx, left, right)
+
+
+LINALG_FIELDS = [(2, 6), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,m", LINALG_FIELDS, ids=[f"F{p}^{m}" for p, m in LINALG_FIELDS])
+def test_linalg_over_tables_matches_polynomial_path(p, m):
+    # RREF is unique, so the echelon forms, kernels, coordinates and
+    # inverses agree entry for entry with the twin's
+    ctx = make_field(p, m)
+    twin = _poly_twin(ctx)
+    rng = Random(31 * p + m)
+    ranks = Counter()
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            for rank in sorted({min(rows, cols), rng.randrange(min(rows, cols) + 1)}):
+                mat = _random_matrix(ctx, rng, rows, cols, rank)
+                red, pivots = linalg.rref(ctx, mat)
+                assert (red, pivots) == linalg.rref(twin, mat), mat
+                assert linalg.kernel(ctx, mat) == linalg.kernel(twin, mat), mat
+                ranks[len(pivots) == min(rows, cols)] += 1
+                inside = [ctx.decode(rng.randrange(ctx.order)) for _ in red]
+                vec = [ctx.zero] * cols
+                for x, row in zip(inside, red):
+                    vec = [ctx.add(a, ctx.mul(x, b)) for a, b in zip(vec, row)]
+                outside = [ctx.decode(rng.randrange(ctx.order)) for _ in range(cols)]
+                for w in (vec, outside):
+                    assert linalg.express(ctx, red, pivots, w) == linalg.express(twin, red, pivots, w), w
+                assert linalg.express(ctx, red, pivots, vec) == inside
+                if rows == cols:
+                    inv = linalg.invert(ctx, mat)
+                    assert inv == linalg.invert(twin, mat), mat
+                    assert (inv is not None) == (len(pivots) == rows)
+                    if inv is not None:
+                        assert linalg.mat_mul(ctx, mat, inv) == tuple(
+                            tuple(ctx.one if i == j else ctx.zero for j in range(rows)) for i in range(rows)
+                        )
+    assert ranks[True] and ranks[False]  # both full-rank and singular matrices ran
 
 
 def test_build_rejects_non_primitive_generator(monkeypatch):
@@ -246,7 +328,7 @@ def test_polynomial_helpers(p, a, b, c):
     if c:
         a, b = mul(a, c, p), mul(b, c, p)
     g, s = field._pol_xgcd(a, b, p)
-    assert g and g[-1] == 1
+    assert g and g[-1] == 1 and field._pol_gcd(a, b, p) == g
     assert divmod_(mul(s, a, p), b, p)[1] == divmod_(g, b, p)[1]
     assert divmod_(a, g, p)[1] == [] and divmod_(b, g, p)[1] == []
     expected = galoistools.gf_gcd(a[::-1], b[::-1], p, ZZ)

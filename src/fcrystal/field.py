@@ -23,11 +23,12 @@ tuple, which both methods return without a copy.
 
 Fields with m >= 2 and at most TABLE_BOUND elements multiply, invert,
 raise to powers and apply Frobenius by log/antilog table lookup, and
-subtract through Zech logarithms (Lidl-Niederreiter, Finite Fields,
-section 10.3): with Z[k] = log(1 - g^k), log(a - b) = log a +
-Z[(log b - log a) mod (q-1)].  Larger fields use polynomial products,
-extended Euclid and coefficientwise subtraction.  Every path returns the
-same elements: the stored form does not depend on the path taken.
+eliminate rows through Zech logarithms (Lidl-Niederreiter, Finite
+Fields, section 10.3): with Z[k] = log(1 - g^k), log(a - b) = log a +
+Z[(log b - log a) mod (q-1)].  Larger fields use polynomial products
+and extended Euclid.  add, sub and neg are coefficientwise on every
+field.  Every path returns the same elements: the stored form does not
+depend on the path taken.
 
 ctx.sub_scaled(u, c, v) is the row kernel of elimination: it returns the
 list [a - c*b for a, b in zip(u, v)] for any c and any entries, zero
@@ -294,16 +295,6 @@ class FieldCtx:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        """a - b; on a table field the Zech step of sub_scaled with c = 1."""
-        log = self._log
-        if log is not None:
-            n1 = self.order - 1
-            la, lb = log[a], log[b]
-            if lb == 2 * n1:
-                return a
-            if la == 2 * n1:
-                return self._exp[lb if self.p == 2 else lb + n1 // 2]
-            return self._exp[la + self._zech[(lb - la) % n1]]
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
@@ -315,12 +306,8 @@ class FieldCtx:
         log(a - c*b) = log a + zech[(log c + log b - log a) mod (q-1)]
         when a, b and c are nonzero; a zero b leaves a, and a zero a gives
         -c*b at log c + log(-1) + log b, where log(-1) is (q-1)/2, or 0
-        when p = 2.  Prime fields work on the ints; larger fields multiply
-        and subtract.
+        when p = 2.  Every other field multiplies and subtracts.
         """
-        if self.m == 1:
-            p, k = self.p, c[0]
-            return [((a[0] - k * b[0]) % p,) for a, b in zip(u, v)]
         log = self._log
         if log is None:
             sub, mul = self.sub, self.mul

@@ -1,7 +1,8 @@
 """Log/antilog table arithmetic, checked against the polynomial path.
 
 Fields with m >= 2 and q <= TABLE_BOUND multiply, invert, raise to powers
-and apply Frobenius by table lookup, and subtract by Zech logarithms.
+and apply Frobenius by table lookup, and eliminate rows (sub_scaled) by
+Zech logarithms.
 Each table field is compared with a twin built on the same modulus with
 tables disabled, which runs the polynomial product, extended Euclid and
 coefficientwise subtraction; the linear algebra built on the row kernel

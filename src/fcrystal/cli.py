@@ -227,6 +227,12 @@ def _make_objects(args):
 
 
 def _window(args):
+    """The level window [-N, N), checked before any object is built: a
+    degree-d cover puts up to d * 2N jumps on it."""
+    if args.d is not None and args.d * args.window > _GRID_BOUND:
+        raise BoundExceededError(
+            f"--d {args.d} times --window {args.window} is {args.d * args.window}, must be <= {_GRID_BOUND}"
+        )
     return (-args.window, args.window)
 
 
@@ -238,8 +244,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_vfilt(args) -> int:
-    obj, spec, meta = _make_objects(args)
     win = _window(args)
+    obj, spec, meta = _make_objects(args)
     rep = graded(spec, win)
     checks = check_axioms(spec, win, depth=args.depth, graded_report=rep)
     result = {
@@ -254,18 +260,19 @@ def cmd_vfilt(args) -> int:
 
 
 def cmd_graded(args) -> int:
+    win = _window(args)
     obj, spec, meta = _make_objects(args)
-    rep = graded(spec, _window(args))
+    rep = graded(spec, win)
     ok = rep.all_frobenius_invertible() and rep.all_t_invertible()
     result = {"kind": meta["kind"], "graded": rep.to_json(), "all_invertible": ok}
     return _emit(args, "graded", result, 0 if ok else 1)
 
 
 def cmd_check(args) -> int:
+    win = _window(args)
     obj, spec, meta = _make_objects(args)
     if args.shift:
         spec = shifted_filtration(spec, args.shift)
-    win = _window(args)
     checks = check_axioms(spec, win, depth=args.depth)
     result = {
         "kind": meta["kind"],
@@ -300,9 +307,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    win = _window(args)
     obj, spec, meta = _make_objects(args)
     pb = pullback_filtration(spec, args.dprime)
-    win = _window(args)
     checks = check_specializing(pb, win, depth=args.depth)
     result = {
         "kind": meta["kind"],
@@ -521,6 +528,8 @@ _RANGE = {
     "e": (1, None),
     "cap": (1, None),
 }
+# the largest d * window that a command reading the window accepts
+_GRID_BOUND = 2048
 
 
 def main(argv=None) -> int:

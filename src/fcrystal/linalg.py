@@ -208,7 +208,9 @@ def rref(ctx, rows):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = ctx.inv(mat[r][c])
-        mat[r] = [ctx.mul(inv, x) for x in mat[r]]
+        # left of c the row is zero: every earlier column is a pivot
+        # column cleared below its pivot, or was zero from row r down
+        mat[r][c:] = [ctx.mul(inv, x) for x in mat[r][c:]]
         for i in range(nrows):
             if i != r and not ctx.is_zero(mat[i][c]):
                 mat[i] = ctx.sub_scaled(mat[i], mat[i][c], mat[r])

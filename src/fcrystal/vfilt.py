@@ -63,6 +63,10 @@ class KummerSections:
     A section sum_e v_e s^e is the dict of its nonzero coefficient
     vectors.  No zero vector is ever stored, so {} is the zero section,
     dict equality is section equality and min(x) is the valuation.
+
+    Frobenius acts on each coefficient, and the sections a spec meets
+    are t- and Frobenius-shifts of a few basis vectors, so the image of
+    each vector is kept, keyed on its value, for the module's lifetime.
     """
 
     def __init__(self, kc: KummerCrystal):
@@ -72,6 +76,7 @@ class KummerSections:
         self.d = kc.d
         self.kind = ("kummer", kc.d, kc.rank, id(kc.ctx))
         self.zero_vector = (kc.ctx.zero,) * kc.rank
+        self._frob = {}  # coefficient vector -> its coefficientwise Frobenius
 
     def zero(self):
         return {}
@@ -80,8 +85,14 @@ class KummerSections:
         return {e: self.kc.bases[a][0][i]}
 
     def apply_F(self, x):
-        p, frob = self.ctx.p, self.ctx.frob
-        return {p * e: tuple(map(frob, v)) for e, v in x.items()}
+        p, images = self.ctx.p, self._frob
+        out = {}
+        for e, v in x.items():
+            fv = images.get(v)
+            if fv is None:
+                fv = images[v] = tuple(map(self.ctx.frob, v))
+            out[p * e] = fv
+        return out
 
     def mul_t(self, x):
         return {e + self.d: v for e, v in x.items()}
@@ -225,7 +236,7 @@ class KummerVFilt(FiltrationSpec):
         a = self.kc.weight_of_shift(e)
         if a is None:
             return None
-        key = (a, tuple(self.module.slice(x, e)))
+        key = (a, self.module.slice(x, e))
         if key not in self._coords:
             rows, piv = self.kc.bases[a]
             coords = linalg.express(self.module.ctx, rows, piv, key[1])
@@ -641,14 +652,14 @@ def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int, invertib
                 f"image of basis vector {lbl_idx} has no class in the graded piece at the target",
             )
         cols.append(coords)
-    matrix = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(tdim))
+    matrix = tuple(zip(*cols)) if cols else ((),) * tdim
     if tdim != len(basis):
         return GradedMap(
             ctx, target, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
         )
-    if matrix not in invertible:
-        invertible[matrix] = linalg.is_invertible(ctx, matrix)
-    inv = invertible[matrix]
+    inv = invertible.get(matrix)
+    if inv is None:
+        inv = invertible[matrix] = linalg.is_invertible(ctx, matrix)
     return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
@@ -868,11 +879,14 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     # generators at levels in [0, 1)
     ss1_witness = None
     gens = sum(spec.idim(n) for n in spec.ijumps((0, 1)))
+    bases = {}  # residue numerator -> its graded basis
     for (label, x), lvl in zip(sections, levels):
         if lvl is None or lvl < 0:
             continue
         k, rest = divmod(lvl, den)
-        if not any(module.mul_t_pow(g, k) == x for g in spec.ibasis(rest)):
+        if rest not in bases:
+            bases[rest] = spec.ibasis(rest)
+        if not any(module.mul_t_pow(g, k) == x for g in bases[rest]):
             ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
             break
     checks["SS1"] = _verdict("SS1", "V^0 finitely generated on the window", ss1_witness, generators=gens)

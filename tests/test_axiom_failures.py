@@ -153,6 +153,24 @@ def test_a1_fails_when_t_powers_stop_short():
     }
 
 
+def test_a1_pushes_with_t_when_one_power_must_suffice():
+    # on [0, 1) the first section u0.0*s^0 sits at 0, so one t-power must
+    # clear the top; t lands on s^2, at 2/3 < 1, though t^2 would clear it
+    report = check_specializing(kummer(CyclicRep.regular(3, 5), ShortTPower), (0, 1))
+    a1 = report.checks["A1"]
+    assert a1.status == "fail"
+    assert a1.witness == {
+        "section": "u0.0*s^0",
+        "reason": "t^1 failed to push the level past the window top",
+    }
+    assert report.checks["A2"].witness == {
+        "section": "u0.0*s^0",
+        "level": lvl(0, 1),
+        "after": lvl(2, 3),
+        "ideal_power": 1,
+    }
+
+
 def test_a3_fails_by_one_grid_step():
     # F(u1.0*s^-1) lands on s^-6, at -2 < 5 * (-1/3)
     report = check_axioms(kummer(CyclicRep.companion(3, 5), LowFrobenius), WINDOW)

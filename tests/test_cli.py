@@ -223,6 +223,12 @@ HUGE_M = str(2**70)
         (["build", "--p", "5", "--d", "100000", "--rep", "regular"], "bound", "--d 100000 must be <= 256"),
         (["vfilt", "--p", "7", "--d", "3", "--rep", "companion", "--window", "1025"], "bound", "--window 1025 must be <= 1024"),
         (["roundtrip", "--p", "5", "--count", HUGE_M], "bound", f"--count {HUGE_M} must be <= 1024"),
+        # the level grid d x 2N is bounded before the crystal is built
+        (
+            ["vfilt", "--p", "2", "--d", "255", "--rep", "regular", "--window", "1024"],
+            "bound",
+            "--d 255 times --window 1024 is 261120, must be <= 2048",
+        ),
     ],
     ids=[
         "window-0",
@@ -240,6 +246,7 @@ HUGE_M = str(2**70)
         "build-d-100000",
         "window-1025",
         "roundtrip-huge-count",
+        "level-grid",
     ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):

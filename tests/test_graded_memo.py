@@ -2,8 +2,10 @@
 
 graded() shares each exact solve between maps with equal inputs: a
 KummerVFilt keeps the coordinates of each (weight class, slice) it has
-solved, and one graded() call keeps the invertibility verdict of each
+solved, its KummerSections keeps the Frobenius image of each coefficient
+vector, and one graded() call keeps the invertibility verdict of each
 matrix it has tested.  The oracle below rebuilds the report with a fresh
+coefficientwise Frobenius for every Kummer basis vector, a fresh
 linalg.express for every coordinate vector and a fresh
 linalg.is_invertible for every matrix, and the two reports must be equal
 entry for entry: levels, labels, matrices, verdicts and notes.
@@ -34,7 +36,16 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
-from fcrystal.vfilt import ExtensionVFilt, GradedLevel, GradedMap, GradedReport, KummerVFilt
+from fcrystal.vfilt import ExtensionVFilt, GradedLevel, GradedMap, GradedReport, KummerSections, KummerVFilt
+
+
+def oracle_apply_F(mod, x):
+    """Frobenius of the section x with nothing kept between calls:
+    coefficientwise on Kummer sections, the module's own otherwise."""
+    if isinstance(mod, KummerSections):
+        ctx = mod.ctx
+        return {ctx.p * e: tuple(map(ctx.frob, v)) for e, v in x.items()}
+    return mod.apply_F(x)
 
 
 def oracle_raw_coords(spec, x, n):
@@ -80,7 +91,7 @@ def oracle_graded(spec, window):
         basis = spec.ibasis(n)
         if not basis:
             continue
-        f_map = oracle_map(spec, len(basis), [mod.apply_F(b) for b in basis], mod.ctx.p * n)
+        f_map = oracle_map(spec, len(basis), [oracle_apply_F(mod, b) for b in basis], mod.ctx.p * n)
         t_map = oracle_map(spec, len(basis), [mod.mul_t(b) for b in basis], n + den)
         levels.append(GradedLevel(Fraction(n, den), len(basis), spec.ilabels(n), f_map, t_map))
     return GradedReport(tuple(window), levels)
@@ -228,3 +239,26 @@ def test_a_long_window_solves_no_more_systems_than_one_period(monkeypatch):
             seen.append(dict(calls))
         assert seen[0] == seen[1], (p, d, seen)
         assert seen[0]["express"] and seen[0]["is_invertible"], (p, d, seen)
+
+
+def _random_vector(ctx, rank, rng):
+    return tuple(ctx.from_coeffs([rng.randrange(ctx.p) for _ in range(ctx.m)]) for _ in range(rank))
+
+
+def test_kummer_frobenius_images_are_coefficientwise():
+    """apply_F keeps each vector's image, keyed on its value.  Random
+    sections put one vector at several exponents and fresh vectors at
+    old exponents, on hundreds of modules built and dropped over fields
+    of equal and unequal degree, so an image kept under the exponent,
+    the vector's id or another module's field comes out wrong here."""
+    rng = Random(SEED)
+    fields = [(make_field(p, m), d) for p, m, d in ((5, 2, 3), (7, 2, 4), (2, 6, 3), (5, 3, 4))]
+    for _ in range(60):
+        for ctx, d in fields:
+            module = KummerSections(build_kummer_crystal(random_rep(ctx, d, rng, max_rank=3), ctx))
+            for _ in range(8):
+                vecs = [_random_vector(ctx, module.rank, rng) for _ in range(3)]
+                # equal vectors, as distinct objects, at several exponents
+                x = {e: tuple(list(rng.choice(vecs))) for e in rng.sample(range(-6, 6), 4)}
+                x = {e: v for e, v in x.items() if v != module.zero_vector}
+                assert module.apply_F(x) == oracle_apply_F(module, x)

@@ -136,6 +136,7 @@ def _load_rep(args) -> CyclicRep:
     rep = _rep_from_json(data, args.p)
     if d is not None and rep.d != d:
         raise InvalidInputError(f"--d {d} conflicts with representation d={rep.d}")
+    _bound_d(args, rep.d, f"representation d={rep.d}")
     return rep
 
 
@@ -228,12 +229,25 @@ def _make_objects(args):
 
 def _window(args):
     """The level window [-N, N), checked before any object is built: a
-    degree-d cover puts up to d * 2N jumps on it."""
-    if args.d is not None and args.d * args.window > _GRID_BOUND:
+    degree-d cover puts up to d * 2N jumps on it.  A --rep literal's d
+    meets the same bound when it is read."""
+    args.level_window = (-args.window, args.window)
+    if args.d is not None:
+        _bound_d(args, args.d, f"--d {args.d}")
+    return args.level_window
+
+
+def _bound_d(args, d: int, name: str) -> None:
+    """Bound the cover degree d, called name in the message, as --d is
+    bounded: by _RANGE["d"], and by d * window once the command has read
+    its window."""
+    most = _RANGE["d"][1]
+    if d > most:
+        raise BoundExceededError(f"{name} must be <= {most}")
+    if getattr(args, "level_window", None) and d * args.window > _GRID_BOUND:
         raise BoundExceededError(
-            f"--d {args.d} times --window {args.window} is {args.d * args.window}, must be <= {_GRID_BOUND}"
+            f"{name} times --window {args.window} is {d * args.window}, must be <= {_GRID_BOUND}"
         )
-    return (-args.window, args.window)
 
 
 def cmd_build(args) -> int:

@@ -5,9 +5,11 @@ x in V^r (None for the zero section, read as +infinity).  Levels lie on
 one grid (1/den)Z per spec (den = d on the degree-d Kummer cover, p for
 the extension family), so inside the engine a level is its integer
 numerator over den.  graded(), the checkers, compare and
-shifted_exactness work on numerators; a Fraction is built only at the
-edge: the public level API, a graded report's levels and targets, and
-witness levels.  Each jump carries an explicit graded basis, and images
+shifted_exactness work on numerators, and a graded report and the
+A4/SS3 tables store them with their den; a Fraction is built only at
+the edge: the public level API and the level and target properties of
+a graded report.  JSON levels are written from the reduced numerator
+and den.  Each jump carries an explicit graded basis, and images
 of sections can be expressed exactly in that basis.  Graded coordinates
 are slice-exact: a section at level r can differ from its graded part
 only on the one slice of exponents that sits at r, so each spec reads
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
+from math import gcd
 
 from . import linalg
 from .crystal import ExtensionModule, KummerCrystal, build_extension
@@ -164,16 +166,19 @@ class FiltrationSpec:
         n = self._num(r)
         return [] if n is None else self.ilabels(n)
 
-    def graded_coords(self, x, r):
+    def graded_coords(self, x, r=None, n=None):
         """Coordinates of the class of x in Gr^r, or None.
 
         None means the class genuinely fails to land in the given
         graded basis (level too shallow, or a leading part outside the
         basis span).  At level r itself the answer is _raw_coords, whose
         slice-exact contract puts the remainder x - sum(coords * basis)
-        strictly deeper than r.  Off the grid, n < r*den < n + 1.
+        strictly deeper than r.  Off the grid, n < r*den < n + 1.  A
+        caller holding the level's numerator n passes it instead of r.
         """
-        n, rem = divmod(r.numerator * self.den, r.denominator)
+        rem = 0
+        if n is None:
+            n, rem = divmod(r.numerator * self.den, r.denominator)
         lvl = self.ilevel(x)
         if lvl is None or lvl > n:
             return [self.module.ctx.zero] * (0 if rem else self.idim(n))
@@ -578,18 +583,31 @@ def pullback_filtration(spec: FiltrationSpec, dprime: int) -> FiltrationSpec:
 # graded report
 
 
+def _level_json(n, den):
+    """level_json(Fraction(n, den)), from the reduced ints."""
+    if n is None:
+        return {"num": None, "den": None}
+    g = gcd(n, den)
+    return {"num": n // g, "den": den // g}
+
+
 @dataclass
 class GradedMap:
     ctx: object  # the FieldCtx of the matrix entries
-    target: Fraction
+    tn: int  # the target level is tn / den
+    den: int
     target_dim: int
     matrix: object  # tuple rows or None
     invertible: bool
     note: object = None
 
+    @property
+    def target(self) -> Fraction:
+        return Fraction(self.tn, self.den)
+
     def to_json(self):
         return {
-            "target": level_json(self.target),
+            "target": _level_json(self.tn, self.den),
             "target_dim": self.target_dim,
             "matrix": None
             if self.matrix is None
@@ -601,15 +619,20 @@ class GradedMap:
 
 @dataclass
 class GradedLevel:
-    level: Fraction
+    n: int  # the level is n / den
+    den: int
     dim: int
     labels: list
     f_map: GradedMap
     t_map: GradedMap
 
+    @property
+    def level(self) -> Fraction:
+        return Fraction(self.n, self.den)
+
     def to_json(self):
         return {
-            "level": level_json(self.level),
+            "level": _level_json(self.n, self.den),
             "dim": self.dim,
             "labels": self.labels,
             "frobenius": self.f_map.to_json(),
@@ -626,7 +649,11 @@ class GradedReport:
         return all(gl.f_map.invertible for gl in self.levels)
 
     def all_t_invertible(self, skip=(Fraction(-1),)) -> bool:
-        return all(gl.t_map.invertible for gl in self.levels if gl.level not in skip)
+        return all(
+            gl.t_map.invertible
+            for gl in self.levels
+            if not any(gl.n * r.denominator == r.numerator * gl.den for r in skip)
+        )
 
     def to_json(self):
         return {
@@ -635,17 +662,20 @@ class GradedReport:
         }
 
 
-def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int, invertible: dict) -> GradedMap:
-    """The map's matrix in the target basis.  invertible maps each matrix
-    already tested over spec's field to its verdict; it is filled in here."""
+def _graded_map(spec: FiltrationSpec, basis, images, tn: int, den: int, tdim: int, invertible: dict) -> GradedMap:
+    """The map's matrix in the basis of the tdim-dimensional piece at
+    tn / den, which is on spec's grid (den == spec.den) whenever there
+    are images.  invertible maps each matrix already tested over spec's
+    field to its verdict; it is filled in here."""
     ctx = spec.module.ctx
     cols = []
     for lbl_idx, y in enumerate(images):
-        coords = spec.graded_coords(y, target)
+        coords = spec.graded_coords(y, n=tn)
         if coords is None:
             return GradedMap(
                 ctx,
-                target,
+                tn,
+                den,
                 tdim,
                 None,
                 False,
@@ -655,27 +685,35 @@ def _graded_map(spec: FiltrationSpec, basis, images, target, tdim: int, invertib
     matrix = tuple(zip(*cols)) if cols else ((),) * tdim
     if tdim != len(basis):
         return GradedMap(
-            ctx, target, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
+            ctx, tn, den, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
         )
     inv = invertible.get(matrix)
     if inv is None:
         inv = invertible[matrix] = linalg.is_invertible(ctx, matrix)
-    return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
+    return GradedMap(ctx, tn, den, tdim, matrix, inv, None if inv else "matrix is singular")
+
+
+def _target(spec: FiltrationSpec, r):
+    """(numerator, den, dim) of the target level r: over spec.den on the
+    grid, else r's own reduced terms with dim 0."""
+    n = spec._num(r)
+    if n is None:
+        return r.numerator, r.denominator, 0
+    return n, spec.den, spec.idim(n)
 
 
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     """Matrix of the induced Frobenius Gr^r -> Gr^(p*r)."""
     basis = spec.graded_basis(r)
     images = [spec.module.apply_F(b) for b in basis]
-    target = spec.module.ctx.p * r
-    return _graded_map(spec, basis, images, target, spec.dim_at(target), {})
+    return _graded_map(spec, basis, images, *_target(spec, spec.module.ctx.p * r), {})
 
 
 def graded_t_map(spec: FiltrationSpec, r, power: int = 1) -> GradedMap:
     """Matrix of t^power multiplication Gr^r -> Gr^(r + power)."""
     basis = spec.graded_basis(r)
     images = [spec.module.mul_t_pow(b, power) for b in basis]
-    return _graded_map(spec, basis, images, r + power, spec.dim_at(r + power), {})
+    return _graded_map(spec, basis, images, *_target(spec, r + power), {})
 
 
 def _check_window(window) -> None:
@@ -692,12 +730,10 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     matrix of the induced Frobenius into the piece at p * level, and
     the matrix of t-multiplication into level + 1.  Targets may fall
     outside the window; sections are exact so the matrices still are.
-    Levels are numerators throughout; the report holds one Fraction
-    per numerator.
+    Levels and targets are numerators over den throughout.
     """
     _check_window(window)
     p, den = spec.module.ctx.p, spec.den
-    frac = cache(lambda n: Fraction(n, den))
     invertible = {}  # matrix -> is_invertible, for this call's one field
     out = []
     for n in spec.ijumps(window):
@@ -706,15 +742,9 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
             continue
         f_images = [spec.module.apply_F(b) for b in basis]
         t_images = [spec.module.mul_t(b) for b in basis]
-        out.append(
-            GradedLevel(
-                level=frac(n),
-                dim=len(basis),
-                labels=spec.ilabels(n),
-                f_map=_graded_map(spec, basis, f_images, frac(p * n), spec.idim(p * n), invertible),
-                t_map=_graded_map(spec, basis, t_images, frac(n + den), spec.idim(n + den), invertible),
-            )
-        )
+        f_map = _graded_map(spec, basis, f_images, p * n, den, spec.idim(p * n), invertible)
+        t_map = _graded_map(spec, basis, t_images, n + den, den, spec.idim(n + den), invertible)
+        out.append(GradedLevel(n, den, len(basis), spec.ilabels(n), f_map, t_map))
     return GradedReport(tuple(window), out)
 
 
@@ -730,7 +760,8 @@ class AxiomCheck:
     title: str
     status: str  # "pass" | "fail"
     witness: object = None
-    levels: object = None  # optional [(level, status, note)]
+    levels: object = None  # optional [(level numerator over den, status, note)]
+    den: int = 1
     info: dict = dc_field(default_factory=dict)
 
     def to_json(self):
@@ -739,8 +770,8 @@ class AxiomCheck:
             out["witness"] = self.witness
         if self.levels is not None:
             out["levels"] = [
-                {"level": level_json(r), "status": st, "note": note}
-                for r, st, note in self.levels
+                {"level": _level_json(n, self.den), "status": st, "note": note}
+                for n, st, note in self.levels
             ]
         if self.info:
             out["info"] = self.info
@@ -771,16 +802,18 @@ def _verdict(name, title, witness, **info):
     return AxiomCheck(name, title, "fail", witness=witness)
 
 
-def _level_json(n, den):
-    """level_json of the numerator n over den."""
-    return level_json(None if n is None else Fraction(n, den))
+def _sweep(spec: FiltrationSpec, window):
+    """The spanning family on the window as (label, section, level
+    numerator) triples."""
+    return [(label, x, spec.ilevel(x)) for label, x in spec.spanning(window)]
 
 
-def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=None) -> AxiomReport:
+def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=None, sweep=None) -> AxiomReport:
     """A1-A4 on the window; failures carry witnesses, A4 per level.
 
-    graded_report, when given, must be graded(spec, window); passing
-    it avoids recomputing the table the caller already has.
+    graded_report, when given, must be graded(spec, window), and sweep
+    the spanning family's (label, section, level numerator) triples on
+    the window; passing them avoids recomputing what the caller has.
     """
     _check_window(window)
     module = spec.module
@@ -788,32 +821,32 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     if depth is None:
         depth = spec.default_depth
     power = max(depth, 1)
-    sections = list(spec.spanning(window))
-    levels = [spec.ilevel(x) for _, x in sections]
+    if sweep is None:
+        sweep = _sweep(spec, window)
     top = window[1] * den
 
     checks = {}
 
     # A1: finite levels, and t-powers push any section past the window
     a1_witness = None
-    for (label, x), lvl in zip(sections, levels):
+    for label, x, lvl in sweep:
         if lvl is None:
             a1_witness = {"section": label, "reason": "no finite level on the window"}
             break
-    if a1_witness is None and sections:
-        label, x = sections[0]
-        k = max(1, -((levels[0] - top) // den))  # ceil(hi - level)
+    if a1_witness is None and sweep:
+        label, x, lvl = sweep[0]
+        k = max(1, -((lvl - top) // den))  # ceil(hi - level)
         esc = spec.ilevel(module.mul_t_pow(x, k))
         if esc is not None and esc < top:
             a1_witness = {
                 "section": label,
                 "reason": f"t^{k} failed to push the level past the window top",
             }
-    checks["A1"] = _verdict("A1", "finite presentation on the window", a1_witness, sections=len(sections))
+    checks["A1"] = _verdict("A1", "finite presentation on the window", a1_witness, sections=len(sweep))
 
     # A2: ideal^power raises levels by at least 1
     a2_witness = None
-    for (label, x), lvl in zip(sections, levels):
+    for label, x, lvl in sweep:
         if lvl is None:
             continue
         moved = spec.ilevel(spec.mul_ideal(x, power))
@@ -831,7 +864,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A3: Frobenius multiplies levels by at least p
     a3_witness = None
-    for (label, x), lvl in zip(sections, levels):
+    for label, x, lvl in sweep:
         if lvl is None:
             continue
         flvl = spec.ilevel(module.apply_F(x))
@@ -850,29 +883,31 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     first_fail = None
     for gl in rep.levels:
         if gl.f_map.invertible:
-            levels.append((gl.level, "pass", None))
+            levels.append((gl.n, "pass", None))
         else:
             note = gl.f_map.note or "graded Frobenius is not bijective"
-            levels.append((gl.level, "fail", note))
+            levels.append((gl.n, "fail", note))
             if first_fail is None:
-                first_fail = {"level": level_json(gl.level), "reason": note}
+                first_fail = {"level": _level_json(gl.n, den), "reason": note}
     checks["A4"] = AxiomCheck(
         "A4",
         "graded Frobenius bijective",
         "pass" if first_fail is None else "fail",
         witness=first_fail,
         levels=levels,
+        den=den,
     )
     return AxiomReport(checks)
 
 
-def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport:
-    """SS1-SS3 on the window; graded_report as in check_specializing."""
+def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) -> AxiomReport:
+    """SS1-SS3 on the window; graded_report and sweep as in
+    check_specializing."""
     _check_window(window)
     module = spec.module
     den = spec.den
-    sections = list(spec.spanning(window))
-    levels = [spec.ilevel(x) for _, x in sections]
+    if sweep is None:
+        sweep = _sweep(spec, window)
     checks = {}
 
     # SS1: sections of level >= 0 are t-power multiples of the
@@ -880,7 +915,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     ss1_witness = None
     gens = sum(spec.idim(n) for n in spec.ijumps((0, 1)))
     bases = {}  # residue numerator -> its graded basis
-    for (label, x), lvl in zip(sections, levels):
+    for label, x, lvl in sweep:
         if lvl is None or lvl < 0:
             continue
         k, rest = divmod(lvl, den)
@@ -893,7 +928,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
 
     # SS2: t V^i = V^(i+1) for i != -1
     ss2_witness = None
-    for (label, x), lvl in zip(sections, levels):
+    for label, x, lvl in sweep:
         if lvl is None:
             continue
         up = spec.ilevel(module.mul_t(x))
@@ -925,22 +960,22 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
     first_fail = None
     exception = None
     for gl in rep.levels:
-        if gl.level == -1:
+        if gl.n == -den:
             note = None if gl.t_map.invertible else (gl.t_map.note or "not bijective")
             exception = {
-                "level": level_json(gl.level),
+                "level": _level_json(gl.n, den),
                 "invertible": gl.t_map.invertible,
                 "note": note,
             }
-            levels.append((gl.level, "exempt", note))
+            levels.append((gl.n, "exempt", note))
             continue
         if gl.t_map.invertible:
-            levels.append((gl.level, "pass", None))
+            levels.append((gl.n, "pass", None))
         else:
             note = gl.t_map.note or "graded t-map is not bijective"
-            levels.append((gl.level, "fail", note))
+            levels.append((gl.n, "fail", note))
             if first_fail is None:
-                first_fail = {"level": level_json(gl.level), "reason": note}
+                first_fail = {"level": _level_json(gl.n, den), "reason": note}
     info = {}
     if exception is not None:
         info["exception_at_minus_one"] = exception
@@ -950,16 +985,19 @@ def check_super(spec: FiltrationSpec, window, graded_report=None) -> AxiomReport
         "pass" if first_fail is None else "fail",
         witness=first_fail,
         levels=levels,
+        den=den,
         info=info,
     )
     return AxiomReport(checks)
 
 
 def check_axioms(spec: FiltrationSpec, window, depth=None, graded_report=None) -> AxiomReport:
+    """A1-A4 and SS1-SS3 on one graded report and one spanning sweep."""
     if graded_report is None:
         graded_report = graded(spec, window)
-    return check_specializing(spec, window, depth, graded_report).merge(
-        check_super(spec, window, graded_report)
+    sweep = _sweep(spec, window)
+    return check_specializing(spec, window, depth, graded_report, sweep).merge(
+        check_super(spec, window, graded_report, sweep)
     )
 
 

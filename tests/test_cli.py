@@ -229,6 +229,18 @@ HUGE_M = str(2**70)
             "bound",
             "--d 255 times --window 1024 is 261120, must be <= 2048",
         ),
+        # a --rep literal's d meets the same bounds as --d
+        (["build", "--p", "2", "--rep", '{"d":1023,"mat":[[1]]}'], "bound", "representation d=1023 must be <= 256"),
+        (
+            ["graded", "--p", "2", "--rep", '{"d":1023,"mat":[[1]]}', "--window", "4"],
+            "bound",
+            "representation d=1023 must be <= 256",
+        ),
+        (
+            ["graded", "--p", "2", "--rep", '{"d":255,"mat":[[1]]}', "--window", "16"],
+            "bound",
+            "representation d=255 times --window 16 is 4080, must be <= 2048",
+        ),
     ],
     ids=[
         "window-0",
@@ -247,6 +259,9 @@ HUGE_M = str(2**70)
         "window-1025",
         "roundtrip-huge-count",
         "level-grid",
+        "build-rep-literal-d",
+        "graded-rep-literal-d",
+        "rep-literal-level-grid",
     ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):

@@ -64,8 +64,8 @@ def oracle_raw_coords(spec, x, n):
 def oracle_map(spec, dim, images, n):
     """The GradedMap of images (of a dim-dimensional basis) into the
     graded piece at numerator n."""
-    ctx = spec.module.ctx
-    target, tdim = Fraction(n, spec.den), spec.idim(n)
+    ctx, den = spec.module.ctx, spec.den
+    tdim = spec.idim(n)
     cols = []
     for j, y in enumerate(images):
         lvl = spec.ilevel(y)
@@ -75,13 +75,13 @@ def oracle_map(spec, dim, images, n):
             coords = None if lvl < n else oracle_raw_coords(spec, y, n)
         if coords is None:
             note = f"image of basis vector {j} has no class in the graded piece at the target"
-            return GradedMap(ctx, target, tdim, None, False, note)
+            return GradedMap(ctx, n, den, tdim, None, False, note)
         cols.append(coords)
     matrix = tuple(tuple(col[i] for col in cols) for i in range(tdim))
     if tdim != dim:
-        return GradedMap(ctx, target, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+        return GradedMap(ctx, n, den, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
     inv = linalg.is_invertible(ctx, matrix)
-    return GradedMap(ctx, target, tdim, matrix, inv, None if inv else "matrix is singular")
+    return GradedMap(ctx, n, den, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
 def oracle_graded(spec, window):
@@ -93,7 +93,7 @@ def oracle_graded(spec, window):
             continue
         f_map = oracle_map(spec, len(basis), [oracle_apply_F(mod, b) for b in basis], mod.ctx.p * n)
         t_map = oracle_map(spec, len(basis), [mod.mul_t(b) for b in basis], n + den)
-        levels.append(GradedLevel(Fraction(n, den), len(basis), spec.ilabels(n), f_map, t_map))
+        levels.append(GradedLevel(n, den, len(basis), spec.ilabels(n), f_map, t_map))
     return GradedReport(tuple(window), levels)
 
 

@@ -108,6 +108,8 @@ def _rep_from_json(data, p: int) -> CyclicRep:
             raise InvalidInputError(f"representation {name} must be an integer, not {value!r}")
     if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
         raise InvalidInputError("representation mat must be a list of lists")
+    if len(mat) > _RANGE["rank"][1]:
+        raise BoundExceededError(f"representation rank={len(mat)} must be <= {_RANGE['rank'][1]}")
     if any(type(x) is not int for row in mat for x in row):
         raise InvalidInputError("representation mat entries must be integers")
     return CyclicRep(d, p, tuple(map(tuple, mat)))
@@ -400,13 +402,22 @@ def _roundtrip_from_file(args) -> dict:
                 ctx = make_field(rep.p, resolve_m(rep.p, rep.d, args.m))
                 verdict = gf_roundtrip(rep, ctx, args.cap)
             elif "classes" in entry:
-                d = _key(entry, "d")
+                d, classes = _key(entry, "d"), _key(entry, "classes")
+                if type(d) is not int or d < 1:
+                    raise InvalidInputError(f"graded object d must be a positive integer, not {d!r}")
+                _bound_d(args, d, f"graded object d={d}")
+                if not isinstance(classes, list):
+                    raise InvalidInputError("graded object classes must be a list")
+                for cls in classes:
+                    a, dim = _key(cls, "a"), _key(cls, "dim")
+                    if type(a) is not int or not 0 <= a < d or type(dim) is not int or dim < 0:
+                        raise InvalidInputError(f"class a={a!r} dim={dim!r} is not a class of d={d}")
                 ctx = make_field(args.p, resolve_m(args.p, d, args.m))
                 dims = [0] * d
                 mats = [()] * d
-                for cls in entry["classes"]:
-                    a = _key(cls, "a")
-                    dims[a] = _key(cls, "dim")
+                for cls in classes:
+                    a = cls["a"]
+                    dims[a] = cls["dim"]
                     mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in _key(cls, "C"))
                 obj = CGObject(ctx, d, tuple(dims), tuple(mats))
                 verdict = fg_roundtrip(obj, args.cap)

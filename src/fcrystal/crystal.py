@@ -5,11 +5,10 @@ A representation of Z/d on F_p^r (d prime to p) determines, over any
 F_q containing the d-th roots of unity, a weight decomposition: the
 generator acts on the weight-a eigenspace by xi^a.  Descending the
 trivialized pullback along the degree-d Kummer cover packages this as
-a KummerCrystal: each weight a carries a dimension, a shift
+a KummerCrystal: each weight a carries a dimension and a shift
 epsilon_a = (d - a) mod d locating its sections among the cover
-coordinate's exponent classes, and an invertible transition matrix
-B_a expressing the p-power images of the weight-a basis in the
-weight-(p*a) basis.
+coordinate's exponent classes.  The weight bases are Frobenius-
+compatible, so every transition matrix is the identity.
 
 ExtensionModule models extensions of the structure sheaf by the
 delta module at the origin, k((t))/k[[t]]: pairs (f, g) of Laurent
@@ -36,6 +35,19 @@ def _reduce_mat(mat, p: int):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InvalidInputError("representation matrix must be square")
+    return rows
+
+
+def _companion_block(coeffs, p: int):
+    # coeffs ascending with leading 1; block has that characteristic polynomial
+    k = len(coeffs) - 1
+    rows = []
+    for i in range(k):
+        row = [0] * k
+        if i > 0:
+            row[i - 1] = 1
+        row[k - 1] = (row[k - 1] - coeffs[i]) % p
+        rows.append(row)
     return rows
 
 
@@ -81,15 +93,7 @@ class CyclicRep:
         """Companion matrix of 1 + x + ... + x^(d-1); faithful of rank d-1."""
         if d < 2:
             raise InvalidInputError("companion form needs d >= 2")
-        r = d - 1
-        rows = []
-        for i in range(r):
-            row = [0] * r
-            if i > 0:
-                row[i - 1] = 1
-            row[r - 1] = (row[r - 1] - 1) % p
-            rows.append(tuple(row))
-        return cls(d, p, tuple(rows))
+        return cls(d, p, tuple(map(tuple, _companion_block([1] * d, p))))
 
     def to_json(self):
         return {"d": self.d, "p": self.p, "mat": [list(r) for r in self.mat]}
@@ -119,27 +123,12 @@ class WeightDecomposition:
     """
 
     ctx: FieldCtx
-    d: int
     xi: tuple
-    rank: int
     bases: dict
 
     @property
     def dims(self) -> dict:
         return {a: len(rows) for a, (rows, _) in self.bases.items()}
-
-    def to_json(self):
-        coeffs = self.ctx.coeffs
-        return {
-            "field": self.ctx.to_json(),
-            "d": self.d,
-            "xi": list(coeffs(self.xi)),
-            "dims": {str(a): len(rows) for a, (rows, _) in sorted(self.bases.items())},
-            "bases": {
-                str(a): [[list(coeffs(x)) for x in row] for row in rows]
-                for a, (rows, _) in sorted(self.bases.items())
-            },
-        }
 
 
 def weight_decompose(rep: CyclicRep, ctx: FieldCtx) -> WeightDecomposition:
@@ -183,44 +172,25 @@ def weight_decompose(rep: CyclicRep, ctx: FieldCtx) -> WeightDecomposition:
     bases = {a: found[a] for a in range(d) if found[a][0]}
     if sum(len(rows) for rows, _ in bases.values()) != r:
         raise InvalidInputError("action is not diagonalizable over this field")
-    return WeightDecomposition(ctx, d, xi, r, bases)
+    return WeightDecomposition(ctx, xi, bases)
 
 
 def frobenius_on_weights(dec: WeightDecomposition) -> dict:
-    """Transition matrices B_a with U_(p*a) B_a = U_a^(p).
+    """Transition matrices B_a with U_(p*a) B_a = U_a^(p), row-major.
 
     U_a has the weight-a basis vectors as columns and ^(p) is the
-    coordinatewise p-power; each B_a is square and invertible.  B_a is
-    returned row-major with shape dim(p*a) x dim(a).
+    coordinatewise p-power.  Every B_a is the identity of size dim(a).
+    weight_decompose builds U_(p*a) as U_a^(p) along each orbit.  At the
+    orbit's closure, after L steps, U_a^(p^L) is the RREF basis of the
+    kernel of A - xi^(p^L*a) = A - xi^a: Frobenius commutes with RREF
+    and fixes A's F_p entries.  A subspace has one RREF basis, so
+    U_a^(p^L) = U_a.
     """
-    ctx = dec.ctx
-    p, d = ctx.p, dec.d
-    out = {}
-    for a, (rows, _) in dec.bases.items():
-        ta = (p * a) % d
-        if ta not in dec.bases:
-            raise InvalidInputError(
-                f"weight {a} maps to weight {ta} which is empty: not Frobenius-stable"
-            )
-        trows, tpiv = dec.bases[ta]
-        if len(trows) != len(rows):
-            raise InvalidInputError(
-                f"weights {a} and {ta} in one orbit have dimensions {len(rows)} != {len(trows)}"
-            )
-        cols = []
-        for u in rows:
-            img = tuple(ctx.frob(x) for x in u)
-            coords = linalg.express(ctx, trows, tpiv, img)
-            if coords is None:
-                raise InvalidInputError(
-                    f"p-power image of weight-{a} basis leaves weight {ta}"
-                )
-            cols.append(coords)
-        mat = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(trows)))
-        if not linalg.is_invertible(ctx, mat):
-            raise InvalidInputError(f"transition matrix at weight {a} is singular")
-        out[a] = mat
-    return out
+    one, zero = dec.ctx.one, dec.ctx.zero
+    return {
+        a: tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        for a, n in dec.dims.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -230,7 +200,8 @@ class KummerCrystal:
     Per nonzero weight a: dims[a], the exponent shift
     shifts[a] = (d - a) mod d (weight-a sections live on cover
     exponents congruent to it), the echelonized weight basis, and the
-    invertible transition matrix frob_mats[a] into weight p*a mod d.
+    transition matrix frob_mats[a] into weight p*a mod d, which is the
+    identity (see frobenius_on_weights).
     """
 
     rep: CyclicRep
@@ -283,13 +254,6 @@ def build_kummer_crystal(rep: CyclicRep, ctx: FieldCtx) -> KummerCrystal:
         bases=dec.bases,
         frob_mats=mats,
     )
-
-
-def galois_orbit_check(kc: KummerCrystal) -> bool:
-    """Dimensions are constant along a |-> p*a orbits (transition matrices
-    are square), the structural sanity the construction relies on."""
-    p = kc.ctx.p
-    return all(kc.dims[(p * a) % kc.d] == kc.dims[a] for a in kc.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from random import Random
 
 from . import linalg
-from .crystal import CyclicRep
+from .crystal import CyclicRep, _companion_block
 from .errors import InvalidInputError
 from .field import primitive_root_of_unity
 from .functors import CGObject, functor_F, transition_residual
@@ -55,19 +55,6 @@ def orbit_polynomial(ctx, d: int, orbit) -> list:
     if poly != [ctx.from_int(c) for c in out]:
         raise InvalidInputError(f"orbit {orbit} is not p-stable over this field")
     return out
-
-
-def _companion_block(coeffs, p: int):
-    # coeffs ascending with leading 1; block has that characteristic polynomial
-    k = len(coeffs) - 1
-    rows = []
-    for i in range(k):
-        row = [0] * k
-        if i > 0:
-            row[i - 1] = 1
-        row[k - 1] = (row[k - 1] - coeffs[i]) % p
-        rows.append(row)
-    return rows
 
 
 def _block_diag(blocks):

@@ -802,6 +802,40 @@ def _verdict(name, title, witness, **info):
     return AxiomCheck(name, title, "fail", witness=witness)
 
 
+def _graded_check(name, title, maps, den, default_note, exempt=None):
+    """The per-level table of a graded map, maps [(numerator, GradedMap)]:
+    it fails at the first level whose map is not bijective.  The level
+    with numerator exempt (-den for SS3) is recorded, not judged."""
+    levels = []
+    first_fail = None
+    info = {}
+    for n, gmap in maps:
+        if n == exempt:
+            note = None if gmap.invertible else (gmap.note or "not bijective")
+            info["exception_at_minus_one"] = {
+                "level": _level_json(n, den),
+                "invertible": gmap.invertible,
+                "note": note,
+            }
+            levels.append((n, "exempt", note))
+        elif gmap.invertible:
+            levels.append((n, "pass", None))
+        else:
+            note = gmap.note or default_note
+            levels.append((n, "fail", note))
+            if first_fail is None:
+                first_fail = {"level": _level_json(n, den), "reason": note}
+    return AxiomCheck(
+        name,
+        title,
+        "pass" if first_fail is None else "fail",
+        witness=first_fail,
+        levels=levels,
+        den=den,
+        info=info,
+    )
+
+
 def _sweep(spec: FiltrationSpec, window):
     """The spanning family on the window as (label, section, level
     numerator) triples."""
@@ -879,23 +913,12 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A4: graded Frobenius bijective on nonzero pieces
     rep = graded_report if graded_report is not None else graded(spec, window)
-    levels = []
-    first_fail = None
-    for gl in rep.levels:
-        if gl.f_map.invertible:
-            levels.append((gl.n, "pass", None))
-        else:
-            note = gl.f_map.note or "graded Frobenius is not bijective"
-            levels.append((gl.n, "fail", note))
-            if first_fail is None:
-                first_fail = {"level": _level_json(gl.n, den), "reason": note}
-    checks["A4"] = AxiomCheck(
+    checks["A4"] = _graded_check(
         "A4",
         "graded Frobenius bijective",
-        "pass" if first_fail is None else "fail",
-        witness=first_fail,
-        levels=levels,
-        den=den,
+        [(gl.n, gl.f_map) for gl in rep.levels],
+        den,
+        "graded Frobenius is not bijective",
     )
     return AxiomReport(checks)
 
@@ -956,37 +979,13 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
 
     # SS3: graded t bijective away from level -1
     rep = graded_report if graded_report is not None else graded(spec, window)
-    levels = []
-    first_fail = None
-    exception = None
-    for gl in rep.levels:
-        if gl.n == -den:
-            note = None if gl.t_map.invertible else (gl.t_map.note or "not bijective")
-            exception = {
-                "level": _level_json(gl.n, den),
-                "invertible": gl.t_map.invertible,
-                "note": note,
-            }
-            levels.append((gl.n, "exempt", note))
-            continue
-        if gl.t_map.invertible:
-            levels.append((gl.n, "pass", None))
-        else:
-            note = gl.t_map.note or "graded t-map is not bijective"
-            levels.append((gl.n, "fail", note))
-            if first_fail is None:
-                first_fail = {"level": _level_json(gl.n, den), "reason": note}
-    info = {}
-    if exception is not None:
-        info["exception_at_minus_one"] = exception
-    checks["SS3"] = AxiomCheck(
+    checks["SS3"] = _graded_check(
         "SS3",
         "graded t bijective away from -1",
-        "pass" if first_fail is None else "fail",
-        witness=first_fail,
-        levels=levels,
-        den=den,
-        info=info,
+        [(gl.n, gl.t_map) for gl in rep.levels],
+        den,
+        "graded t-map is not bijective",
+        exempt=-den,
     )
     return AxiomReport(checks)
 

@@ -200,6 +200,7 @@ def test_cap_exit_carries_the_profile(capsys):
 
 
 HUGE_M = str(2**70)
+IDENTITY_65 = json.dumps({"d": 1, "mat": [[int(i == j) for j in range(65)] for i in range(65)]})
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,8 @@ HUGE_M = str(2**70)
             "bound",
             "representation d=255 times --window 16 is 4080, must be <= 2048",
         ),
+        # and its rank the same bound as --rank
+        (["vfilt", "--p", "5", "--rep", IDENTITY_65, "--window", "4"], "bound", "representation rank=65 must be <= 64"),
     ],
     ids=[
         "window-0",
@@ -262,6 +265,7 @@ HUGE_M = str(2**70)
         "build-rep-literal-d",
         "graded-rep-literal-d",
         "rep-literal-level-grid",
+        "rep-literal-rank",
     ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):
@@ -395,6 +399,30 @@ def test_non_integer_roundtrip_entry_is_rejected(capsys, tmp_path):
     code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", str(path)])
     assert code == 2
     assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": 2}
+
+    # a graded object's d, class indices and dimensions are checked
+    # before any field or list is built; these used to raise IndexError
+    # and TypeError tracebacks, or allocate lists of 2^40 entries
+    bad = [
+        {"d": 3, "classes": [{"a": 7, "dim": 1, "C": [[1]]}]},
+        {"d": 3, "classes": [{"a": -1, "dim": 1, "C": [[1]]}]},
+        {"d": "x", "classes": []},
+        {"d": 0, "classes": []},
+        {"d": 3, "classes": [{"a": 0, "dim": -1, "C": []}]},
+        {"d": 3, "classes": [{"a": 0, "dim": 1.5, "C": [[1]]}]},
+        {"d": 3, "classes": 5},
+    ]
+    path.write_text(json.dumps(bad + [{"d": 1, "mat": [[1]]}]))
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", str(path)])
+    assert code == 2
+    assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": len(bad)}
+
+    path.write_text(json.dumps([{"d": 2**40 - 1, "classes": [{"a": 0, "dim": 1, "C": [[1]]}]}]))
+    start = time.perf_counter()
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "2", "--rep", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep["result"]["counts"] == {"fail": 0, "pass": 0, "rejected": 1}
 
 
 def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):

@@ -10,7 +10,6 @@ from fcrystal import (
     build_extension,
     build_kummer_crystal,
     direct_sum,
-    galois_orbit_check,
     make_field,
     mc_depth_grading,
     mc_vfilt,
@@ -101,11 +100,6 @@ def test_kummer_frobenius_relation():
                 tuple(r) for r in ua_p
             )
             assert linalg.is_invertible(F25, kc.frob_mats[a])
-
-
-def test_galois_orbit_check():
-    kc = build_kummer_crystal(CyclicRep.companion(3, 5), F25)
-    assert galois_orbit_check(kc)
 
 
 def test_delta_element_operations():

@@ -1,16 +1,20 @@
-"""weight_decompose takes one kernel per Frobenius orbit of weights.
+"""weight_decompose takes one kernel per Frobenius orbit of weights,
+and frobenius_on_weights states that every transition is the identity.
 
-The oracle is the per-weight loop it replaced: one F_q kernel of
-A - xi^a for every weight a.  Frobenius commutes with reduced row
-echelon form, so the orbit shortcut must reproduce that loop entry for
-entry, pivots and insertion order included.
+The oracles are the computations these shortcuts replaced: one F_q
+kernel of A - xi^a for every weight a, and the transition solve that
+expresses each p-power image of the weight-a basis in the
+weight-(p*a) basis.  Frobenius commutes with reduced row echelon form,
+so the orbit shortcut must reproduce the kernel loop entry for entry,
+pivots and insertion order included, and the solve must return the
+identity everywhere.
 """
 
 from random import Random
 
 import pytest
 
-from fcrystal import CyclicRep, linalg, make_field, weight_decompose
+from fcrystal import CyclicRep, build_kummer_crystal, linalg, make_field, weight_decompose
 from fcrystal.cli import resolve_m
 from fcrystal.field import primitive_root_of_unity
 from fcrystal.samples import character_orbits, random_rep
@@ -36,15 +40,42 @@ def _oracle_bases(rep, ctx):
     return bases
 
 
+def _oracle_transitions(ctx, d, bases):
+    """The transition solve: B_a with U_(p*a) B_a = U_a^(p), invertible."""
+    out = {}
+    for a, (rows, _) in bases.items():
+        trows, tpiv = bases[(ctx.p * a) % d]
+        assert len(trows) == len(rows)
+        cols = [linalg.express(ctx, trows, tpiv, tuple(ctx.frob(x) for x in u)) for u in rows]
+        assert None not in cols
+        mat = tuple(tuple(col[i] for col in cols) for i in range(len(trows)))
+        assert linalg.is_invertible(ctx, mat)
+        out[a] = mat
+    return out
+
+
 def _field(p, d):
     return make_field(p, resolve_m(p, d, None))
 
 
 def _assert_matches_oracle(rep, ctx):
-    got = weight_decompose(rep, ctx).bases
+    kc = build_kummer_crystal(rep, ctx)
+    got = kc.bases
     want = _oracle_bases(rep, ctx)
     assert list(got) == list(want), rep.mat
     assert got == want, rep.mat
+    for a, mat in _oracle_transitions(ctx, rep.d, want).items():
+        n = len(mat)
+        identity = tuple(tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n))
+        assert mat == kc.frob_mats[a] == identity, (rep.mat, a)
+    # the p-power of the orbit's last basis is the first basis again
+    for orbit in character_orbits(rep.d, ctx.p):
+        first = last = orbit[0]
+        if first not in got:
+            continue
+        while (ctx.p * last) % rep.d != first:
+            last = (ctx.p * last) % rep.d
+        assert linalg.mat_frob(ctx, got[last][0]) == got[first][0], (rep.mat, first, last)
 
 
 @pytest.mark.parametrize("p, d", PAIRS)

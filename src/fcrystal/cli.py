@@ -388,6 +388,11 @@ def cmd_sol(args) -> int:
     return _emit(args, "sol", result, 0)
 
 
+def _is_element(x) -> bool:
+    """A JSON field element: an integer or a list of integer coefficients."""
+    return type(x) is int or isinstance(x, list) and all(type(c) is int for c in x)
+
+
 def _roundtrip_from_file(args) -> dict:
     entries = _read_json(args.rep)
     if isinstance(entries, dict):
@@ -409,16 +414,22 @@ def _roundtrip_from_file(args) -> dict:
                 if not isinstance(classes, list):
                     raise InvalidInputError("graded object classes must be a list")
                 for cls in classes:
-                    a, dim = _key(cls, "a"), _key(cls, "dim")
+                    a, dim, mat = _key(cls, "a"), _key(cls, "dim"), _key(cls, "C")
                     if type(a) is not int or not 0 <= a < d or type(dim) is not int or dim < 0:
                         raise InvalidInputError(f"class a={a!r} dim={dim!r} is not a class of d={d}")
+                    if not isinstance(mat, list) or not all(
+                        isinstance(row, list) and all(map(_is_element, row)) for row in mat
+                    ):
+                        raise InvalidInputError(
+                            f"class a={a} C must be a list of lists of integers or integer lists"
+                        )
                 ctx = make_field(args.p, resolve_m(args.p, d, args.m))
                 dims = [0] * d
                 mats = [()] * d
                 for cls in classes:
                     a = cls["a"]
                     dims[a] = cls["dim"]
-                    mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in _key(cls, "C"))
+                    mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in cls["C"])
                 obj = CGObject(ctx, d, tuple(dims), tuple(mats))
                 verdict = fg_roundtrip(obj, args.cap)
             else:

@@ -710,7 +710,8 @@ def saturate_fixed_points(
     over F_{q^r} the fixed space has dimension dim_{F_q} ker(N^r - I)
     and the saturation degree is the multiplicative order of N.  The
     m-th power of the flattened operator is the flattened N, so each
-    degree costs one F_p rank; only the degree that saturates builds
+    degree costs one F_p rank, taken on N^r held as packed rows from
+    one degree to the next; only the degree that saturates builds
     F_{q^r}, whose fixed-space kernel gives the basis and must have n
     rows.  A degree whose field order exceeds DEFAULT_ORDER_BOUND raises
     BoundExceededError, as building that field would.  Raises
@@ -729,15 +730,13 @@ def saturate_fixed_points(
     rows, _ = _fixed_point_rows(ctx, op.entries)
     profile = [(1, len(rows))]
     if len(rows) < n:
-        norm = linalg.mat_pow_int(_flat_operator(ctx, op.entries), m, p)
-        power = norm
+        ranks = linalg._power_ranks(linalg.mat_pow_int(_flat_operator(ctx, op.entries), m, p), p)
         for r in range(2, cap + 1):
             if p ** (m * r) > DEFAULT_ORDER_BOUND:
                 make_field(p, m * r)  # raises BoundExceededError
-            power = linalg.mat_mul_int(power, norm, p)
-            _, pivots = linalg.rref_int(_minus_identity([row[:] for row in power], p), p)
-            profile.append((r, n - len(pivots) // m))
-            if not pivots:
+            rank = next(ranks)
+            profile.append((r, n - rank // m))
+            if not rank:
                 break
         else:
             raise CapExceededError(message, tuple(profile))

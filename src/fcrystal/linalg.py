@@ -1,13 +1,32 @@
 """Exact linear algebra over prime fields and their extensions.
 
-Two parallel toolkits.  The ``*_int`` functions work on matrices of
-Python ints reduced mod p (rows are lists/tuples of ints); they are the
-hot path for the flattened F_p computations.  The ctx functions work on
-matrices whose entries are field elements of a ``FieldCtx`` (any object
-providing add/sub/neg/mul/inv/is_zero/zero/one and the row kernel
-``sub_scaled(u, c, v)``, the list of u[k] - c*v[k]); they reach the
-elements only through these methods.  ``rref`` and ``express`` eliminate
-one row per ``sub_scaled`` call.
+The ``*_int`` functions work on matrices of Python ints mod p: they
+take rows as lists or tuples of any ints and return lists of ints in
+[0, p).  Elimination (``rref_int``, and through it ``kernel_int`` and
+``invert_int``) and products (``mat_mul_int``, ``mat_pow_int``) hold
+each row of ``width`` entries as one int with fixed-width lanes
+(``_Lanes``, private): entry j sits in lane width-1-j, so the leading
+entry is the top lane and the largest row has the leftmost lead.  A row
+operation is one big-int multiply-add, row + (p - f) * pivot_row, and a
+pivot lane is one shift and mask.
+
+Before a reduction every lane holds some v <= bound: p(p-1) after a row
+operation, terms * (p-1)^2 in a sum of ``terms`` products.  All lanes
+then reduce mod p at once, V - (((V * M) >> s) & Q) * p, with s the bit
+length of bound * p, M = ceil(2^s / p) and Q the low lane width - s bits
+of every lane; lanes are wide enough for bound * M, so no lane carries
+into the next.  Each lane's quotient is exact: with M p = 2^s + e,
+0 <= e < p, v M / 2^s = v / p + v e / (p 2^s), where the last term is
+below 1/p because v p < 2^s, and the fractional part of v / p is at
+most (p-1)/p.  This is delayed modular reduction (Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008) with a multiply-shift quotient (Granlund
+and Montgomery, PLDI 1994), on one path for every prime.
+
+The ctx functions work on matrices whose entries are field elements of
+a ``FieldCtx`` (any object providing add/sub/neg/mul/inv/is_zero/zero/
+one and the row kernel ``sub_scaled(u, c, v)``, the list of
+u[k] - c*v[k]); they reach the elements only through these methods.
+``rref`` and ``express`` eliminate one row per ``sub_scaled`` call.
 
 Echelonized bases are returned as (rows, pivots): ``rows`` is in
 reduced row echelon form with leading entries 1, ``pivots`` the column
@@ -17,54 +36,130 @@ is a pivot read-off followed by an exact remainder check.
 
 from __future__ import annotations
 
+import functools
 
 # ---------------------------------------------------------------------------
 # prime-field (int) matrices
 
 
+class _Lanes:
+    """The packed layout of rows of ``width`` entries mod p whose lanes
+    may hold, before a reduction, a row operation a + (p - f) b or a sum
+    of ``terms`` products of residues.  ``shift`` and ``magic`` are s and
+    M of the module docstring; ``bits`` is the lane width."""
+
+    __slots__ = ("p", "width", "bits", "mask", "shift", "magic", "qmask", "shifts")
+
+    def __init__(self, p, width, terms):
+        bound = (p - 1) * max(p, terms * (p - 1))  # largest unreduced lane
+        self.p, self.width = p, width
+        self.shift = (bound * p).bit_length()
+        self.magic = -(-(1 << self.shift) // p)
+        self.bits = (bound * self.magic).bit_length()
+        self.mask = (1 << self.bits) - 1
+        ones = ((1 << self.bits * width) - 1) // self.mask
+        self.qmask = ((1 << self.bits - self.shift) - 1) * ones
+        self.shifts = [self.bits * (width - 1 - j) for j in range(width)]
+
+    def reduce(self, v):
+        """Every lane of v mod p."""
+        return v - (((v * self.magic) >> self.shift) & self.qmask) * self.p
+
+    def pack(self, row):
+        p, bits, acc = self.p, self.bits, 0
+        for x in row:
+            acc = (acc << bits) | (x % p)
+        return acc
+
+    def unpack(self, v):
+        mask = self.mask
+        return [(v >> s) & mask for s in self.shifts]
+
+    def combine(self, coeffs, rows):
+        """The packed rows sum_k c[k] rows[k], one for each coefficient row c."""
+        p, out = self.p, []
+        for c in coeffs:
+            acc = 0
+            for x, row in zip(c, rows):
+                x %= p
+                if x:
+                    acc += x * row
+            out.append(self.reduce(acc))
+        return out
+
+
+@functools.lru_cache(maxsize=256)  # bounded: every matrix shape makes a layout
+def _lanes(p, width, terms=1):
+    return _Lanes(p, width, terms)
+
+
+def _rref_packed(rows, lanes):
+    """Reduced row echelon form of packed rows, in place: returns the
+    nonzero rows and the pivot columns.  The largest remaining row has
+    the leftmost leading entry; the form is unique, so the choice among
+    rows sharing it does not show."""
+    p, bits, mask, reduce = lanes.p, lanes.bits, lanes.mask, lanes.reduce
+    n = len(rows)
+    pivots = []
+    for r in range(n):
+        top = max(rows[r:])
+        if not top:
+            break
+        i = rows.index(top, r)
+        rows[i] = rows[r]
+        shift = (top.bit_length() - 1) // bits * bits
+        lead = top >> shift
+        if lead != 1:
+            top = reduce(top * pow(lead, -1, p))
+        rows[r] = top
+        for i in range(n):
+            if i != r:
+                f = (rows[i] >> shift) & mask
+                if f:
+                    rows[i] = reduce(rows[i] + (p - f) * top)
+        pivots.append(lanes.width - 1 - shift // bits)
+    return rows[: len(pivots)], pivots
+
+
 def rref_int(rows, p):
     """Reduced row echelon form mod p.  Returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+    lanes = _lanes(p, len(rows[0]) if rows else 0)
+    red, pivots = _rref_packed([lanes.pack(row) for row in rows], lanes)
+    return [lanes.unpack(v) for v in red], pivots
 
 
 def kernel_int(mat, p):
-    """Echelonized basis of {v : mat @ v = 0} mod p.  Returns (rows, pivots)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    red, pivots = rref_int(mat, p)
-    pivset = set(pivots)
+    """Echelonized basis of {v : mat @ v = 0} mod p.  Returns (rows, pivots).
+
+    Eliminates with the columns reversed.  There each non-pivot column f
+    gives the kernel vector that is 1 at f, minus column f of the reduced
+    rows at their pivots, and 0 at the other non-pivot columns; a row
+    with an entry in column f has its pivot left of f.  Put back in
+    order, every vector leads with the 1 at its own f and is 0 at the
+    other vectors' leads, so the vectors are already reduced."""
+    ncols = len(mat[0]) if mat else 0
+    red, pivots = rref_int([row[::-1] for row in mat], p)
+    free = sorted(set(range(ncols)) - set(pivots), reverse=True)
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
+    for f in free:
         v = [0] * ncols
-        v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i][free]) % p
-        basis.append(v)
-    if not basis:
-        return [], []
-    return rref_int(basis, p)
+        v[f] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] % p
+        basis.append(v[::-1])
+    return basis, [ncols - 1 - f for f in free]
+
+
+def _power_ranks(a, p):
+    """rank(A^r - I) mod p for r = 2, 3, ..., lazily.  A^r stays packed:
+    A^(r+1) = A A^r takes A's rows as the coefficients."""
+    lanes = _lanes(p, len(a), len(a))
+    minus_one = [(p - 1) << s for s in lanes.shifts]
+    power = [lanes.pack(row) for row in a]
+    while True:
+        power = lanes.combine(a, power)
+        diff = [lanes.reduce(row + d) for row, d in zip(power, minus_one)]
+        yield len(_rref_packed(diff, lanes)[1])
 
 
 def express_int(rows, pivots, vec, p):
@@ -80,17 +175,10 @@ def express_int(rows, pivots, vec, p):
 
 
 def mat_mul_int(a, b, p):
-    """a @ b mod p; each output row is the combination sum_k a[i][k] b[k],
-    skipping zero coefficients and reduced once.  An empty b has width 0."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append([s % p for s in acc])
-    return out
+    """a @ b mod p; each output row is the combination sum_k a[i][k] b[k]
+    of the packed rows of b, reduced once.  An empty b has width 0."""
+    lanes = _lanes(p, len(b[0]) if b else 0, len(b))
+    return [lanes.unpack(v) for v in lanes.combine(a, [lanes.pack(row) for row in b])]
 
 
 def identity_int(n):
@@ -98,15 +186,20 @@ def identity_int(n):
 
 
 def mat_pow_int(a, e, p):
-    n = len(a)
-    out = identity_int(n)
-    base = [list(r) for r in a]
-    while e:
+    """a^e mod p by squaring, on packed rows: a product takes the left
+    factor's unpacked rows as coefficients."""
+    if not e:
+        return identity_int(len(a))
+    lanes = _lanes(p, len(a), len(a))
+    base = [lanes.pack(row) for row in a]
+    out = None
+    while True:
         if e & 1:
-            out = mat_mul_int(out, base, p)
-        base = mat_mul_int(base, base, p)
+            out = base if out is None else lanes.combine(map(lanes.unpack, out), base)
         e >>= 1
-    return out
+        if not e:
+            return [lanes.unpack(v) for v in out]
+        base = lanes.combine(map(lanes.unpack, base), base)
 
 
 def charpoly_int(mat, p):

@@ -425,6 +425,20 @@ def test_non_integer_roundtrip_entry_is_rejected(capsys, tmp_path):
     assert rep["result"]["counts"] == {"fail": 0, "pass": 0, "rejected": 1}
 
 
+def test_roundtrip_class_matrix_is_checked(capsys, tmp_path):
+    # "C" is checked the way --rep's "mat" is: a list of lists whose
+    # entries are integers or integer coefficient lists.  These used to
+    # raise TypeError tracebacks from the tuple build or FieldCtx.el.
+    bad = [[["x"]], 5, [5], [[1.5]], [[None]], [[[1, "x"]]], [[[1, True]]], [[{"c": 1}]]]
+    entries = [{"d": 1, "classes": [{"a": 0, "dim": 1, "C": c}]} for c in bad]
+    path = tmp_path / "objects.json"
+    path.write_text(json.dumps(entries + [{"d": 1, "classes": [{"a": 0, "dim": 1, "C": [[[1]]]}]}]))
+    code, rep, err = report(capsys, ["roundtrip", "--p", "2", "--rep", str(path)])
+    assert code == 2
+    assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": len(bad)}
+    assert "Traceback" not in err
+
+
 def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):
     code, _, err = run(capsys, ["roundtrip", "--p", "5", "--rep", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read --rep" in err

@@ -1,0 +1,53 @@
+"""The 13 determinism jobs print the same bytes whatever the hash seed.
+
+Set and dict iteration order of str keys follows PYTHONHASHSEED, so a
+report that leaned on it would differ from process to process.  Each
+seed gets one fresh interpreter that runs all 13 jobs through
+``cli.main``; both must print the pinned bytes.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_acceptance import DETERMINISM_JOBS, PINNED_STDOUT_SHA256
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+JOBS_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from fcrystal import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"hash": hash("fcrystal"), "runs": runs}))
+"""
+
+
+def _run_jobs(seed):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", JOBS_SCRIPT, json.dumps(DETERMINISM_JOBS)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_determinism_jobs_ignore_the_hash_seed():
+    zero, other = _run_jobs(0), _run_jobs(12345)
+    assert zero["hash"] != other["hash"], "the hash seed did not reach the interpreter"
+    assert len(zero["runs"]) == len(other["runs"]) == len(DETERMINISM_JOBS)
+    for argv, pinned, (code0, out0), (code1, out1) in zip(
+        DETERMINISM_JOBS, PINNED_STDOUT_SHA256, zero["runs"], other["runs"]
+    ):
+        assert code0 == code1 == 0, argv
+        assert out0 == out1, argv
+        assert hashlib.sha256(out0.encode()).hexdigest() == pinned, argv

@@ -1,7 +1,8 @@
 """Prime-field matrix products against a naive triple loop.
 
-mat_mul_int builds each output row as a combination of the rows of b;
-mat_pow_int squares with it, and CyclicRep checks A^d = I with that.
+mat_mul_int builds each output row as a combination of the packed rows
+of b, over small primes and word-size ones; mat_pow_int squares with it,
+and CyclicRep checks A^d = I with that.
 """
 
 from random import Random
@@ -23,7 +24,7 @@ def _naive_pow(a, e, p):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 5, 7])
+@pytest.mark.parametrize("p", [2, 5, 7, 251, 2**61 - 1])
 def test_mat_mul_int_matches_triple_loop(p):
     rng = Random(4100 + p)
     shapes = set()
@@ -56,3 +57,13 @@ def test_mat_pow_int_on_builtin_reps(rep):
     for e in (0, 1, 2, 3, rep.d - 1, rep.d):
         assert linalg.mat_pow_int(rep.mat, e, rep.p) == _naive_pow(rep.mat, e, rep.p), e
     assert linalg.mat_pow_int(rep.mat, rep.d, rep.p) == linalg.identity_int(rep.rank)
+
+
+@pytest.mark.parametrize("p", [2, 7, 251, 2**61 - 1])
+def test_mat_pow_int_matches_repeated_products(p):
+    # entries outside [0, p) and exponents through several squarings
+    rng = Random(4200 + p % 1000)
+    for n in (0, 1, 3, 5):
+        a = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+        for e in range(12):
+            assert linalg.mat_pow_int(a, e, p) == _naive_pow(a, e, p), (a, e)

@@ -78,6 +78,40 @@ def test_kernel_int_matches_sympy(p):
     assert nonzero
 
 
+def _large_matrices(p):
+    """24 x 24 and 48 x 48: uniform, singular (B C through an inner
+    dimension below n) and sparse, the sizes of the flat fixed-point
+    kernels at a saturating degree."""
+    rng = Random(9200 + p)
+    out = []
+    for n in (24, 48):
+        out.append(_random(rng, n, n, p))
+        k = rng.randrange(n)
+        b, c = _random(rng, n, k, p), _random(rng, k, n, p)
+        out.append([[sum(b[i][t] * c[t][j] for t in range(k)) % p for j in range(n)] for i in range(n)])
+        out.append([[x if rng.randrange(6) == 0 else 0 for x in row] for row in _random(rng, n, n, p)])
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_large_rref_and_kernel_match_sympy(p):
+    deficient = 0
+    for mat in _large_matrices(p):
+        dm = _dm(mat, p)
+        rank = dm.rank()
+        ref, ref_pivots = dm.rref()
+        rows, pivots = linalg.rref_int(mat, p)
+        assert tuple(pivots) == tuple(ref_pivots), mat
+        assert rows == _ints(ref, p)[:rank], mat
+        kernel, _ = linalg.kernel_int(mat, p)
+        assert len(kernel) == len(mat) - rank, mat
+        if kernel:
+            deficient += 1
+            same_span, _ = linalg.rref_int(_ints(dm.nullspace(), p), p)
+            assert kernel == same_span, mat
+    assert deficient >= 2
+
+
 def _square_matrices(p):
     """For n in 0..9: uniform, singular (a product B C through an inner
     dimension below n), upper Hessenberg, and sparse matrices; the sparse

@@ -66,6 +66,92 @@ from .vfilt import (
 
 _BUILTIN_REPS = ("trivial", "companion", "regular")
 
+# Every input from outside the program, by the name its messages give it:
+# its type and its least and most value, None where a side is open.  A
+# type is int, list, the keys a JSON object must have, or for a matrix (a
+# list of lists) the words naming its entries.  The upper bounds hold
+# before any matrix is built or divisor tried: a regular rep is d x d, a
+# trivial one rank x rank, the level grid grows with the window, roundtrip
+# runs count cases per order, and is_prime tries divisors up to sqrt(p).
+# A _PRIME row must also be prime, and a _DEGREE row, a cover degree,
+# meets the grid rule below.
+_PRIME = (int, None, 2**31 - 1)
+_DEGREE = (int, 1, 256)
+_RANK = (int, None, 64)
+_INPUTS = {
+    "--p": _PRIME,
+    "--m": (int, 1, None),
+    "--window": (int, 1, 1024),
+    "--d": _DEGREE,
+    "--rank": _RANK,
+    "--cap": (int, 1, None),
+    "--seed": (int, None, None),
+    "--depth": (int, 0, None),
+    "--shift": (int, None, None),
+    "--e": (int, 1, None),
+    "--dprime": (int, None, None),
+    "--count": (int, 1, 1024),
+    "d*e": _DEGREE,
+    "representation": (("d", "mat"), None, None),
+    "representation d": _DEGREE,
+    "representation p": _PRIME,
+    "representation mat": ("integers", None, None),
+    "representation rank": _RANK,
+    "graded object": (("d", "classes"), None, None),
+    "graded object d": _DEGREE,
+    "graded object classes": (list, None, None),
+    "class": (("a", "dim", "C"), None, None),
+    "class a": (int, 0, None),  # and below the d of its object
+    "class dim": (int, 0, None),
+    "class C": ("integers or integer lists", None, None),
+}
+# the commands that read the level window [-N, N), where a degree-d cover
+# puts up to d * 2N jumps, and the largest d * N they accept
+_WINDOWED = ("vfilt", "graded", "check", "compare", "pullback")
+_GRID_BOUND = 2048
+
+
+def _check(name, value, args=None, most=None):
+    """value, if the row of _INPUTS called name admits it; else
+    InvalidInputError for a wrong type or a value below the least, or
+    BoundExceededError above the most (the argument most, where the bound
+    depends on another input) or, for a cover degree d of a job whose command reads the
+    window, above _GRID_BOUND for d * window.  An unset flag reads None
+    and passes."""
+    kind, least, row_most = row = _INPUTS[name]
+    if isinstance(kind, tuple):
+        for key in kind:
+            if not isinstance(value, dict) or key not in value:
+                raise InvalidInputError(f"JSON input needs an object with key {key!r}")
+    elif kind is list and not isinstance(value, list):
+        raise InvalidInputError(f"{name} must be a list")
+    elif isinstance(kind, str):
+        if not isinstance(value, list) or not all(isinstance(line, list) for line in value):
+            raise InvalidInputError(f"{name} must be a list of lists")
+        flat = [x for line in value for x in line]
+        if kind != "integers":  # an element may be its list of coefficients
+            flat = [c for x in flat for c in (x if isinstance(x, list) else [x])]
+        if any(type(x) is not int for x in flat):
+            raise InvalidInputError(f"{name} entries must be {kind}")
+    flag = name.startswith("--")
+    if kind is not int or flag and value is None:
+        return value
+    if type(value) is not int:
+        raise InvalidInputError(f"{name} must be an integer, not {value!r}")
+    label = f"{name} {value}" if flag else f"{name}={value}"
+    most = row_most if most is None else most
+    if least is not None and value < least:
+        raise InvalidInputError(f"{label} must be >= {least}")
+    if most is not None and value > most:
+        raise BoundExceededError(f"{label} must be <= {most}")
+    if row is _DEGREE and args is not None and args.command in _WINDOWED and value * args.window > _GRID_BOUND:
+        raise BoundExceededError(
+            f"{label} times --window {args.window} is {value * args.window}, must be <= {_GRID_BOUND}"
+        )
+    if row is _PRIME and not is_prime(value):
+        raise InvalidInputError(f"p={value} is not prime")
+    return value
+
 
 def resolve_m(p: int, d: int, m=None) -> int:
     """Smallest m with d | p^m - 1 unless m is forced explicitly."""
@@ -88,31 +174,17 @@ def _read_json(source: str):
         return json.loads(text)
     except OSError as err:
         raise InvalidInputError(f"cannot read --rep {source}: {err.strerror}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also bytes not UTF-8, and integers past the int-string limit
         raise InvalidInputError(f"--rep is not valid JSON: {err}") from err
 
 
-def _key(data, key: str):
-    """data[key] for a JSON object; a missing key is invalid input."""
-    if not isinstance(data, dict) or key not in data:
-        raise InvalidInputError(f"JSON input needs an object with key {key!r}")
-    return data[key]
-
-
-def _rep_from_json(data, p: int) -> CyclicRep:
-    """The representation {"d", "mat", optional "p"} of a JSON object:
-    d, p and every entry JSON integers, mat a list of lists."""
-    d, mat, p = _key(data, "d"), _key(data, "mat"), data.get("p", p)
-    for name, value in (("d", d), ("p", p)):
-        if type(value) is not int:
-            raise InvalidInputError(f"representation {name} must be an integer, not {value!r}")
-    if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
-        raise InvalidInputError("representation mat must be a list of lists")
-    if len(mat) > _RANGE["rank"][1]:
-        raise BoundExceededError(f"representation rank={len(mat)} must be <= {_RANGE['rank'][1]}")
-    if any(type(x) is not int for row in mat for x in row):
-        raise InvalidInputError("representation mat entries must be integers")
-    return CyclicRep(d, p, tuple(map(tuple, mat)))
+def _rep_from_json(data, args) -> CyclicRep:
+    """The representation {"d", "mat", optional "p"} of a JSON object."""
+    _check("representation", data)
+    p = _check("representation p", data.get("p", args.p))
+    mat = _check("representation mat", data["mat"])
+    _check("representation rank", len(mat))
+    return CyclicRep(_check("representation d", data["d"], args), p, tuple(map(tuple, mat)))
 
 
 def _field(args, d=None):
@@ -134,11 +206,9 @@ def _load_rep(args) -> CyclicRep:
         if name == "companion":
             return CyclicRep.companion(d, args.p)
         return CyclicRep.regular(d, args.p)
-    data = _read_json(name)
-    rep = _rep_from_json(data, args.p)
+    rep = _rep_from_json(_read_json(name), args)
     if d is not None and rep.d != d:
         raise InvalidInputError(f"--d {d} conflicts with representation d={rep.d}")
-    _bound_d(args, rep.d, f"representation d={rep.d}")
     return rep
 
 
@@ -202,7 +272,11 @@ def _target(args):
         raise InvalidInputError("--rep and --c are mutually exclusive")
     if args.c is not None:
         ctx = _field(args)
-        return build_extension(ctx, parse_series(ctx, args.c))
+        try:
+            c = parse_series(ctx, args.c)
+        except ValueError as err:  # its own InvalidInputError, or an integer past the int-string limit
+            raise InvalidInputError(str(err)) from err
+        return build_extension(ctx, c)
     rep = _load_rep(args)
     return build_kummer_crystal(rep, _field(args, rep.d))
 
@@ -229,29 +303,6 @@ def _make_objects(args):
     return obj, spec, _describe(obj)
 
 
-def _window(args):
-    """The level window [-N, N), checked before any object is built: a
-    degree-d cover puts up to d * 2N jumps on it.  A --rep literal's d
-    meets the same bound when it is read."""
-    args.level_window = (-args.window, args.window)
-    if args.d is not None:
-        _bound_d(args, args.d, f"--d {args.d}")
-    return args.level_window
-
-
-def _bound_d(args, d: int, name: str) -> None:
-    """Bound the cover degree d, called name in the message, as --d is
-    bounded: by _RANGE["d"], and by d * window once the command has read
-    its window."""
-    most = _RANGE["d"][1]
-    if d > most:
-        raise BoundExceededError(f"{name} must be <= {most}")
-    if getattr(args, "level_window", None) and d * args.window > _GRID_BOUND:
-        raise BoundExceededError(
-            f"{name} times --window {args.window} is {d * args.window}, must be <= {_GRID_BOUND}"
-        )
-
-
 def cmd_build(args) -> int:
     obj = _target(args)
     result = _describe(obj)
@@ -260,7 +311,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_vfilt(args) -> int:
-    win = _window(args)
+    win = (-args.window, args.window)
     obj, spec, meta = _make_objects(args)
     rep = graded(spec, win)
     checks = check_axioms(spec, win, depth=args.depth, graded_report=rep)
@@ -276,7 +327,7 @@ def cmd_vfilt(args) -> int:
 
 
 def cmd_graded(args) -> int:
-    win = _window(args)
+    win = (-args.window, args.window)
     obj, spec, meta = _make_objects(args)
     rep = graded(spec, win)
     ok = rep.all_frobenius_invertible() and rep.all_t_invertible()
@@ -285,7 +336,7 @@ def cmd_graded(args) -> int:
 
 
 def cmd_check(args) -> int:
-    win = _window(args)
+    win = (-args.window, args.window)
     obj, spec, meta = _make_objects(args)
     if args.shift:
         spec = shifted_filtration(spec, args.shift)
@@ -304,10 +355,10 @@ def cmd_check(args) -> int:
 def cmd_compare(args) -> int:
     if args.e is None and args.shift is None:
         raise InvalidInputError("compare needs --e or --shift")
-    win = _window(args)
+    win = (-args.window, args.window)
     if args.e is not None:
         rep = _load_rep(args)
-        de = rep.d * args.e
+        de = _check("d*e", rep.d * args.e, args)
         if de % args.p == 0:
             raise InvalidInputError(f"d*e={de} must stay prime to p={args.p}")
         ctx = _field(args, de)
@@ -323,7 +374,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    win = _window(args)
+    win = (-args.window, args.window)
     obj, spec, meta = _make_objects(args)
     pb = pullback_filtration(spec, args.dprime)
     checks = check_specializing(pb, win, depth=args.depth)
@@ -388,62 +439,34 @@ def cmd_sol(args) -> int:
     return _emit(args, "sol", result, 0)
 
 
-def _is_element(x) -> bool:
-    """A JSON field element: an integer or a list of integer coefficients."""
-    return type(x) is int or isinstance(x, list) and all(type(c) is int for c in x)
-
-
-def _roundtrip_from_file(args) -> dict:
-    entries = _read_json(args.rep)
-    if isinstance(entries, dict):
-        entries = [entries]
-    counters = {"pass": 0, "fail": 0, "rejected": 0}
-    for entry in entries:
-        try:
-            if not isinstance(entry, dict):
-                raise InvalidInputError("entry is not a JSON object")
-            if "mat" in entry:
-                rep = _rep_from_json(entry, args.p)
-                ctx = make_field(rep.p, resolve_m(rep.p, rep.d, args.m))
-                verdict = gf_roundtrip(rep, ctx, args.cap)
-            elif "classes" in entry:
-                d, classes = _key(entry, "d"), _key(entry, "classes")
-                if type(d) is not int or d < 1:
-                    raise InvalidInputError(f"graded object d must be a positive integer, not {d!r}")
-                _bound_d(args, d, f"graded object d={d}")
-                if not isinstance(classes, list):
-                    raise InvalidInputError("graded object classes must be a list")
-                for cls in classes:
-                    a, dim, mat = _key(cls, "a"), _key(cls, "dim"), _key(cls, "C")
-                    if type(a) is not int or not 0 <= a < d or type(dim) is not int or dim < 0:
-                        raise InvalidInputError(f"class a={a!r} dim={dim!r} is not a class of d={d}")
-                    if not isinstance(mat, list) or not all(
-                        isinstance(row, list) and all(map(_is_element, row)) for row in mat
-                    ):
-                        raise InvalidInputError(
-                            f"class a={a} C must be a list of lists of integers or integer lists"
-                        )
-                ctx = make_field(args.p, resolve_m(args.p, d, args.m))
-                dims = [0] * d
-                mats = [()] * d
-                for cls in classes:
-                    a = cls["a"]
-                    dims[a] = cls["dim"]
-                    mats[a] = tuple(tuple(ctx.el(x) for x in row) for row in cls["C"])
-                obj = CGObject(ctx, d, tuple(dims), tuple(mats))
-                verdict = fg_roundtrip(obj, args.cap)
-            else:
-                raise InvalidInputError("entry is neither a representation nor a graded object")
-        except InvalidInputError:
-            counters["rejected"] += 1
-            continue
-        counters["pass" if verdict["status"] == "pass" else "fail"] += 1
-    return counters
+def _roundtrip_entry(entry, args) -> dict:
+    """The round trip of one --rep entry: a representation, or a graded
+    object {"d", "classes": [{"a", "dim", "C"}, ...]}."""
+    if not (isinstance(entry, dict) and "classes" in entry):
+        rep = _rep_from_json(entry, args)
+        return gf_roundtrip(rep, make_field(rep.p, resolve_m(rep.p, rep.d, args.m)), args.cap)
+    _check("graded object", entry)
+    d = _check("graded object d", entry["d"], args)
+    ctx = make_field(args.p, resolve_m(args.p, d, args.m))
+    dims, mats = [0] * d, [()] * d
+    for cls in _check("graded object classes", entry["classes"]):
+        _check("class", cls)
+        a = _check("class a", cls["a"], most=d - 1)
+        dims[a] = _check("class dim", cls["dim"])
+        mats[a] = tuple(tuple(map(ctx.el, row)) for row in _check("class C", cls["C"]))
+    return fg_roundtrip(CGObject(ctx, d, tuple(dims), tuple(mats)), args.cap)
 
 
 def cmd_roundtrip(args) -> int:
-    if args.rep is not None and not args.rep.strip().startswith("{") and args.rep not in _BUILTIN_REPS:
-        counters = _roundtrip_from_file(args)
+    if args.rep is not None and args.rep not in _BUILTIN_REPS:
+        entries = _read_json(args.rep)
+        counters = {"pass": 0, "fail": 0, "rejected": 0}
+        for entry in entries if isinstance(entries, list) else [entries]:
+            try:
+                status = "pass" if _roundtrip_entry(entry, args)["status"] == "pass" else "fail"
+            except InvalidInputError:
+                status = "rejected"
+            counters[status] += 1
         result = {"source": "file", "counts": counters}
         code = 1 if counters["fail"] else (2 if counters["rejected"] else 0)
         return _emit(args, "roundtrip", result, code)
@@ -549,38 +572,12 @@ def _print_error(line, kind, err, profile):
     print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
 
 
-# the valid range (least, most) of each integer flag that has one, None
-# where a side is open; a flag the command lacks or the user left unset
-# reads None.  The upper bounds are checked before any matrix is built:
-# a regular rep is d x d, a trivial one rank x rank, the level grid
-# grows with window, and roundtrip runs count cases per order.
-_RANGE = {
-    "window": (1, 1024),
-    "m": (1, None),
-    "d": (None, 256),
-    "rank": (None, 64),
-    "depth": (0, None),
-    "count": (1, 1024),
-    "e": (1, None),
-    "cap": (1, None),
-}
-# the largest d * window that a command reading the window accepts
-_GRID_BOUND = 2048
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if not is_prime(args.p):
-            raise InvalidInputError(f"p={args.p} is not prime")
-        for flag, (least, most) in _RANGE.items():
-            value = getattr(args, flag, None)
-            if value is None:
-                continue
-            if least is not None and value < least:
-                raise InvalidInputError(f"--{flag} {value} must be >= {least}")
-            if most is not None and value > most:
-                raise BoundExceededError(f"--{flag} {value} must be <= {most}")
+        for name in _INPUTS:  # in table order, --p first
+            if name.startswith("--"):
+                _check(name, getattr(args, name[2:], None), args)
         return globals()[f"cmd_{args.command}"](args)
     except InvalidInputError as err:
         kind = "bound" if isinstance(err, BoundExceededError) else "invalid"

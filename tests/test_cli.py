@@ -201,6 +201,8 @@ def test_cap_exit_carries_the_profile(capsys):
 
 HUGE_M = str(2**70)
 IDENTITY_65 = json.dumps({"d": 1, "mat": [[int(i == j) for j in range(65)] for i in range(65)]})
+MERSENNE_61 = str(2**61 - 1)  # prime, and past the bound on p: trial division would take minutes
+LONG_INT = "9" * 5000  # past Python's int-string limit of 4300 digits
 
 
 @pytest.mark.parametrize(
@@ -244,6 +246,27 @@ IDENTITY_65 = json.dumps({"d": 1, "mat": [[int(i == j) for j in range(65)] for i
         ),
         # and its rank the same bound as --rank
         (["vfilt", "--p", "5", "--rep", IDENTITY_65, "--window", "4"], "bound", "representation rank=65 must be <= 64"),
+        # compare's degree d*e meets both bounds before any field is built
+        (
+            ["compare", "--p", "2", "--d", "3", "--rep", "companion", "--e", "349525", "--window", "2"],
+            "bound",
+            "d*e=1048575 must be <= 256",
+        ),
+        (
+            ["compare", "--p", "7", "--d", "3", "--rep", "companion", "--e", "50", "--window", "16"],
+            "bound",
+            "d*e=150 times --window 16 is 2400, must be <= 2048",
+        ),
+        # p is bounded before is_prime runs, in a flag and in a --rep literal
+        (["build", "--p", MERSENNE_61, "--c", "t^-2"], "bound", f"--p {MERSENNE_61} must be <= 2147483647"),
+        (
+            ["build", "--p", "5", "--rep", '{"d":1,"p":%s,"mat":[[1]]}' % MERSENNE_61],
+            "bound",
+            f"representation p={MERSENNE_61} must be <= 2147483647",
+        ),
+        # integers past Python's int-string limit in outside text
+        (["build", "--p", "5", "--rep", '{"d":1,"mat":[[%s]]}' % LONG_INT], "invalid", "--rep is not valid JSON: "),
+        (["build", "--p", "5", "--c", "t^-" + LONG_INT], "invalid", "(4300 digits) for integer string conversion"),
     ],
     ids=[
         "window-0",
@@ -266,6 +289,12 @@ IDENTITY_65 = json.dumps({"d": 1, "mat": [[int(i == j) for j in range(65)] for i
         "graded-rep-literal-d",
         "rep-literal-level-grid",
         "rep-literal-rank",
+        "compare-huge-e",
+        "compare-level-grid",
+        "huge-p",
+        "rep-literal-huge-p",
+        "rep-literal-long-int",
+        "series-long-int",
     ],
 )
 def test_invalid_exit_prints_the_json_error_line(capsys, argv, kind, message):
@@ -456,6 +485,37 @@ def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):
     assert rep["result"]["counts"] == {"fail": 0, "pass": 0, "rejected": 3}
 
 
+@pytest.mark.parametrize("command", ["build", "roundtrip"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{}",
+        b'{"d":1,"mat":[[' + LONG_INT.encode() + b"]]}",
+        b'[{"d":1,"mat":[[1]]},{"d":1,"mat":[[' + LONG_INT.encode() + b"]]}]",
+    ],
+    ids=["not-utf-8", "long-int", "long-int-entry"],
+)
+def test_unparsable_rep_file_is_invalid_input(capsys, tmp_path, command, data):
+    # these used to escape as UnicodeDecodeError and ValueError tracebacks;
+    # the JSON reader refuses the whole file, so no entry can be counted
+    path = tmp_path / "rep.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, [command, "--p", "5", "--rep", str(path)])
+    assert code == 2 and out == ""
+    error = json.loads(err.strip().splitlines()[-1])["error"]
+    assert error["kind"] == "invalid" and error["message"].startswith("--rep is not valid JSON: ")
+
+
+def test_roundtrip_reads_a_literal_as_entries(capsys):
+    # a literal used to be ignored, and the command sampled instead
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", '{"d":4,"mat":[[1]]}'])
+    assert code == 0
+    assert rep["result"] == {"source": "file", "counts": {"fail": 0, "pass": 1, "rejected": 0}}
+    code, rep, _ = report(capsys, ["roundtrip", "--p", "5", "--rep", '{"d":4,"mat":[["x"]]}'])
+    assert code == 2
+    assert rep["result"] == {"source": "file", "counts": {"fail": 0, "pass": 0, "rejected": 1}}
+
+
 @pytest.mark.parametrize("window", ["-3", "0"])
 def test_empty_window_is_invalid_input(capsys, window):
     # [3, -3) is empty: every check used to pass vacuously with exit 0
@@ -476,8 +536,25 @@ def test_empty_window_is_invalid_input(capsys, window):
         (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "-1"], "--e -1"),
         (["recover", "--p", "5", "--d", "3", "--rep", "companion", "--cap", "0"], "--cap 0"),
         (["roundtrip", "--p", "5", "--cap", "-1"], "--cap -1"),
+        # these used to raise ValueError from randrange, or sample the
+        # default orders as if --d were unset
+        (["roundtrip", "--p", "5", "--d", "-3"], "--d -3"),
+        (["roundtrip", "--p", "5", "--d", "0"], "--d 0"),
+        (["build", "--p", "5", "--d", "0", "--rep", "regular"], "--d 0"),
     ],
-    ids=["m-0", "count-0", "count-neg", "depth-neg", "e-0", "e-neg", "cap-0", "cap-neg"],
+    ids=[
+        "m-0",
+        "count-0",
+        "count-neg",
+        "depth-neg",
+        "e-0",
+        "e-neg",
+        "cap-0",
+        "cap-neg",
+        "roundtrip-d-neg",
+        "roundtrip-d-0",
+        "build-d-0",
+    ],
 )
 def test_out_of_range_flag_is_invalid_input(capsys, argv, flag):
     # unchecked, each would run with a silently changed value (m = 1,

@@ -105,9 +105,46 @@ _INPUTS = {
     "class dim": (int, 0, None),
     "class C": ("integers or integer lists", None, None),
 }
+# Each command's grammar: the flags it takes, without their "--"; any
+# other flag is a usage error.  The target flags name the module, a --rep
+# (with --d, and --rank for the trivial rep) or the extension class --c.
+# _FLAGS gives each flag's argparse settings, _INPUTS its type if an int.
+_TARGET = "p m d rep rank c"
+_COMMANDS = {
+    "build": _TARGET + " window",
+    "vfilt": _TARGET + " window depth",
+    "graded": _TARGET + " window",
+    "check": _TARGET + " window depth shift",
+    "compare": _TARGET + " window e shift",
+    "pullback": _TARGET + " window depth dprime",
+    "nearby": _TARGET + " window full cap",
+    "vanishing": _TARGET + " window",
+    "recover": "p m d rep rank cap",
+    "sol": _TARGET + " window",
+    "roundtrip": "p m d rep seed count cap",
+    "glue": _TARGET,
+}
+_FLAGS = {
+    "--p": dict(required=True, help="characteristic (prime)"),
+    "--m": dict(help="field degree; minimal when omitted"),
+    "--d": dict(help="cover degree / group order"),
+    "--rep": dict(help="trivial|companion|regular, a JSON literal, or a file path"),
+    "--rank": dict(help="rank of the trivial representation; 1 when omitted"),
+    "--c": dict(help="extension class series, e.g. '3t^-2+t'"),
+    "--window": dict(default=64, help="level window half-width N for [-N, N)"),
+    "--cap": dict(default=DEFAULT_SATURATION_CAP, help="saturation degree cap"),
+    "--seed": dict(default=0, help="seed of the sampled cases"),
+    "--depth": dict(help="depth override for the ideal-power check"),
+    "--shift": dict(help="shift of the filtration checked, or compared against"),
+    "--e": dict(help="compare against the degree-d*e presentation"),
+    "--dprime": dict(required=True, help="degree of the fresh cover"),
+    "--full": dict(action="store_true", help="assemble all fractional pieces, not just level 0"),
+    "--count": dict(default=24, help="budget per order d: max(1, count // #orders) cases of each round trip, 1/4 as many naturality checks"),
+}
 # the commands that read the level window [-N, N), where a degree-d cover
-# puts up to d * 2N jumps, and the largest d * N they accept
-_WINDOWED = ("vfilt", "graded", "check", "compare", "pullback")
+# puts up to d * 2N jumps, and the largest d * N they accept; the other four
+# take --window only to echo it, for 40 pinned extension-family digests
+_WINDOWED = {c for c, names in _COMMANDS.items() if "window" in names.split()} - {"build", "nearby", "vanishing", "sol"}
 _GRID_BOUND = 2048
 
 
@@ -198,11 +235,13 @@ def _field(args, d=None):
 def _load_rep(args) -> CyclicRep:
     name = args.rep or "trivial"
     d = args.d
+    if args.rank is not None and name != "trivial":
+        raise InvalidInputError("--rank needs --rep trivial")
     if name in _BUILTIN_REPS:
         if d is None:
             d = 1 if name == "trivial" else 3
         if name == "trivial":
-            return CyclicRep.trivial(d, args.p, args.rank)
+            return CyclicRep.trivial(d, args.p, 1 if args.rank is None else args.rank)
         if name == "companion":
             return CyclicRep.companion(d, args.p)
         return CyclicRep.regular(d, args.p)
@@ -212,26 +251,15 @@ def _load_rep(args) -> CyclicRep:
     return rep
 
 
-def _job_echo(args, extra=None) -> dict:
-    out = {
-        "p": args.p,
-        "m": getattr(args, "resolved_m", args.m),
-        "d": args.d,
-        "rep": args.rep,
-        "c": args.c,
-        "window": args.window,
-        "cap": args.cap,
-        "seed": args.seed,
-    }
-    if extra:
-        out.update(extra)
-    return {k: v for k, v in out.items() if v is not None}
-
-
-def _emit(args, command: str, result: dict, code: int, extra_job=None) -> int:
+def _emit(args, command: str, result: dict, code: int) -> int:
+    job = {"p": args.p, "m": getattr(args, "resolved_m", args.m), "d": args.d, "rep": args.rep}
+    # every job echoes --window, --cap and --seed, at their defaults where
+    # its command takes none: the pinned report digests cover those bytes
+    for name in ("c", "window", "cap", "seed"):
+        job[name] = getattr(args, name, _FLAGS["--" + name].get("default"))
     report = {
         "command": command,
-        "job": _job_echo(args, extra_job),
+        "job": {k: v for k, v in job.items() if v is not None},
         "result": result,
         "version": __version__,
     }
@@ -268,9 +296,10 @@ def _pretty(x, ind: str = "\n") -> str:
 def _target(args):
     """The job's module: the extension twisted by --c, else the Kummer
     crystal of --rep."""
-    if args.c is not None and args.rep is not None:
-        raise InvalidInputError("--rep and --c are mutually exclusive")
     if args.c is not None:
+        for name in ("rep", "d", "rank"):
+            if getattr(args, name) is not None:
+                raise InvalidInputError(f"--{name} and --c are mutually exclusive")
         ctx = _field(args)
         try:
             c = parse_series(ctx, args.c)
@@ -305,9 +334,7 @@ def _make_objects(args):
 
 def cmd_build(args) -> int:
     obj = _target(args)
-    result = _describe(obj)
-    result["object"] = obj.to_json()
-    return _emit(args, "build", result, 0)
+    return _emit(args, "build", {**_describe(obj), "object": obj.to_json()}, 0)
 
 
 def cmd_vfilt(args) -> int:
@@ -357,6 +384,8 @@ def cmd_compare(args) -> int:
         raise InvalidInputError("compare needs --e or --shift")
     win = (-args.window, args.window)
     if args.e is not None:
+        if args.c is not None:
+            raise InvalidInputError("--e and --c are mutually exclusive")
         rep = _load_rep(args)
         de = _check("d*e", rep.d * args.e, args)
         if de % args.p == 0:
@@ -390,16 +419,12 @@ def cmd_pullback(args) -> int:
 
 def cmd_nearby(args) -> int:
     obj, spec, meta = _make_objects(args)
+    result = {"kind": meta["kind"]}
     if args.full:
-        cg = nearby_full(spec)
-        result = {"kind": meta["kind"], "nearby": cg.to_json()}
-        return _emit(args, "nearby", result, 0)
-    psi = nearby_unipotent(spec)
-    result = {
-        "kind": meta["kind"],
-        "nearby": psi.to_json(),
-        "saturated_dimension": psi.saturated_dimension(args.cap),
-    }
+        result["nearby"] = nearby_full(spec).to_json()
+    else:
+        psi = nearby_unipotent(spec)
+        result.update(nearby=psi.to_json(), saturated_dimension=psi.saturated_dimension(args.cap))
     return _emit(args, "nearby", result, 0)
 
 
@@ -520,48 +545,16 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; it holds no command functions, so
-    ``main`` finds ``cmd_<command>`` on the module when it runs."""
-    common = _Parser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    common.add_argument("--m", type=int, default=None, help="field degree; minimal when omitted")
-    common.add_argument("--d", type=int, default=None, help="cover degree / group order")
-    common.add_argument("--rep", type=str, default=None, help="trivial|companion|regular, a JSON literal, or a file path")
-    common.add_argument("--rank", type=int, default=1, help="rank for the trivial representation")
-    common.add_argument("--c", type=str, default=None, help="extension class series, e.g. '3t^-2+t'")
-    common.add_argument("--window", type=int, default=64, help="level window half-width N for [-N, N)")
-    common.add_argument("--cap", type=int, default=DEFAULT_SATURATION_CAP, help="saturation degree cap")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument("--depth", type=int, default=None, help="depth override for the ideal-power check")
-
-    ap = _Parser(prog="fcrystal", description=__doc__)
+    """The parser, built on first use from _COMMANDS and _FLAGS; it holds
+    no command functions, so ``main`` finds ``cmd_<command>`` on the
+    module when it runs.  No abbreviations: an unread --c must not pass
+    for --cap or --count."""
+    ap = _Parser(prog="fcrystal", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("build", parents=[common])
-    sub.add_parser("vfilt", parents=[common])
-    sub.add_parser("graded", parents=[common])
-
-    p_check = sub.add_parser("check", parents=[common])
-    p_check.add_argument("--shift", type=int, default=0, help="check the filtration shifted this much")
-
-    p_cmp = sub.add_parser("compare", parents=[common])
-    p_cmp.add_argument("--e", type=int, default=None, help="compare against the degree-d*e presentation")
-    p_cmp.add_argument("--shift", type=int, default=None, help="compare against the shifted filtration")
-
-    p_pb = sub.add_parser("pullback", parents=[common])
-    p_pb.add_argument("--dprime", type=int, required=True, help="degree of the fresh cover")
-
-    p_nb = sub.add_parser("nearby", parents=[common])
-    p_nb.add_argument("--full", action="store_true", help="assemble all fractional pieces, not just level 0")
-
-    sub.add_parser("vanishing", parents=[common])
-    sub.add_parser("recover", parents=[common])
-    sub.add_parser("sol", parents=[common])
-
-    p_rt = sub.add_parser("roundtrip", parents=[common])
-    p_rt.add_argument("--count", type=int, default=24, help="budget per order d: max(1, count // #orders) cases of each round trip, 1/4 as many naturality checks")
-
-    sub.add_parser("glue", parents=[common])
+    for command, names in _COMMANDS.items():
+        parser = sub.add_parser(command, allow_abbrev=False)
+        for flag in ("--" + name for name in names.split()):
+            parser.add_argument(flag, **({"type": int} if flag in _INPUTS else {}), **_FLAGS[flag])
     return ap
 
 

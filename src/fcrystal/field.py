@@ -5,13 +5,14 @@ modulus is the first monic irreducible of degree m in the enumeration
 that increments the constant coefficient fastest (candidate k encodes
 the polynomial x^m + sum_i k_i x^i with k = sum_i k_i p^i), so repeated
 constructions are identical across runs and platforms, and serialized
-elements are byte-stable.  A sieve drops every candidate f with a
-factor of degree 1 or 2 (f(0) = 0, or gcd(x^(p^i) - x, f) != 1 for
-i = 1, 2: the first steps of Ben-Or's test, FOCS 1981).  Berlekamp's
-test decides the rest (Bell Syst. Tech. J. 46, 1967): f is irreducible
-iff it is squarefree (gcd(f, f') = 1) and Q - I has rank m - 1 over
-F_p, Q the matrix of Frobenius on F_p[x]/(f), since the fixed part of a
-squarefree quotient is F_p^k, k the number of irreducible factors.
+elements are byte-stable; past MODULUS_CANDIDATES candidates the search
+gives up.  A sieve drops every candidate f with a factor of degree 1
+or 2 (f(0) = 0, or gcd(x^(p^i) - x, f) != 1 for i = 1, 2: the first
+steps of Ben-Or's test, FOCS 1981).  Berlekamp's test decides the rest
+(Bell Syst. Tech. J. 46, 1967): f is irreducible iff it is squarefree
+(gcd(f, f') = 1) and Q - I has rank m - 1 over F_p, Q the matrix of
+Frobenius on F_p[x]/(f), since the fixed part of a squarefree quotient
+is F_p^k, k the number of irreducible factors.
 
 Only FieldCtx methods build, index, iterate, slice or serialize an
 element; to other code elements are opaque values that compare and
@@ -62,6 +63,11 @@ ENUMERATION_BOUND = 2**16
 GENERATOR_BOUND = 2**20
 DEFAULT_SATURATION_CAP = 24
 TABLE_BOUND = 2**12
+# the first p candidates are the binomials x^m + k_0, none irreducible if
+# a prime factor of m does not divide p - 1 or if 4 | m and p = 3 mod 4;
+# 4096 at p = 2^31 - 1, m = 4 take 1.7 s, and the fields of order <= 2^192
+# with p <= 1013 need at most 3,687 but F_{67^24} (4,497), F_{109^28} (4,147)
+MODULUS_CANDIDATES = 2**12
 
 
 def is_prime(n: int) -> bool:
@@ -480,7 +486,7 @@ def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldC
 
 @functools.cache
 def _canonical_field(p: int, m: int) -> FieldCtx:
-    for enc in range(p**m):
+    for enc in range(min(p**m, MODULUS_CANDIDATES)):
         coeffs = []
         n = enc
         for _ in range(m):
@@ -488,7 +494,8 @@ def _canonical_field(p: int, m: int) -> FieldCtx:
             n //= p
         if _is_irreducible(coeffs + [1], p):
             return FieldCtx(p, m, tuple(coeffs))
-    raise InvalidInputError("no irreducible modulus found")  # unreachable
+    message = f"no irreducible modulus of F_{{{p}^{m}}} among the first {MODULUS_CANDIDATES} candidates"
+    raise CapExceededError(message, [("modulus_candidates", MODULUS_CANDIDATES)])
 
 
 def primitive_root_of_unity(ctx: FieldCtx, d: int):
@@ -560,11 +567,7 @@ def _flat_operator(ctx: FieldCtx, entries):
     n = len(entries)
     m = ctx.m
     big_n = n * m
-    # frobpow[t] = (x^t)^p; products of the image of x (int code p) under Frobenius
-    xp = ctx.frob(ctx.decode(ctx.p)) if m > 1 else ctx.one
-    frobpow = [ctx.one]
-    for _ in range(m - 1):
-        frobpow.append(ctx.mul(frobpow[-1], xp))
+    frobpow = [ctx.frob(ctx.decode(ctx.p**t)) for t in range(m)]  # (x^t)^p, x^t of int code p^t
     mat = [[0] * big_n for _ in range(big_n)]
     for j in range(n):
         for t in range(m):
@@ -578,15 +581,18 @@ def _flat_operator(ctx: FieldCtx, entries):
 
 
 def _minus_identity(mat, p):
-    """mat - I mod p, in place."""
-    for k, row in enumerate(mat):
+    """mat - I mod p, as a new matrix."""
+    out = [list(row) for row in mat]
+    for k, row in enumerate(out):
         row[k] = (row[k] - 1) % p
-    return mat
+    return out
 
 
-def _fixed_point_rows(ctx: FieldCtx, entries):
-    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)}."""
-    return linalg.kernel_int(_minus_identity(_flat_operator(ctx, entries), ctx.p), ctx.p)
+def _fixed_point_rows(ctx: FieldCtx, entries, flat=None):
+    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)};
+    flat, if given, is _flat_operator(ctx, entries), left unchanged."""
+    flat = _flat_operator(ctx, entries) if flat is None else flat
+    return linalg.kernel_int(_minus_identity(flat, ctx.p), ctx.p)
 
 
 def _decode_flat(ctx: FieldCtx, flat, n: int):
@@ -727,10 +733,11 @@ def saturate_fixed_points(
     if cap < 1:
         raise CapExceededError(message, ())
     big, emb = ctx, embed_field(ctx, ctx)
-    rows, _ = _fixed_point_rows(ctx, op.entries)
+    flat = _flat_operator(ctx, op.entries)
+    rows, _ = _fixed_point_rows(ctx, op.entries, flat)
     profile = [(1, len(rows))]
     if len(rows) < n:
-        ranks = linalg._power_ranks(linalg.mat_pow_int(_flat_operator(ctx, op.entries), m, p), p)
+        ranks = linalg._power_ranks(linalg.mat_pow_int(flat, m, p), p)
         for r in range(2, cap + 1):
             if p ** (m * r) > DEFAULT_ORDER_BOUND:
                 make_field(p, m * r)  # raises BoundExceededError

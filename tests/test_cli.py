@@ -7,6 +7,7 @@ import time
 import pytest
 
 from fcrystal import cli, make_field
+from fcrystal.field import MODULUS_CANDIDATES
 
 
 def run(capsys, argv):
@@ -217,7 +218,7 @@ LONG_INT = "9" * 5000  # past Python's int-string limit of 4300 digits
         (["build", "--p", "0", "--d", "11", "--rep", "companion"], "invalid", "p=0 is not prime"),
         (["compare", "--p", "0", "--d", "3", "--rep", "companion", "--e", "2"], "invalid", "p=0 is not prime"),
         # a huge m fails without forming p^m
-        (["nearby", "--p", "2", "--m", HUGE_M, "--d", "4", "--c", "t^-1"], "bound", f"field order 2^{HUGE_M} exceeds"),
+        (["nearby", "--p", "2", "--m", HUGE_M, "--c", "t^-1"], "bound", f"field order 2^{HUGE_M} exceeds"),
         (["nearby", "--p", "5", "--m", HUGE_M, "--d", "4"], "bound", f"field order 5^{HUGE_M} exceeds"),
         (["nearby", "--p", "2", "--m", HUGE_M, "--d", "7", "--rep", "companion"], "invalid", "d=7 does not divide p^m-1"),
         # sizes are bounded before any matrix is built
@@ -329,6 +330,85 @@ def test_usage_error_prints_usage_and_the_json_error_line(capsys, argv, prog, me
     assert lines[-2] == f"{prog}: error: {message}"
     error = {"kind": "invalid", "message": message, "profile": None}
     assert lines[-1] == json.dumps({"error": error}, sort_keys=True)
+
+
+def unread_flags():
+    for command in cli._COMMANDS:
+        for flag in cli._FLAGS:
+            if flag[2:] not in cli._COMMANDS[command].split():
+                yield pytest.param(command, flag, id=f"{command}{flag}")
+
+
+@pytest.mark.parametrize("command, flag", list(unread_flags()))
+def test_a_flag_outside_the_command_row_is_a_usage_error(capsys, command, flag):
+    # every command used to take all ten common flags and drop the ones it never read
+    unread = [flag] if flag == "--full" else [flag, "1"]
+    required = ["--dprime", "2"] if command == "pullback" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--p", "5", *required, *unread])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    message = "unrecognized arguments: " + " ".join(unread)
+    lines = captured.err.strip().splitlines()
+    assert lines[0].startswith("usage: fcrystal ") and lines[-2] == f"fcrystal: error: {message}"
+    assert json.loads(lines[-1]) == {"error": {"kind": "invalid", "message": message, "profile": None}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover", "--p", "3", "--c", "t^-2"], "unrecognized arguments: --c t^-2"),
+        (["recover", "--p", "5", "--d", "3", "--rep", "companion", "--window", "4"], "unrecognized arguments: --window 4"),
+        # --c is no abbreviation of --cap or --count
+        (["recover", "--p", "3", "--c", "5"], "unrecognized arguments: --c 5"),
+        (["roundtrip", "--p", "3", "--c", "5"], "unrecognized arguments: --c 5"),
+        (["compare", "--p", "5", "--c", "t^-2", "--e", "2", "--window", "4"], "--e and --c are mutually exclusive"),
+        (["build", "--p", "5", "--d", "3", "--rep", "regular", "--rank", "2"], "--rank needs --rep trivial"),
+        (["build", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}', "--rank", "2"], "--rank needs --rep trivial"),
+        (["recover", "--p", "5", "--d", "3", "--rep", "companion", "--rank", "1"], "--rank needs --rep trivial"),
+        (["build", "--p", "5", "--d", "3", "--c", "t^-2"], "--d and --c are mutually exclusive"),
+        (["sol", "--p", "5", "--rank", "2", "--c", "0"], "--rank and --c are mutually exclusive"),
+    ],
+    ids=[
+        "recover-c",
+        "recover-window",
+        "recover-c-not-cap",
+        "roundtrip-c-not-count",
+        "compare-e-c",
+        "rank-regular",
+        "rank-json",
+        "recover-rank-companion",
+        "d-c",
+        "rank-c",
+    ],
+)
+def test_a_flag_the_job_does_not_read_is_refused(capsys, argv, message):
+    # each of these used to exit 0, the flag dropped without a word
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err.strip().splitlines()[-1])["error"]
+    assert error == {"kind": "invalid", "message": message, "profile": None}
+
+
+def test_rank_defaults_to_one_for_the_trivial_rep(capsys):
+    jobs = ([], ["--rank", "1"], ["--rep", "trivial"])
+    results = [report(capsys, ["build", "--p", "5", "--d", "3", *job])[1]["result"] for job in jobs]
+    assert results[0]["rank"] == 1 and results[0] == results[1] == results[2]
+
+
+def test_modulus_search_is_capped(capsys):
+    # F_{p^4} for p = 2^31 - 1 = 3 mod 4: no binomial x^4 + c is
+    # irreducible, and the search walks the constant term first, so it
+    # used to try about p candidates, for hours
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["nearby", "--p", "2147483647", "--d", "5", "--rep", "regular", "--full"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert cap_error(err)["profile"] == [["modulus_candidates", MODULUS_CANDIDATES]]
 
 
 def test_help_exits_zero_without_a_json_line(capsys):

@@ -2,8 +2,10 @@
 
 Every argv, however malformed, must exit 0-3 without a traceback: a
 report whose digest covers it on stdout, or a JSON error line on
-stderr.  And every row of the CLI's input table is enforced at its
-boundary, so a new row gets its boundary test here for free.
+stderr.  Each command draws the flags its row of the CLI's command table
+names, and sometimes one more that it does not take, which must exit 2.
+And every row of the CLI's input table is enforced at its boundary, so
+a new row gets its boundary test here for free.
 """
 
 import hashlib
@@ -78,21 +80,22 @@ PRIMES = values([2, 3, 5, 7, 11, 13], [0, 1, 4, -7, 2**31, 2**61 - 1, HUGE, "x"]
 DEGREES = values(range(1, 9), [0, -3, 256, 257, HUGE, "1.5"])
 SERIES = ["0", "t^-2", "t^-3", "t^-1", "2t^-11+t^-1+3t^2", "3t^-2+t"]
 BAD_SERIES = ["t^2", "t^-" + "9" * 5000, "9" * 5000 + "t^-2", "t^-x", "x^-2", "t^--2", ""]
-FLAGS = [  # optional flags and what they draw
-    ("--m", values([1, 2], [0, -1, 200, HUGE])),
-    ("--window", values(range(1, 9), [0, -1, 1024, 1025, HUGE, "abc"])),
-    ("--rank", values([1, 2, 3], [0, -1, 64, 65, HUGE])),
-    ("--cap", values([4, 8, 24], [0, 1, -1, HUGE])),
-    ("--seed", values([0, 1, 2], [-1, HUGE])),
-    ("--depth", values([0, 1, 2], [-1, HUGE])),
-]
-COMMAND_FLAGS = {
-    "check": [("--shift", values([-1, 0, 1, 2], [HUGE, -HUGE]))],
-    "compare": [("--e", values([1, 2, 3], [0, -1, 349525, HUGE])), ("--shift", values([-1, 1], [HUGE]))],
-    "pullback": [("--dprime", values([1, 2, 3], [0, 5, -2, HUGE]))],
-    "roundtrip": [("--count", values([1, 2, 4, 8], [0, -3, 1025, HUGE]))],
+FLAGS = {  # what each flag with a value draws; the command table says who takes it
+    "--m": values([1, 2], [0, -1, 200, HUGE]),
+    "--window": values(range(1, 9), [0, -1, 1024, 1025, HUGE, "abc"]),
+    "--rank": values([1, 2, 3], [0, -1, 64, 65, HUGE]),
+    "--cap": values([4, 8, 24], [0, 1, -1, HUGE]),
+    "--seed": values([0, 1, 2], [-1, HUGE]),
+    "--depth": values([0, 1, 2], [-1, HUGE]),
+    "--shift": values([-1, 0, 1, 2], [HUGE, -HUGE]),
+    "--e": values([1, 2, 3], [0, -1, 349525, HUGE]),
+    "--dprime": values([1, 2, 3], [0, 5, -2, HUGE]),
+    "--count": values([1, 2, 4, 8], [0, -3, 1025, HUGE]),
+    "--d": DEGREES,
+    "--c": st.sampled_from(SERIES),
+    "--rep": st.sampled_from(cli._BUILTIN_REPS),
 }
-COMMANDS = sorted(["build", "vfilt", "graded", "nearby", "vanishing", "recover", "sol", "glue", *COMMAND_FLAGS])
+COMMANDS = sorted(cli._COMMANDS)
 
 
 def shift_matrix(d):
@@ -161,9 +164,11 @@ def rep_argument(draw, folder, serial):
 
 @st.composite
 def argvs(draw, folder, serial):
+    """(argv, refused): refused when the argv holds a flag its command does not take."""
     command = draw(st.sampled_from(COMMANDS))
+    takes = ["--" + name for name in cli._COMMANDS[command].split()]
     argv = [command, "--p", draw(PRIMES)]
-    target = draw(st.sampled_from(["builtin", "builtin", "json", "series", "none"]))
+    target = draw(st.sampled_from(["builtin", "builtin", "json", "none"] + ["series"] * ("--c" in takes)))
     if target == "builtin":
         argv += ["--rep", draw(st.sampled_from(cli._BUILTIN_REPS))]
         if draw(st.integers(0, 3)):
@@ -172,12 +177,19 @@ def argvs(draw, folder, serial):
         argv += ["--rep", draw(rep_argument(folder, serial))]
     elif target == "series":
         argv += ["--c", draw(st.sampled_from(SERIES * 3 + BAD_SERIES))]
-    for flag, strategy in FLAGS + COMMAND_FLAGS.get(command, []):
-        if flag == "--dprime" or draw(st.integers(0, 3)) == 0:
-            argv += [flag, draw(strategy)]
+    for flag in takes:
+        if flag == "--dprime" or flag in FLAGS and flag not in ("--d", "--c", "--rep") and draw(st.integers(0, 3)) == 0:
+            argv += [flag, draw(FLAGS[flag])]
+    if "--full" in takes and draw(st.booleans()):
+        argv.append("--full")
+    unread = [flag for flag in cli._FLAGS if flag not in takes]
+    refused = draw(st.integers(0, 9)) == 0
+    if refused:
+        flag = draw(st.sampled_from(unread))
+        argv += [flag] if flag == "--full" else [flag, draw(FLAGS[flag])]
     if draw(st.integers(0, 19)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "--p", "--help-me", "-"])))
-    return argv
+    return argv, refused
 
 
 def test_every_argv_exits_with_a_report_or_an_error_line(tmp_path):
@@ -192,10 +204,12 @@ def test_every_argv_exits_with_a_report_or_an_error_line(tmp_path):
         phases=[Phase.generate, Phase.shrink],  # no explain phase: its line tracing slows each run fivefold
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(argv=argvs(tmp_path, serial))
-    def one(argv):
+    @given(case=argvs(tmp_path, serial))
+    def one(case):
+        argv, refused = case
         code, out, err = run(argv)
         check_exit(argv, code, out, err)
+        assert code == 2 or not refused, argv
         codes.append(code)
 
     one()
@@ -207,6 +221,8 @@ def test_every_argv_exits_with_a_report_or_an_error_line(tmp_path):
 # one job per flag that reads it; a flag given twice takes its last value
 BASE_JOB = ["vfilt", "--p", "5", "--d", "3", "--rep", "companion", "--window", "4"]
 FLAG_JOBS = {
+    "--rank": ["vfilt", "--p", "5", "--d", "3", "--window", "4"],
+    "--cap": ["recover", "--p", "5", "--d", "3", "--rep", "companion"],
     "--e": ["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "2", "--window", "4"],
     "--count": ["roundtrip", "--p", "5", "--count", "4"],
 }

@@ -124,6 +124,12 @@ _COMMANDS = {
     "roundtrip": "p m d rep seed count cap",
     "glue": _TARGET,
 }
+# the flag pairs a command refuses together, as it reads only the first
+_EXCLUSIVE = {
+    "compare": ("e c", "e shift"),
+    "nearby": ("full cap",),
+    "roundtrip": ("rep seed", "rep count", "rep d"),
+}
 _FLAGS = {
     "--p": dict(required=True, help="characteristic (prime)"),
     "--m": dict(help="field degree; minimal when omitted"),
@@ -384,8 +390,6 @@ def cmd_compare(args) -> int:
         raise InvalidInputError("compare needs --e or --shift")
     win = (-args.window, args.window)
     if args.e is not None:
-        if args.c is not None:
-            raise InvalidInputError("--e and --c are mutually exclusive")
         rep = _load_rep(args)
         de = _check("d*e", rep.d * args.e, args)
         if de % args.p == 0:
@@ -483,7 +487,11 @@ def _roundtrip_entry(entry, args) -> dict:
 
 
 def cmd_roundtrip(args) -> int:
-    if args.rep is not None and args.rep not in _BUILTIN_REPS:
+    if args.rep in _BUILTIN_REPS:
+        raise InvalidInputError(
+            f"roundtrip samples its cases without --rep, which takes a file or a JSON literal, not {args.rep}"
+        )
+    if args.rep is not None:
         entries = _read_json(args.rep)
         counters = {"pass": 0, "fail": 0, "rejected": 0}
         for entry in entries if isinstance(entries, list) else [entries]:
@@ -548,13 +556,15 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use from _COMMANDS and _FLAGS; it holds
     no command functions, so ``main`` finds ``cmd_<command>`` on the
     module when it runs.  No abbreviations: an unread --c must not pass
-    for --cap or --count."""
+    for --cap or --count.  Every flag parses to None when it is not given;
+    ``main`` fills in the defaults once it has seen which were."""
     ap = _Parser(prog="fcrystal", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, names in _COMMANDS.items():
         parser = sub.add_parser(command, allow_abbrev=False)
         for flag in ("--" + name for name in names.split()):
-            parser.add_argument(flag, **({"type": int} if flag in _INPUTS else {}), **_FLAGS[flag])
+            settings = {**_FLAGS[flag], "default": None}
+            parser.add_argument(flag, **({"type": int} if flag in _INPUTS else {}), **settings)
     return ap
 
 
@@ -567,10 +577,18 @@ def _print_error(line, kind, err, profile):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    given = {name for name, value in vars(args).items() if value is not None}
+    for flag, settings in _FLAGS.items():
+        if getattr(args, flag[2:], 0) is None:  # a flag of the command, left out
+            setattr(args, flag[2:], settings.get("default"))
     try:
         for name in _INPUTS:  # in table order, --p first
             if name.startswith("--"):
                 _check(name, getattr(args, name[2:], None), args)
+        for pair in _EXCLUSIVE.get(args.command, ()):
+            first, second = pair.split()
+            if first in given and second in given:
+                raise InvalidInputError(f"--{first} and --{second} are mutually exclusive")
         return globals()[f"cmd_{args.command}"](args)
     except InvalidInputError as err:
         kind = "bound" if isinstance(err, BoundExceededError) else "invalid"

@@ -302,15 +302,15 @@ class ExtensionModule:
     def apply_F(self, sec):
         f, g = sec
         fp = f.frob()
-        return (fp, self._guard(fp.mul(self.c).shift(1).pole_part().add(g.frob())))
+        return (fp, self._guard(fp.mul(self.c).pole_part(1).add(g.frob())))
 
     def mul_t(self, sec):
         f, g = sec
-        return (f.shift(1), g.shift(1).pole_part())
+        return (f.shift(1), g.pole_part(1))
 
     def mul_t_pow(self, sec, k: int):
         f, g = sec
-        return (f.shift(k), g.shift(k).pole_part())
+        return (f.shift(k), g.pole_part(k))
 
     def add(self, s1, s2):
         return (s1[0].add(s2[0]), s1[1].add(s2[1]))
@@ -373,7 +373,7 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
     p = ctx.p
     if mod.split:
         return SolutionReport(1, ((LaurentSeries.one(ctx), LaurentSeries.zero(ctx)),))
-    h = mod.c.shift(1).pole_part()
+    h = mod.c.pole_part(1)
     bound = -(h.valuation() or 0)
     if bound > chain_cap:
         raise CapExceededError(

@@ -5,6 +5,14 @@ Kummer section with r = 1: no zero coefficient is ever stored, so {}
 is the zero series, dict equality is series equality and min(coeffs)
 is the valuation.  Every series the engine builds is exact: sections
 of j_*M on the punctured disk are Laurent polynomials in t.
+
+The public constructor drops zero coefficients, and so do ``smul`` and
+``mul``, whose products and sums can vanish.  The other operations keep
+a zero-free dict zero-free and store their result as it is, without the
+re-test: ``shift`` and ``pole_part`` move or drop terms, ``frob`` is
+injective on coefficients (the p-power map of F_{p^m}) and on exponents,
+``neg`` is injective, and ``add`` tests only the exponents both terms
+share, dropping a term where it cancels.
 """
 
 from __future__ import annotations
@@ -55,12 +63,17 @@ class LaurentSeries:
         ctx = self.ctx
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = ctx.add(out.get(e, ctx.zero), c)
-        return LaurentSeries(ctx, out)
+            if e in out:
+                c = ctx.add(out[e], c)
+                if ctx.is_zero(c):
+                    del out[e]
+                    continue
+            out[e] = c
+        return _zero_free(ctx, out)
 
     def neg(self) -> "LaurentSeries":
         ctx = self.ctx
-        return LaurentSeries(ctx, {e: ctx.neg(c) for e, c in self.coeffs.items()})
+        return _zero_free(ctx, {e: ctx.neg(c) for e, c in self.coeffs.items()})
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
@@ -82,16 +95,18 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k."""
-        return LaurentSeries(self.ctx, {e + k: c for e, c in self.coeffs.items()})
+        return _zero_free(self.ctx, {e + k: c for e, c in self.coeffs.items()})
 
-    def pole_part(self) -> "LaurentSeries":
-        """The terms of negative exponent: the class in k((t))/k[[t]]."""
-        return LaurentSeries(self.ctx, {e: c for e, c in self.coeffs.items() if e < 0})
+    def pole_part(self, k: int = 0) -> "LaurentSeries":
+        """The pole part of t^k times the series: the terms of negative
+        exponent after the shift, the class in F((t))/F[[t]].  The shifted
+        series itself is never built."""
+        return _zero_free(self.ctx, {e + k: c for e, c in self.coeffs.items() if e + k < 0})
 
     def frob(self) -> "LaurentSeries":
         """The p-power map: sum c_i t^i |-> sum c_i^p t^(p*i)."""
         ctx = self.ctx
-        return LaurentSeries(ctx, {ctx.p * e: ctx.frob(c) for e, c in self.coeffs.items()})
+        return _zero_free(ctx, {ctx.p * e: ctx.frob(c) for e, c in self.coeffs.items()})
 
     # -- comparison / io ----------------------------------------------------
 
@@ -129,6 +144,14 @@ class LaurentSeries:
             else:
                 parts.append(f"{cs}*t^{e}" if cs != "1" else f"t^{e}")
         return f"<{' + '.join(parts)}>"
+
+
+def _zero_free(ctx, coeffs: dict) -> LaurentSeries:
+    """The series of a dict that holds no zero coefficient, stored as it is."""
+    s = object.__new__(LaurentSeries)
+    s.ctx = ctx
+    s.coeffs = coeffs
+    return s
 
 
 # ---------------------------------------------------------------------------

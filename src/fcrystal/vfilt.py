@@ -336,7 +336,7 @@ class ExtensionVFilt(FiltrationSpec):
         if not self.rewrite:
             return x
         f, g = x
-        return f, g.add(f.shift(-self.l).pole_part())
+        return f, g.add(f.pole_part(-self.l))
 
     def _exponents(self, window):
         """The series exponents i whose level i - shift lies in the window."""

@@ -368,6 +368,13 @@ def test_a_flag_outside_the_command_row_is_a_usage_error(capsys, command, flag):
         (["recover", "--p", "5", "--d", "3", "--rep", "companion", "--rank", "1"], "--rank needs --rep trivial"),
         (["build", "--p", "5", "--d", "3", "--c", "t^-2"], "--d and --c are mutually exclusive"),
         (["sol", "--p", "5", "--rank", "2", "--c", "0"], "--rank and --c are mutually exclusive"),
+        (["compare", "--p", "5", "--d", "3", "--rep", "companion", "--e", "2", "--shift", "1", "--window", "4"], "--e and --shift are mutually exclusive"),
+        (["nearby", "--p", "5", "--d", "3", "--rep", "companion", "--full", "--cap", "1"], "--full and --cap are mutually exclusive"),
+        (["roundtrip", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}', "--seed", "3", "--count", "2", "--d", "4"], "--rep and --seed are mutually exclusive"),
+        (["roundtrip", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}', "--count", "2"], "--rep and --count are mutually exclusive"),
+        (["roundtrip", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}', "--d", "4"], "--rep and --d are mutually exclusive"),
+        (["roundtrip", "--p", "5", "--rep", "companion", "--count", "4"], "--rep and --count are mutually exclusive"),
+        (["roundtrip", "--p", "5", "--rep", "regular"], "roundtrip samples its cases without --rep, which takes a file or a JSON literal, not regular"),
     ],
     ids=[
         "recover-c",
@@ -380,6 +387,13 @@ def test_a_flag_outside_the_command_row_is_a_usage_error(capsys, command, flag):
         "recover-rank-companion",
         "d-c",
         "rank-c",
+        "compare-e-shift",
+        "nearby-full-cap",
+        "roundtrip-literal-seed",
+        "roundtrip-literal-count",
+        "roundtrip-literal-d",
+        "roundtrip-builtin-count",
+        "roundtrip-builtin",
     ],
 )
 def test_a_flag_the_job_does_not_read_is_refused(capsys, argv, message):
@@ -392,6 +406,28 @@ def test_a_flag_the_job_does_not_read_is_refused(capsys, argv, message):
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err.strip().splitlines()[-1])["error"]
     assert error == {"kind": "invalid", "message": message, "profile": None}
+
+
+def test_refusable_flags_echo_their_defaults_when_left_out(capsys):
+    # nearby --full reads no cap and roundtrip --rep no seed, but their
+    # reports echo both at the defaults, which pinned digests cover
+    for argv in (
+        ["nearby", "--p", "5", "--d", "3", "--rep", "companion", "--full"],
+        ["roundtrip", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}'],
+    ):
+        code, rep, _ = report(capsys, argv)
+        assert code == 0
+        assert {k: rep["job"][k] for k in ("cap", "seed", "window")} == {
+            "cap": cli._FLAGS["--cap"]["default"],
+            "seed": 0,
+            "window": 64,
+        }
+        assert ("d" in rep["job"]) == (argv[0] == "nearby")
+    # either flag of a refused pair alone still runs
+    code, rep, _ = report(capsys, ["nearby", "--p", "5", "--d", "3", "--rep", "companion", "--cap", "8"])
+    assert code == 0 and rep["job"]["cap"] == 8
+    code, rep, _ = report(capsys, ["compare", "--p", "5", "--d", "3", "--rep", "companion", "--shift", "1", "--window", "4"])
+    assert code == 1 and rep["result"]["shift"] == 1
 
 
 def test_rank_defaults_to_one_for_the_trivial_rep(capsys):

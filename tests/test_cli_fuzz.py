@@ -96,6 +96,12 @@ FLAGS = {  # what each flag with a value draws; the command table says who takes
     "--rep": st.sampled_from(cli._BUILTIN_REPS),
 }
 COMMANDS = sorted(cli._COMMANDS)
+# the flag pairs a command refuses together, as it reads only the first
+CONFLICTS = {
+    "compare": [("--e", "--c"), ("--e", "--shift")],
+    "nearby": [("--full", "--cap")],
+    "roundtrip": [("--rep", "--seed"), ("--rep", "--count"), ("--rep", "--d")],
+}
 
 
 def shift_matrix(d):
@@ -164,7 +170,9 @@ def rep_argument(draw, folder, serial):
 
 @st.composite
 def argvs(draw, folder, serial):
-    """(argv, refused): refused when the argv holds a flag its command does not take."""
+    """(argv, refused): refused when the argv holds a flag its command does
+    not take, a pair of flags it refuses together, or a built-in --rep for
+    roundtrip, which samples its cases without one."""
     command = draw(st.sampled_from(COMMANDS))
     takes = ["--" + name for name in cli._COMMANDS[command].split()]
     argv = [command, "--p", draw(PRIMES)]
@@ -182,9 +190,12 @@ def argvs(draw, folder, serial):
             argv += [flag, draw(FLAGS[flag])]
     if "--full" in takes and draw(st.booleans()):
         argv.append("--full")
+    given = set(argv)
+    refused = command == "roundtrip" and target == "builtin"
+    refused |= any(first in given and second in given for first, second in CONFLICTS.get(command, ()))
     unread = [flag for flag in cli._FLAGS if flag not in takes]
-    refused = draw(st.integers(0, 9)) == 0
-    if refused:
+    if draw(st.integers(0, 9)) == 0:
+        refused = True
         flag = draw(st.sampled_from(unread))
         argv += [flag] if flag == "--full" else [flag, draw(FLAGS[flag])]
     if draw(st.integers(0, 19)) == 0:

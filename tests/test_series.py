@@ -115,3 +115,62 @@ def test_equality_is_coefficient_equality(da, db):
     assert a.to_json()["hi"] is None
     assert (a == b) == a.same_values(b)
     assert a == a.add(b).sub(b)
+
+
+# Table fields, p = 2 among them, and F_{5^6} above TABLE_BOUND, where
+# elements multiply as polynomials.  Every series below is zero-free.
+TRUSTED_FIELDS = [make_field(5, 1), make_field(5, 2), make_field(2, 6), make_field(5, 6)]
+
+
+@st.composite
+def series_pairs(draw):
+    """(a, b, k): b cancels some terms of a, where it draws them."""
+    ctx = draw(st.sampled_from(TRUSTED_FIELDS))
+    terms = st.dictionaries(st.integers(-8, 8), st.integers(0, ctx.order - 1), max_size=6)
+    a = LaurentSeries(ctx, {e: ctx.decode(n) for e, n in draw(terms).items()})
+    cancel = draw(st.sets(st.sampled_from(sorted(a.coeffs)))) if a.coeffs else set()
+    b = {e: ctx.decode(n) for e, n in draw(terms).items()}
+    b.update((e, ctx.neg(a.coeffs[e])) for e in cancel)
+    return a, LaurentSeries(ctx, b), draw(st.integers(-8, 8))
+
+
+def filtered_sum(a, b):
+    """a + b as the filtering constructor builds it."""
+    ctx = a.ctx
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        out[e] = ctx.add(out.get(e, ctx.zero), c)
+    return LaurentSeries(ctx, out)
+
+
+@given(series_pairs())
+@settings(max_examples=200, deadline=None)
+def test_zero_free_results_match_the_filtering_constructor(case):
+    a, b, k = case
+    ctx = a.ctx
+    cases = [
+        (a.shift(k), {e + k: c for e, c in a.coeffs.items()}),
+        (a.pole_part(), {e: c for e, c in a.coeffs.items() if e < 0}),
+        (a.pole_part(k), {e + k: c for e, c in a.coeffs.items() if e + k < 0}),
+        (a.frob(), {ctx.p * e: ctx.frob(c) for e, c in a.coeffs.items()}),
+        (a.neg(), {e: ctx.neg(c) for e, c in a.coeffs.items()}),
+        (a.add(b), filtered_sum(a, b).coeffs),
+        (a.add(a.neg()), {}),
+        (a.sub(b), filtered_sum(a, b.neg()).coeffs),
+    ]
+    for result, coeffs in cases:
+        assert result.ctx is ctx and result.coeffs == LaurentSeries(ctx, coeffs).coeffs
+        assert not any(ctx.is_zero(c) for c in result.coeffs.values())
+
+
+def test_pole_part_of_a_shift_drops_exponent_zero():
+    # t^k f has no pole at exponent 0; neither does 1 + t^-1
+    assert S("t").pole_part(-1).coeffs == {}
+    assert S("t^2+3t").pole_part(-2).coeffs == {-1: (3,)}
+    assert S("1+t^-1").pole_part().coeffs == {-1: (1,)}
+    assert S("t^-1+2").pole_part(1).coeffs == {}
+
+
+def test_a_cancelled_sum_stores_no_term():
+    assert S("t+2").add(S("-t")).coeffs == {0: (2,)}
+    assert S("3t^-2+t").sub(S("3t^-2+t")).coeffs == {}

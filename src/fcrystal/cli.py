@@ -111,16 +111,16 @@ _INPUTS = {
 # _FLAGS gives each flag's argparse settings, _INPUTS its type if an int.
 _TARGET = "p m d rep rank c"
 _COMMANDS = {
-    "build": _TARGET + " window",
+    "build": _TARGET,
     "vfilt": _TARGET + " window depth",
     "graded": _TARGET + " window",
     "check": _TARGET + " window depth shift",
     "compare": _TARGET + " window e shift",
     "pullback": _TARGET + " window depth dprime",
-    "nearby": _TARGET + " window full cap",
-    "vanishing": _TARGET + " window",
+    "nearby": _TARGET + " full cap",
+    "vanishing": _TARGET,
     "recover": "p m d rep rank cap",
-    "sol": _TARGET + " window",
+    "sol": _TARGET,
     "roundtrip": "p m d rep seed count cap",
     "glue": _TARGET,
 }
@@ -148,9 +148,8 @@ _FLAGS = {
     "--count": dict(default=24, help="budget per order d: max(1, count // #orders) cases of each round trip, 1/4 as many naturality checks"),
 }
 # the commands that read the level window [-N, N), where a degree-d cover
-# puts up to d * 2N jumps, and the largest d * N they accept; the other four
-# take --window only to echo it, for 40 pinned extension-family digests
-_WINDOWED = {c for c, names in _COMMANDS.items() if "window" in names.split()} - {"build", "nearby", "vanishing", "sol"}
+# puts up to d * 2N jumps, and the largest d * N they accept
+_WINDOWED = {c for c, names in _COMMANDS.items() if "window" in names.split()}
 _GRID_BOUND = 2048
 
 
@@ -351,7 +350,7 @@ def cmd_vfilt(args) -> int:
     result = {
         "kind": meta["kind"],
         "filtration": spec.to_json(),
-        "jumps": [level_json(r) for r in spec.jumps(win)],
+        "jumps": [level_json(n, spec.den) for n in spec.ijumps(win)],
         "graded": rep.to_json(),
         "checks": checks.to_json(),
         "all_pass": checks.all_pass,
@@ -414,7 +413,7 @@ def cmd_pullback(args) -> int:
     result = {
         "kind": meta["kind"],
         "filtration": pb.to_json(),
-        "jumps": [level_json(r) for r in pb.jumps(win)],
+        "jumps": [level_json(n, pb.den) for n in pb.ijumps(win)],
         "checks": checks.to_json(),
         "all_pass": checks.all_pass,
     }

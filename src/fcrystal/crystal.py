@@ -28,6 +28,7 @@ from .field import FieldCtx, is_prime, primitive_root_of_unity
 from .series import LaurentSeries
 
 DEFAULT_DELTA_CAP = 4096
+_CHAIN_CAP = 4096  # the largest pole order sol_extension follows
 
 
 def _reduce_mat(mat, p: int):
@@ -358,7 +359,7 @@ class SolutionReport:
         return out
 
 
-def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport:
+def sol_extension(mod: ExtensionModule) -> SolutionReport:
     """F_p-dimension (0 or 1 for nonzero c) of Frobenius-fixed sections.
 
     A fixed pair (f, g) forces f = f^p, so f is a constant lambda in
@@ -375,9 +376,9 @@ def sol_extension(mod: ExtensionModule, chain_cap: int = 4096) -> SolutionReport
         return SolutionReport(1, ((LaurentSeries.one(ctx), LaurentSeries.zero(ctx)),))
     h = mod.c.pole_part(1)
     bound = -(h.valuation() or 0)
-    if bound > chain_cap:
+    if bound > _CHAIN_CAP:
         raise CapExceededError(
-            f"pole order {bound} exceeds the solution chain cap {chain_cap}",
+            f"pole order {bound} exceeds the solution chain cap {_CHAIN_CAP}",
             [("pole", bound)],
         )
     gamma: dict = {}

@@ -14,9 +14,10 @@ functor_G flattens a CGObject to one semilinear operator, saturates
 its fixed points over field extensions, and reads off the group
 action on the F_p-basis of fixed vectors.  nearby_full collects the
 graded pieces of a filtration at levels in [0, 1) into a CGObject
-(normalizing Frobenius targets back into the range with inverse
-t-multiplications), so recover_rep = functor_G after nearby_full is
-the end-to-end inverse of the crystal construction.
+(carrying Frobenius images back into the range by a power of t, exact
+on Kummer sections), so recover_rep = functor_G after nearby_full is
+the end-to-end inverse of the crystal construction.  Both work on level
+numerators over the filtration's den.
 
 vanishing packages Gr^(-1) -> Gr^(-p) with its natural morphism
 (t, t^p) into the level-0 piece; gluing_data extracts the splitting
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
@@ -55,8 +55,7 @@ from .field import (
 from .vfilt import (
     FiltrationSpec,
     KummerVFilt,
-    graded_frobenius_map,
-    graded_t_map,
+    _piece_map,
     split_vfilt,
     standard_vfilt,
 )
@@ -371,57 +370,47 @@ class UnipotentNearby:
 
 def nearby_unipotent(spec: FiltrationSpec) -> UnipotentNearby:
     """Gr^0 with the induced Frobenius (level 0 maps to level p*0 = 0)."""
-    ctx = spec.module.ctx
-    r0 = Fraction(0)
-    basis = spec.graded_basis(r0)
+    module = spec.module
+    basis = spec.ibasis(0)
     if not basis:
-        return UnipotentNearby(ctx, 0, (), (), None)
-    gm = graded_frobenius_map(spec, r0)
+        return UnipotentNearby(module.ctx, 0, (), (), None)
+    gm = _piece_map(spec, basis, [module.apply_F(b) for b in basis], 0)
     if gm.matrix is None:
         raise InvalidInputError("level-0 Frobenius image has no graded class")
-    op = SemilinearOperator(ctx, gm.matrix)
-    return UnipotentNearby(ctx, len(basis), tuple(spec.graded_labels(r0)), gm.matrix, op)
+    op = SemilinearOperator(module.ctx, gm.matrix)
+    return UnipotentNearby(module.ctx, len(basis), tuple(spec.ilabels(0)), gm.matrix, op)
 
 
 def nearby_full(spec: FiltrationSpec) -> CGObject:
     """Graded pieces at levels j/d in [0, 1) assembled into a CGObject.
 
-    The Frobenius matrix out of level j/d lands at level p*j/d; it is
-    carried back into [0, 1) by floor(p*j/d) inverse t-multiplications,
-    all of which stay at levels >= 0 where the graded t-maps are
-    invertible.  The piece at level j/d is indexed by the class acting
-    through the (-j)-th power of the root of unity; this calibration
-    is what makes recover_rep the inverse of the construction.
+    The Frobenius image of the piece at level j/d lands at level p*j/d;
+    with k, tn = divmod(p*j, d) it is carried back into [0, 1) by t^(-k),
+    an exact inverse on Kummer sections, so the normalized matrix is the
+    class of t^(-k) F(b) in the piece at tn/d.  The piece at level j/d
+    is indexed by the class acting through the (-j)-th power of the root
+    of unity; this calibration is what makes recover_rep the inverse of
+    the construction.
     """
     if not isinstance(spec, KummerVFilt):
         raise InvalidInputError("full nearby cycles needs the standard filtration of a crystal")
-    ctx = spec.module.ctx
-    p, d = ctx.p, spec.d
+    module = spec.module
+    p, d = module.ctx.p, spec.d
     dims = [0] * d
     mats = [()] * d
     for j in range(d):
-        r = Fraction(j, d)
-        n = spec.dim_at(r)
+        basis = spec.ibasis(j)
         a = (-j) % d
-        dims[a] = n
-        if n == 0:
+        dims[a] = len(basis)
+        if not basis:
             continue
-        gm = graded_frobenius_map(spec, r)
+        k, tn = divmod(p * j, d)
+        images = [module.mul_t_pow(module.apply_F(b), -k) for b in basis]
+        gm = _piece_map(spec, basis, images, tn)
         if gm.matrix is None:
             raise InvalidInputError(f"graded Frobenius at level {j}/{d} has no class matrix")
-        M = gm.matrix
-        cur = p * r
-        for _ in range(math.floor(p * r)):
-            tm = graded_t_map(spec, cur - 1)
-            tinv = None if tm.matrix is None else linalg.invert(ctx, tm.matrix)
-            if tinv is None:
-                raise InvalidInputError(
-                    f"normalization crossed a non-invertible t-map into level {cur}"
-                )
-            M = linalg.mat_mul(ctx, tinv, M)
-            cur -= 1
-        mats[a] = M
-    return CGObject(ctx, d, tuple(dims), tuple(mats))
+        mats[a] = gm.matrix
+    return CGObject(module.ctx, d, tuple(dims), tuple(mats))
 
 
 def recover_rep(kc: KummerCrystal, cap: int = DEFAULT_SATURATION_CAP) -> CyclicRep:
@@ -471,16 +460,14 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
     Commutation is checked entrywise: (t^p after F) equals (F after t)
     as maps Gr^(-1) -> Gr^0, i.e. T_W A = A_0 T_V^(p) on matrices.
     """
-    ctx = spec.module.ctx
-    p = ctx.p
-    rV = Fraction(-1)
-    basisV = spec.graded_basis(rV)
-    dimV = len(basisV)
-    dimW = spec.dim_at(Fraction(-p))
+    module = spec.module
+    ctx = module.ctx
+    p, den = ctx.p, spec.den
+    basisV, basisW = spec.ibasis(-den), spec.ibasis(-p * den)
     psi = nearby_unipotent(spec)
-    fm = graded_frobenius_map(spec, rV)
-    tV = graded_t_map(spec, rV)
-    tW = graded_t_map(spec, Fraction(-p), power=p)
+    fm = _piece_map(spec, basisV, [module.apply_F(b) for b in basisV], -p * den)
+    tV = _piece_map(spec, basisV, [module.mul_t(b) for b in basisV], 0)
+    tW = _piece_map(spec, basisW, [module.mul_t_pow(b, p) for b in basisW], 0)
     note = None
     commutes = False
     if fm.matrix is None or tV.matrix is None or tW.matrix is None:
@@ -493,9 +480,9 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
             note = "(t^p) after F differs from F after t"
     return VanishingReport(
         ctx=ctx,
-        source_dim=dimV,
-        target_dim=dimW,
-        source_labels=tuple(spec.graded_labels(rV)),
+        source_dim=len(basisV),
+        target_dim=len(basisW),
+        source_labels=tuple(spec.ilabels(-den)),
         f_matrix=fm.matrix,
         psi=psi,
         t_source=tV.matrix,
@@ -733,20 +720,14 @@ def naturality_check_G(
 # solutions of crystals
 
 
-def sol_crystal(kc: KummerCrystal, cap=None) -> SolutionReport:
+def sol_crystal(kc: KummerCrystal) -> SolutionReport:
     """Fixed sections of the crystal over the base field.
 
     A fixed section has finite support closed under e -> p*e, so only
     the exponent-0 coefficient survives, and that forces weight 0:
-    solutions are the fixed points of the weight-0 transition.  With
-    cap set, the count is taken after saturating over extensions.
+    solutions are the fixed points of the weight-0 transition.
     """
-    n0 = kc.dims.get(0, 0)
-    if n0 == 0:
+    if kc.dims.get(0, 0) == 0:
         return SolutionReport(0, (), None)
-    B0 = kc.frob_mats[0]
-    if cap is not None:
-        sat = saturate_fixed_points(kc.ctx, B0, cap)
-        return SolutionReport(sat.dimension, tuple(sat.basis), None)
-    vecs = semilinear_fixed_points(kc.ctx, B0)
+    vecs = semilinear_fixed_points(kc.ctx, kc.frob_mats[0])
     return SolutionReport(len(vecs), tuple(vecs), None)

@@ -18,6 +18,7 @@ share, dropping a term where it cancels.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .errors import InvalidInputError
 
@@ -169,7 +170,7 @@ _TERM = re.compile(
 )
 
 
-def parse_series(ctx, text: str, var: str = "t") -> LaurentSeries:
+def parse_series(ctx, text: str) -> LaurentSeries:
     """Parse expressions like "3t^-2 + t - 4" into an exact series."""
     s = text.strip()
     if s in ("0", ""):
@@ -185,8 +186,8 @@ def parse_series(ctx, text: str, var: str = "t") -> LaurentSeries:
         if sign is None and not first:
             raise InvalidInputError(f"missing sign before: {s[mt.start():]!r}")
         v = mt.group("var1") or mt.group("var2")
-        if v is not None and v != var:
-            raise InvalidInputError(f"unknown variable {v!r}, expected {var!r}")
+        if v is not None and v != "t":
+            raise InvalidInputError(f"unknown variable {v!r}, expected 't'")
         c = int(mt.group("coeff")) if mt.group("coeff") else 1
         if sign == "-":
             c = -c
@@ -202,8 +203,11 @@ def parse_series(ctx, text: str, var: str = "t") -> LaurentSeries:
     return LaurentSeries(ctx, coeffs)
 
 
-def level_json(level) -> dict:
-    """An int or Fraction level (None for +infinity) as {num, den}."""
+def level_json(level, den: int = 1) -> dict:
+    """The level level/den as reduced {num, den}: level a Fraction or an
+    int (a numerator over den), or None for +infinity."""
     if level is None:
         return {"num": None, "den": None}
-    return {"num": level.numerator, "den": level.denominator}
+    num, den = level.numerator, level.denominator * den
+    g = gcd(num, den)
+    return {"num": num // g, "den": den // g}

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .crystal import ExtensionModule, KummerCrystal, build_extension
@@ -276,7 +275,7 @@ class KummerVFilt(FiltrationSpec):
             "d": self.d,
             "rank": self.kc.rank,
             "jump_classes": [
-                {"level_mod_1": level_json(Fraction(self.kc.shifts[a], self.d)), "dim": self.kc.dims[a]}
+                {"level_mod_1": level_json(self.kc.shifts[a], self.d), "dim": self.kc.dims[a]}
                 for a in sorted(self.kc.dims, key=self.kc.shifts.get)
             ],
         }
@@ -430,7 +429,7 @@ class ExtensionVFilt(FiltrationSpec):
         elif self.rewrite:
             out.update(n=self.module.n, l=self.l)
         if self.series_label:
-            out["shift"] = level_json(Fraction(-self.shift_num, self.den))
+            out["shift"] = level_json(-self.shift_num, self.den)
         return out
 
 
@@ -583,14 +582,6 @@ def pullback_filtration(spec: FiltrationSpec, dprime: int) -> FiltrationSpec:
 # graded report
 
 
-def _level_json(n, den):
-    """level_json(Fraction(n, den)), from the reduced ints."""
-    if n is None:
-        return {"num": None, "den": None}
-    g = gcd(n, den)
-    return {"num": n // g, "den": den // g}
-
-
 @dataclass
 class GradedMap:
     ctx: object  # the FieldCtx of the matrix entries
@@ -607,7 +598,7 @@ class GradedMap:
 
     def to_json(self):
         return {
-            "target": _level_json(self.tn, self.den),
+            "target": level_json(self.tn, self.den),
             "target_dim": self.target_dim,
             "matrix": None
             if self.matrix is None
@@ -632,7 +623,7 @@ class GradedLevel:
 
     def to_json(self):
         return {
-            "level": _level_json(self.n, self.den),
+            "level": level_json(self.n, self.den),
             "dim": self.dim,
             "labels": self.labels,
             "frobenius": self.f_map.to_json(),
@@ -693,6 +684,12 @@ def _graded_map(spec: FiltrationSpec, basis, images, tn: int, den: int, tdim: in
     return GradedMap(ctx, tn, den, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
+def _piece_map(spec: FiltrationSpec, basis, images, tn: int, invertible=None) -> GradedMap:
+    """_graded_map of basis -> images into the piece at numerator tn
+    over spec.den."""
+    return _graded_map(spec, basis, images, tn, spec.den, spec.idim(tn), {} if invertible is None else invertible)
+
+
 def _target(spec: FiltrationSpec, r):
     """(numerator, den, dim) of the target level r: over spec.den on the
     grid, else r's own reduced terms with dim 0."""
@@ -709,11 +706,11 @@ def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     return _graded_map(spec, basis, images, *_target(spec, spec.module.ctx.p * r), {})
 
 
-def graded_t_map(spec: FiltrationSpec, r, power: int = 1) -> GradedMap:
-    """Matrix of t^power multiplication Gr^r -> Gr^(r + power)."""
+def graded_t_map(spec: FiltrationSpec, r) -> GradedMap:
+    """Matrix of t-multiplication Gr^r -> Gr^(r + 1)."""
     basis = spec.graded_basis(r)
-    images = [spec.module.mul_t_pow(b, power) for b in basis]
-    return _graded_map(spec, basis, images, *_target(spec, r + power), {})
+    images = [spec.module.mul_t(b) for b in basis]
+    return _graded_map(spec, basis, images, *_target(spec, r + 1), {})
 
 
 def _check_window(window) -> None:
@@ -742,8 +739,8 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
             continue
         f_images = [spec.module.apply_F(b) for b in basis]
         t_images = [spec.module.mul_t(b) for b in basis]
-        f_map = _graded_map(spec, basis, f_images, p * n, den, spec.idim(p * n), invertible)
-        t_map = _graded_map(spec, basis, t_images, n + den, den, spec.idim(n + den), invertible)
+        f_map = _piece_map(spec, basis, f_images, p * n, invertible)
+        t_map = _piece_map(spec, basis, t_images, n + den, invertible)
         out.append(GradedLevel(n, den, len(basis), spec.ilabels(n), f_map, t_map))
     return GradedReport(tuple(window), out)
 
@@ -770,7 +767,7 @@ class AxiomCheck:
             out["witness"] = self.witness
         if self.levels is not None:
             out["levels"] = [
-                {"level": _level_json(n, self.den), "status": st, "note": note}
+                {"level": level_json(n, self.den), "status": st, "note": note}
                 for n, st, note in self.levels
             ]
         if self.info:
@@ -813,7 +810,7 @@ def _graded_check(name, title, maps, den, default_note, exempt=None):
         if n == exempt:
             note = None if gmap.invertible else (gmap.note or "not bijective")
             info["exception_at_minus_one"] = {
-                "level": _level_json(n, den),
+                "level": level_json(n, den),
                 "invertible": gmap.invertible,
                 "note": note,
             }
@@ -824,7 +821,7 @@ def _graded_check(name, title, maps, den, default_note, exempt=None):
             note = gmap.note or default_note
             levels.append((n, "fail", note))
             if first_fail is None:
-                first_fail = {"level": _level_json(n, den), "reason": note}
+                first_fail = {"level": level_json(n, den), "reason": note}
     return AxiomCheck(
         name,
         title,
@@ -887,8 +884,8 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
         if moved is not None and moved < lvl + den:
             a2_witness = {
                 "section": label,
-                "level": _level_json(lvl, den),
-                "after": _level_json(moved, den),
+                "level": level_json(lvl, den),
+                "after": level_json(moved, den),
                 "ideal_power": power,
             }
             break
@@ -905,8 +902,8 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
         if flvl is not None and flvl < p * lvl:
             a3_witness = {
                 "section": label,
-                "level": _level_json(lvl, den),
-                "frobenius_level": _level_json(flvl, den),
+                "level": level_json(lvl, den),
+                "frobenius_level": level_json(flvl, den),
             }
             break
     checks["A3"] = _verdict("A3", "Frobenius scales levels by p", a3_witness)
@@ -972,7 +969,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
             ss2_witness = {
                 "section": label,
                 "reason": "t-preimage is too deep",
-                "preimage_level": _level_json(pre_lvl, den),
+                "preimage_level": level_json(pre_lvl, den),
             }
             break
     checks["SS2"] = _verdict("SS2", "t V^i = V^(i+1) away from -1", ss2_witness)
@@ -1055,8 +1052,8 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
     return {
         "verdict": "incomparable",
         "witness": {
-            "deeper_in_first": {"section": wit[0], "levels": [_level_json(wit[1], den), _level_json(wit[2], den)]},
-            "deeper_in_second": {"section": wit2[0], "levels": [_level_json(wit2[1], den), _level_json(wit2[2], den)]},
+            "deeper_in_first": {"section": wit[0], "levels": [level_json(wit[1], den), level_json(wit[2], den)]},
+            "deeper_in_second": {"section": wit2[0], "levels": [level_json(wit2[1], den), level_json(wit2[2], den)]},
         },
     }
 
@@ -1084,7 +1081,7 @@ def shifted_exactness(spec, window) -> dict:
         got = spec.ilevel(module.delta_monomial(m))
         if got != -m * p:
             sub_ok = False
-            witness = {"delta": m, "level": _level_json(got, p)}
+            witness = {"delta": m, "level": level_json(got, p)}
             break
     quo_ok = True
     checked = 0
@@ -1097,12 +1094,12 @@ def shifted_exactness(spec, window) -> dict:
         best = max(spec.ilevel(x) for x in lifts)
         if best != i * p - spec.shift_num:
             quo_ok = False
-            witness = {"series_exp": i, "level": _level_json(best, p)}
+            witness = {"series_exp": i, "level": level_json(best, p)}
             break
         checked += 1
     return {
         "sub_matches_delta": sub_ok,
-        "quotient_shift": _level_json(-spec.shift_num, p),
+        "quotient_shift": level_json(-spec.shift_num, p),
         "quotient_matches_shifted_integers": quo_ok,
         "levels_checked": checked,
         "witness": witness,

@@ -324,7 +324,10 @@ DETERMINISM_JOBS = (
 def _run_job(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # a usage error, from argparse
+            code = exc.code
     return code, out.getvalue()
 
 
@@ -373,12 +376,14 @@ def test_determinism_jobs_pinned_digests(argv, pinned):
 
 
 def _extension_family_jobs():
-    """Every extension-family CLI path: split, mc and depth-grading classes."""
+    """Every extension-family CLI path: split, mc and depth-grading classes.
+    The window goes to the commands that read it."""
     for p in (5, 7):
         for c in ("0", "t^-2", "t^-3", f"t^-{p + 1}", f"2t^-{2 * p + 1}+t^-1+3t^2"):
-            base = ["--p", str(p), "--c", c, "--window", "6"]
+            target = ["--p", str(p), "--c", c]
+            base = target + ["--window", "6"]
             for cmd in ("build", "vfilt", "graded", "check", "nearby", "vanishing", "sol"):
-                yield [cmd] + base
+                yield [cmd] + (base if cmd in cli._WINDOWED else target)
             yield ["check"] + base + ["--shift", "1"]
             yield ["compare"] + base + ["--shift", "2"]
             yield ["pullback"] + base + ["--dprime", "2"]
@@ -390,113 +395,124 @@ EXTENSION_FAMILY_JOBS = tuple(_extension_family_jobs())
 # EXTENSION_FAMILY_JOBS order; exit 1 is an honest check failure (A4
 # breaks at positive levels of a nonzero class, shifts break A4).
 PINNED_EXTENSION_FAMILY = (
-    (0, "69dbda6ee675b842f6c78b9db2ae7fd3afb40016edc6af941e37710293cc5483"),
+    (0, "f6ffad55280c7c7ba027e840403466874ff09a74a0504edd525b1e6b1bc7af01"),
     (0, "8aae13f6a4ed7275e4c29e6ee5daa9feb2465be61d9b70c89dea0d36cf731f15"),
     (0, "5ce02eacd7e0c539b69a0afd36be73896765ca62037d7c18a8b8626a42c0f9ff"),
     (0, "129dd3a1138e081341d986e6e22d0bf9d47acfd1c160496b466cc91b87f95b24"),
-    (0, "70ee0b1b5f217892a3c096f1a64d8b559c206d7962251089590b8aeeb237b31a"),
-    (0, "21d4fb48b09c0c0c26e24d050ad28f78b48932d1d01fad33f0095a028ed6d510"),
-    (0, "3fbfa8200672438155643ba704247aeeea5949844db6e6d60c72922a328b4762"),
+    (0, "8bb22cc8194fff23055e48aac8c942c2baefe4952b92e6ade77601780908300a"),
+    (0, "c3a8f4b8efb888f364bb481aedfffea85f8970a8f832e50198ef90b271da2b32"),
+    (0, "479f175d32794bd170355113adc6fc34f6fd375718604a810d6efe8472a0be34"),
     (1, "34e5a6f74b4f54ee0613420190230e9c51c53e220b61940828a70cb5f89bc3a7"),
     (1, "6486c933d2ce9a5879451178ec6ba412e10c9209dea2f6990c61db5bfddc3aeb"),
     (0, "871d8dfc4dc5089cc752e678dcc4a7d21b52e4a45e81ce0d07b4516dc616f7a6"),
-    (0, "22e322d25aeefa48eb27be43fc0d2329aa41f8d08acde1dd2c0d989921f10875"),
+    (0, "8500bd849fae11a3481e8dc84cb7e3b4cce0bf505db36434a3d103c74c96cee8"),
     (1, "4128b8871070a2a0ae4895427e2fba6c10ea6653e4e61530961fb9c5325a2af6"),
     (1, "b4d3b13d73b0e163eb98d4b938981a9abe53853ca5ff90eea10baa842efe8e8c"),
     (1, "f447c3c3bb0af8fc282676bc88fd2a2f14c5552418d482a00435a00edfc38dcc"),
-    (0, "d59b33e257f177c762043dd77fe2137f887dd251ec728643c9fece10a3ce4be8"),
-    (0, "f07a3cdb45eb9dc671156cd30d3b67914e4182f6019b5566557aa26cdadcbf83"),
-    (0, "416a2ce2d3990d8cdd5c31029f52318946fb3f48d91df3880e03ce2a84cc313f"),
+    (0, "7a92db2720c5984ac4db7da2397df4397c1c67aa4fdea80bfa96c14fe387c4e0"),
+    (0, "6d65cfe1b6ea41b1fb105de313ef581d3ea8876e6946ef63b674d74f54a3c89e"),
+    (0, "f1312b23b7a5f29ce28633bab7b7a5e0b0a7ccded4d74375bef5f2e72884a8a0"),
     (1, "6590377db13c181a9a7fb36db1112396c7b7bbc7c03517955cf45ca73c6ee7a7"),
     (1, "737b1a0e5c3e9d9e37f5a5e2b04152035df670659acb292d85232af4f827c6cc"),
     (1, "4e243eaf0f5769208dd3b72f4a50a3dc069913254558caeb9c952185eb9424ad"),
-    (0, "73784056e4daf523c801c6b512aa5a076dd81a94bb2d0f0afee822c327ec355b"),
+    (0, "ad7c0e4437186a9d2b46cb5091441039bb78e8496abedf4fbf974a9977e72bf3"),
     (1, "49116cd20fe9974b77b6977d9bafff324dead10c3187ad077fe999183cb9b7fb"),
     (1, "a07da8f9273ff6f7c5975abb6ca86ab6dc8367c52018418fd913ae91c73e3fb4"),
     (1, "947ceb0155cd4f5d7f943e1a9a5e2a9191263351dcd0f705a912b2f627418968"),
-    (0, "bb2d3f698a4765b8591bcd1ecf71ffa6c2ed25b0203e63edc4751a26e930103c"),
-    (0, "35ce29ef54cbb7ff7b46d9a91b8aeeb17839bac80ac6bf1dcb8f17ac3e57e06f"),
-    (0, "8cbb73b98a2d417056fc557ebf66c66ee13f92db85786ad8eed6c5b18084c069"),
+    (0, "efcd3ececf30e09d722a9759feb56e4626b9f9d02c772a277f37191faac1fc92"),
+    (0, "b804af0c8a7c884b324e813b5a4dbb7723b7414a9c714a4d871ca18519e97b7c"),
+    (0, "c84e20e499200d3fdd2b663475027c1fbc230d49149be369450ec110cf198e3a"),
     (1, "7d457ac93a5ca48cc4cc1531c77b3c095d006d2083a9d101b66ce2685b1288f7"),
     (1, "6330967af8286192d06f51d1d2548cfacbf248b85f06ed1186077426b21beaf5"),
     (1, "4d2b0212017c3ab5c485e67a1e774e383d50d6c24f14a271345bfb1c3a7c18e0"),
-    (0, "48896a03ef84e236c412147755e1b69e825fe770972558e0e97760f7a3089217"),
+    (0, "f7234f9e0d7c12721ebbcb5ea609228a70a04f017696d6edafadda95cfd56aaa"),
     (1, "ad7e856f8b465b47eec3067aed84287e9f3c160c90e98d5317c99a07bad70336"),
     (1, "f009dfcf6c1483139831a053f8aeb01c8f3d48770b66c7273f5d8f4d4be731b7"),
     (1, "4e6d45ae1a50457abd3ac0c3514a32436668fbf5ef4eda8d320964ea399b90cf"),
-    (0, "b3deea13699ad625f8b037dd7349026b31feab437edff70c7ed5ee5562f5f1ae"),
-    (0, "4ea285f571b13865942fa4f38c5b69ce8663bc4179ddedee77b4e617b2f7447b"),
-    (0, "13ee21daadb83eebddc3352c819ab218977c7747f3b453bbeee882d6c36d8289"),
+    (0, "2da60d0feef27ad12b347b05c2e0e7f2be1de5d6140f7f84f51db8994a0bacc4"),
+    (0, "9ce1b9af6594f010dbbebf6a280f36e54667d7ec064bf541d14d23d02cef1b27"),
+    (0, "4674de9955f7a8b638aa5becc8f480f091f8aee1bbd151baaeabdebbd1ae491d"),
     (1, "a3d823994c04aeb97991b5e1dd7b167d728e075adf2efafae68f467e18fa1ca8"),
     (1, "90cefd7dcb6e823ce2a0c5ce50697387f3d005a6bb457615a0ec1d111b9f2bb8"),
     (1, "27347aac0ccd1bd332d7712f51b4d8583ac17f23385bbf3ea450b24876e93285"),
-    (0, "b59db633b5537757693d70e891fb55ebff4b1350c770d3856418b5ffb9319d0e"),
+    (0, "68ad6093c66f98f6b2c7fd0e216055528891e069ad2f08e22b6015c33c7a5187"),
     (1, "e08aed3df731d01a0ea69ddfcf6eb1c8434fe99e6f13e9ea78518a60b60f4bfb"),
     (1, "ad67fe1fbc2daba0c2492645482c6ece2118af0c556575b1bbe21273ccc0bddd"),
     (1, "26763f0d7c758992d674ad4d4e20408ca95da239a7ba9fafef0c052ff5279b48"),
-    (0, "8b6200f86711e93082fb41d90732aae4d1a215ed8cbaf4c8b97f49e7db41b80c"),
-    (0, "700c091b1d81f6d512b485e68bd5733ed31fe878de00859aca038e3c882b6da7"),
-    (0, "665553ffebc7383c07c676aada8b745049ca80ac3a28a7dd9d7d99df910d2c12"),
+    (0, "db5b40a7230df6910597ad406477b9511cfe0e45c1083407974d7541ace151d2"),
+    (0, "eedddddde72f0aa6c804dee2d393ae5ed2ff2f13d7b0b1ce0990e6400f0bc044"),
+    (0, "74b6b626552e5d96f13bdfa6dd8c6c5128f95e45a45f8c65f788e6810deb7735"),
     (1, "70217f4649db5291a988e8755dce80b74b423a730d9bd7c50a31bd39efa2b579"),
     (1, "66fbf958cd81be29d79fac5ab45b5099d7e732b2f73c9f19258a679302b3c91e"),
     (1, "ffa99c84e1b2a8a60289f51f77d07411af24895d77c8a4c8d849df60421e13ec"),
-    (0, "380191e25bd206f34be3ce46754f56e18b08eeed16caeb970c86244dd816e1e1"),
+    (0, "5c3dd13830153c499831b8b61ba4e6661538331504de2ed755032abb303b3281"),
     (0, "5170d98b8f53cd556e07f5a3acf623340a3a36902c9a76ff6f63981a52c8414d"),
     (0, "fc37961afe9e9c36a257a3fdfae24659314658639c1ebfb2f2f64a139fcae53b"),
     (0, "29019973a3612f50874451622de4f63a77fcaf13fb842f02cdb8a4377db1415e"),
-    (0, "7a633856ee399456475d5e89d1b652c3b63037beb4d567fec87c88293af08026"),
-    (0, "0c9cf8e0959a690053921f800db9916343fdb6e5128a99f71f6f6b88fc8002b6"),
-    (0, "a1466d582dbefc45a0bbe1e598cc17cf3a312a2c5c82f7ddd71a51117e64f3a3"),
+    (0, "974e111b45732cb35e685b571a757c5c73c33f49f03bad83553aaf68c054f424"),
+    (0, "9e27f4c421cee83389335cebc7723f11d104093d2e6e92762549b6de5a410bb6"),
+    (0, "824b29670aba584ecef10ccac9d65a6d2b3309505cc7d707bdfe252c88ed8ef5"),
     (1, "420ea48801165688f5f1732875493fb37a55922e5f605dd100b7fe741934d9fc"),
     (1, "58506219c2113ad14d50d1680cee00230feae916076e63698c360e46f08dcb99"),
     (0, "2889ce0491f46aa3ac00b2eb91c0a500f782d4d62c63e32c7ad5fb24d09a0895"),
-    (0, "eb7ec4c393f2dccaf318e33b401c7674eed1bbeb517e8754163b193ccf701d64"),
+    (0, "753b45a8d95cae403018a50b626a70af139e6a42f05b87c7cd84879da13e7264"),
     (1, "23790752fe9d48faeb842f6bbeb551c799820cb6d453beb0f5748a0169a0d3e7"),
     (1, "2253ccb7988f76a01fb8ab208c0de8e6e3717e726d6403148407fb7147439869"),
     (1, "1c50e1e18ba316c269540a2231e001b220d367d1d73fe857aee39cebe98a7c1e"),
-    (0, "b63b1d372139afed4d937eadf734923ea685532ad3bc386b589df7028a270fce"),
-    (0, "9594f9be492cdf92394e35ecf6891b9b071461d43d81bf12ef43d6bc863f8d7b"),
-    (0, "05693e4f15f1843084232609672f40fef213f715b9f7540a0ad6cef5bad87a18"),
+    (0, "17660b4a62e5a12bbb490accf6cb66d74905e8a7fde3a25d766d83440f55d83b"),
+    (0, "1e9c44edb5eb1156702a8149c1849668b89721df5aa58fafe405edff4c9a922c"),
+    (0, "61b0ac5040a75df95e0e48f3f51f76c43204094867720b37917403dac66284d8"),
     (1, "d9a81f8c4e89251f754535efce5bf3f18ec9f4d3cad6035fffd174e9931a7364"),
     (1, "c30d0151da11c1993c560a1f4f035aa9aadecfb4dbbac0a038bbb926e1c6d7d9"),
     (1, "fafb46d9c097c5958f8df39b60de5d8bf369349f4d1113e9a8a8433b38b5adb5"),
-    (0, "91e145bafaed5efc804103e7f1557fd98d98961960cfe83a0f339bbdba430964"),
+    (0, "c6aa34641bfce71d51dc9366aeea8a413329793aa18ac542b22554a679aa9ffe"),
     (1, "249cf957fb053b72ec4dad452186e568ea34ef105d40ca86ac49f065f81ac3b9"),
     (1, "6664a5cb8e37e94c6963d284c7a933b69f421c7d5e5212ad5f994752ad0ce7a0"),
     (1, "3f80e8b52450dfc3a692d70a490054c68160aa9c924a898b5d0b86f45c12f65a"),
-    (0, "74659f8a16f9ec44204ff48d2b6a213e9e2bcc274ec34d05a3dfe22eca21240c"),
-    (0, "43a2423d5ade75cc68a972e778d65da76523558843666e6de3f86ade9b14ae96"),
-    (0, "a05fe11e8a3d37d4416ba6931f4d6b0995af4eb62b8b8dac521961fdef450bf9"),
+    (0, "64d9e8fd0ade2558c6b2f4ee9a663c8afbd7164ee280b43bdc384f88677f51fb"),
+    (0, "b2cab99022cc63bf259fe0046b23d1e4c745e76d78cdcecc79540ee2b8b16e2b"),
+    (0, "76cb76c1827abcbadb8921d2826bbae6dd044ba49e98a4a77fd6a3823356c604"),
     (1, "7975b1d0cc60b55427ade2eb73fd846834ceb1859c30a5e833fe75e3adfe0518"),
     (1, "fe0a6eeaf356a6184b468678b55caec27c16369eced44359977f7568e21ea62f"),
     (1, "143ad1f6da4a0c0d82410feb7ff6127726459781a8db4ca2577315852bf2c116"),
-    (0, "e8f236509c84b0613d25614dc603d65fd4cf6f22d9516a09e20fc54f6ed09370"),
+    (0, "59020914afe3c2d2b3731f1222ac12edcca30be191bec63e91befc05a3fc516a"),
     (1, "8fd586aa2fc4029945f45929e6358eec0c3e4cecc0e1e6391428f6c1a73b085a"),
     (1, "5b96fa7e99ddfb1093e6fd97c4405455a5e4f27ff4d4a20aef93a8719307959d"),
     (1, "1a471a5470937f8bff6f81cdb5d9055410bf7b150d484d9105eaee603f6f17e2"),
-    (0, "f61326d9180afafa76b1aaf986652274b0cf1b354716338887f8ef1c18564bcb"),
-    (0, "80b53f3a40c47446848920db320f9d826073252509288293614f3080bee61b21"),
-    (0, "e6fbf2e9d6dbdd9bc37107cc9225b1484ea2bd2f0b7347366b90a811a28e50e6"),
+    (0, "9939f6594dc60168b793653582fa73afb555b7d33ff95fa8587482b6a4cd08af"),
+    (0, "2877a449d373e3cbb1128cbcb9fa8249d519bb151234e557c20c6e5ba3cfea15"),
+    (0, "c1f68ef1c56bf01284551d1c3e8ed2175c1d81a2f2d5e05706a20c8da2d96e1a"),
     (1, "283b4cea2d7fce40fb5a313f1e60cbe362a8525d62f11f4b2a18e0f5166ab6aa"),
     (1, "bc83147076f3e3334c44f1ecba0cc1e4d39e82c7a097584042a2710c03857b96"),
     (1, "1224aebb02ca22e6ae8981fd20e55bb883c16bac359e5ce4957a17d03f5390fb"),
-    (0, "48c0f08391d69d54619ca01265749368155745528ee6fa5221ce7c7a854f0d8f"),
+    (0, "8e7914009ef210ce20b4027834289749d24c81c8058667b52620b1b088b2a51f"),
     (1, "65a4aaa735673c76207d6777ef8809e6bbcddc6cdf6a3d21d6ddf98c97bf6eb1"),
     (1, "ebaabfa95bc69e4476237b5b62cd538e304e21e3ad2f3d27a92d18b306c0ca0b"),
     (1, "34cf969838e4c8742179ca240c44352deb8a79e764acb62f5d0c184b5d87a335"),
-    (0, "d8de360691089b1243edf2cfff1d4602e15468ffdc3f382d2ace70817af074fe"),
-    (0, "91e823d47b94ffc3fde8e707f74468c41c501b1c3d2197d6cbe2d69fd40f1401"),
-    (0, "f493d04bfda0d72e48e6815b11ef668746caa48dc07ffce86cd982b9a2d4ac87"),
+    (0, "6eeca9eed7b12e49f38f038a41fdd27c19235c54f508a6711ea41c4f0c41e1d1"),
+    (0, "675ea8e1522d9d1b4aaa7c0acbb1022f00c63a6ed9a71f269046c05b1dc2dd2a"),
+    (0, "9c96c3949182f93badb323219ab2b8be51ca905902b83f949dd5999852a3682e"),
     (1, "5630354c347a7e8a2e50ba88be21fc9d92d0a12d3ec3ca822a763ea9fd818871"),
     (1, "48414bc89f5e2c30b6d159652d0635cc9c4eed71d8b206c801254308a887aa99"),
     (1, "982d5f768495d195ebfbfa81a6835546a6c3f4e95b2628c1b75d437df4402f18"),
 )
 
 
+# the same jobs with --window 6 on a command that reads no window: a usage
+# error, exit 2 with nothing on stdout
+REFUSED_WINDOW_JOBS = tuple(
+    argv + ["--window", "6"] for argv in EXTENSION_FAMILY_JOBS if argv[0] not in cli._WINDOWED
+)
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+EXTENSION_FAMILY_CASES = list(zip(EXTENSION_FAMILY_JOBS, PINNED_EXTENSION_FAMILY)) + [
+    (argv, (2, EMPTY_SHA256)) for argv in REFUSED_WINDOW_JOBS
+]
+
+
 @pytest.mark.parametrize(
     "argv, pinned",
-    list(zip(EXTENSION_FAMILY_JOBS, PINNED_EXTENSION_FAMILY)),
-    ids=[" ".join(argv) for argv in EXTENSION_FAMILY_JOBS],
+    EXTENSION_FAMILY_CASES,
+    ids=[" ".join(argv) for argv, _ in EXTENSION_FAMILY_CASES],
 )
 def test_extension_family_jobs_pinned_digests(argv, pinned):
     code, out = _run_job(argv)

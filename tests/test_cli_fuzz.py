@@ -229,6 +229,43 @@ def test_every_argv_exits_with_a_report_or_an_error_line(tmp_path):
     assert {0, 2} <= set(codes)
 
 
+# a job of each command with refused pairs, and each pair flag's value
+PAIR_JOBS = {
+    "compare": ["compare", "--p", "5", "--window", "4"],
+    "nearby": ["nearby", "--p", "5", "--d", "3", "--rep", "companion"],
+    "roundtrip": ["roundtrip", "--p", "5"],
+}
+PAIR_VALUES = {
+    "--e": ["2"],
+    "--c": ["t^-2"],
+    "--shift": ["1"],
+    "--full": [],
+    "--cap": ["8"],
+    "--rep": ['{"d": 1, "mat": [[1]]}'],
+    "--seed": ["1"],
+    "--count": ["4"],
+    "--d": ["1"],
+}
+REFUSED = [
+    pytest.param(command, [first, *PAIR_VALUES[first]], [second, *PAIR_VALUES[second]], id=f"{command} {first} {second}")
+    for command, pairs in CONFLICTS.items()
+    for first, second in pairs
+] + [pytest.param("roundtrip", ["--rep", rep], [], id=f"roundtrip --rep {rep}") for rep in cli._BUILTIN_REPS]
+
+
+@pytest.mark.parametrize("command, first, second", REFUSED)
+def test_every_refusal_exits_2_as_invalid(command, first, second):
+    """Each refused flag pair, and roundtrip with a built-in --rep, exits
+    2 with kind "invalid"; a pair's job without its second flag runs."""
+    argv = PAIR_JOBS[command] + first + second
+    code, out, err = run(argv)
+    check_exit(argv, code, out, err)
+    assert code == 2 and out == "", argv
+    assert json.loads(err.strip().splitlines()[-1])["error"]["kind"] == "invalid", argv
+    if second:
+        assert run(PAIR_JOBS[command] + first)[0] in (0, 1), argv
+
+
 # one job per flag that reads it; a flag given twice takes its last value
 BASE_JOB = ["vfilt", "--p", "5", "--d", "3", "--rep", "companion", "--window", "4"]
 FLAG_JOBS = {

@@ -1,6 +1,11 @@
 """Equivalence functors, roundtrips, nearby/vanishing pieces, gluing."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from test_acceptance import PAIRS
+from test_graded_memo import _acceptance_crystals
 
 from fcrystal import (
     CGObject,
@@ -14,6 +19,8 @@ from fcrystal import (
     functor_G,
     gf_roundtrip,
     gluing_data,
+    graded_frobenius_map,
+    graded_t_map,
     make_field,
     mc_vfilt,
     naturality_check_F,
@@ -30,7 +37,7 @@ from fcrystal import (
     weight_dims_full,
 )
 from fcrystal.cli import resolve_m
-from fcrystal.linalg import invert_int, mat_mul_int
+from fcrystal.linalg import invert, invert_int, mat_mul, mat_mul_int
 from fcrystal.samples import (
     random_invertible_int,
     random_object,
@@ -148,6 +155,48 @@ def test_nearby_full_on_regular():
     rep = CyclicRep.regular(6, 5)
     spec = standard_vfilt(build_kummer_crystal(rep, F25))
     assert nearby_full(spec) == functor_F(rep, F25)
+
+
+def _nearby_full_oracle(spec):
+    """nearby_full by the inverted t-maps: the graded Frobenius out of
+    level j/d, carried back into [0, 1) by floor(p*j/d) inverse graded
+    t-maps, one level at a time."""
+    ctx = spec.module.ctx
+    p, d = ctx.p, spec.d
+    dims, mats = [0] * d, [()] * d
+    for j in range(d):
+        r = Fraction(j, d)
+        a = (-j) % d
+        dims[a] = spec.dim_at(r)
+        if not dims[a]:
+            continue
+        M = graded_frobenius_map(spec, r).matrix
+        cur = p * r
+        for _ in range(math.floor(cur)):
+            M = mat_mul(ctx, invert(ctx, graded_t_map(spec, cur - 1).matrix), M)
+            cur -= 1
+        mats[a] = M
+    return CGObject(ctx, d, tuple(dims), tuple(mats))
+
+
+def _crystal(rep):
+    return build_kummer_crystal(rep, make_field(rep.p, resolve_m(rep.p, rep.d)))
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"p{p}-d{d}" for p, d in PAIRS])
+def test_nearby_full_matches_the_inverted_t_maps_on_the_corpus(pair):
+    for kc in _acceptance_crystals(*pair) + [_crystal(CyclicRep.companion(pair[1], pair[0]))]:
+        spec = standard_vfilt(kc)
+        assert nearby_full(spec) == _nearby_full_oracle(spec)
+
+
+@pytest.mark.parametrize("p, d", [(2, 21), (5, 31), (2, 63), (7, 6)])
+@pytest.mark.parametrize("shape", ["regular", "companion"])
+def test_nearby_full_matches_the_inverted_t_maps_on_big_covers(shape, p, d):
+    spec = standard_vfilt(_crystal(getattr(CyclicRep, shape)(d, p)))
+    obj = nearby_full(spec)
+    assert obj == _nearby_full_oracle(spec)
+    assert obj.rank == (d if shape == "regular" else d - 1)
 
 
 def test_nearby_unipotent_counts_trivial_part():

@@ -31,14 +31,14 @@ from fcrystal import (
     standard_vfilt,
 )
 from fcrystal.series import level_json
-from fcrystal.vfilt import FiltrationSpec, _level_json
+from fcrystal.vfilt import FiltrationSpec
 
 
 def test_level_json_of_a_numerator_matches_the_fraction():
     for den in range(1, 13):
         for n in range(-300, 301):
-            assert _level_json(n, den) == level_json(Fraction(n, den)), (n, den)
-    assert _level_json(None, 7) == level_json(None)
+            assert level_json(n, den) == level_json(Fraction(n, den)), (n, den)
+        assert level_json(None, den) == level_json(None) == {"num": None, "den": None}
 
 
 def _checked_specs():

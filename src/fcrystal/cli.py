@@ -36,7 +36,6 @@ from .field import DEFAULT_SATURATION_CAP, is_prime, make_field
 from .functors import (
     CGObject,
     fg_roundtrip,
-    functor_F,
     gf_roundtrip,
     gluing_data,
     naturality_check_F,

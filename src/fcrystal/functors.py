@@ -55,7 +55,7 @@ from .field import (
 from .vfilt import (
     FiltrationSpec,
     KummerVFilt,
-    _piece_map,
+    _graded_map,
     split_vfilt,
     standard_vfilt,
 )
@@ -371,14 +371,14 @@ class UnipotentNearby:
 def nearby_unipotent(spec: FiltrationSpec) -> UnipotentNearby:
     """Gr^0 with the induced Frobenius (level 0 maps to level p*0 = 0)."""
     module = spec.module
-    basis = spec.ibasis(0)
+    basis, labels = spec.ipiece(0)
     if not basis:
         return UnipotentNearby(module.ctx, 0, (), (), None)
-    gm = _piece_map(spec, basis, [module.apply_F(b) for b in basis], 0)
+    gm = _graded_map(spec, len(basis), [module.apply_F(b) for b in basis], 0)
     if gm.matrix is None:
         raise InvalidInputError("level-0 Frobenius image has no graded class")
     op = SemilinearOperator(module.ctx, gm.matrix)
-    return UnipotentNearby(module.ctx, len(basis), tuple(spec.ilabels(0)), gm.matrix, op)
+    return UnipotentNearby(module.ctx, len(basis), tuple(labels), gm.matrix, op)
 
 
 def nearby_full(spec: FiltrationSpec) -> CGObject:
@@ -399,14 +399,14 @@ def nearby_full(spec: FiltrationSpec) -> CGObject:
     dims = [0] * d
     mats = [()] * d
     for j in range(d):
-        basis = spec.ibasis(j)
+        basis = spec.ipiece(j)[0]
         a = (-j) % d
         dims[a] = len(basis)
         if not basis:
             continue
         k, tn = divmod(p * j, d)
         images = [module.mul_t_pow(module.apply_F(b), -k) for b in basis]
-        gm = _piece_map(spec, basis, images, tn)
+        gm = _graded_map(spec, len(basis), images, tn)
         if gm.matrix is None:
             raise InvalidInputError(f"graded Frobenius at level {j}/{d} has no class matrix")
         mats[a] = gm.matrix
@@ -463,11 +463,11 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
     module = spec.module
     ctx = module.ctx
     p, den = ctx.p, spec.den
-    basisV, basisW = spec.ibasis(-den), spec.ibasis(-p * den)
+    (basisV, labelsV), basisW = spec.ipiece(-den), spec.ipiece(-p * den)[0]
     psi = nearby_unipotent(spec)
-    fm = _piece_map(spec, basisV, [module.apply_F(b) for b in basisV], -p * den)
-    tV = _piece_map(spec, basisV, [module.mul_t(b) for b in basisV], 0)
-    tW = _piece_map(spec, basisW, [module.mul_t_pow(b, p) for b in basisW], 0)
+    fm = _graded_map(spec, len(basisV), [module.apply_F(b) for b in basisV], -p * den)
+    tV = _graded_map(spec, len(basisV), [module.mul_t(b) for b in basisV], 0)
+    tW = _graded_map(spec, len(basisW), [module.mul_t_pow(b, p) for b in basisW], 0)
     note = None
     commutes = False
     if fm.matrix is None or tV.matrix is None or tW.matrix is None:
@@ -482,7 +482,7 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
         ctx=ctx,
         source_dim=len(basisV),
         target_dim=len(basisW),
-        source_labels=tuple(spec.ilabels(-den)),
+        source_labels=tuple(labelsV),
         f_matrix=fm.matrix,
         psi=psi,
         t_source=tV.matrix,

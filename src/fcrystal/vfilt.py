@@ -117,11 +117,16 @@ class FiltrationSpec:
 
       ilevel(x)          the level numerator of x, None for zero;
       ijumps(window)     the sorted jump numerators, lo <= n/den < hi;
-      idim(n), ibasis(n), ilabels(n)
-                         the graded piece at n;
-      _raw_coords(x, n)  coordinates of x in ibasis(n), given
-                         ilevel(x) == n; slice-exact: returned only when
-                         x - sum(c_i * b_i) lies strictly deeper than n;
+      idim(n)            the dimension of the graded piece at n;
+      ipiece(n)          (basis, labels) of the graded piece at n;
+      _level_coords(images, n)
+                         (idim(n), columns): each image's coordinates
+                         in the basis at n, a zero column for an image
+                         deeper than n (or zero), or (idim(n), k) for
+                         the first image k with no class at n (shallower,
+                         or at n with a leading part outside the span);
+                         slice-exact: a column is returned only when
+                         y - sum(c_i * b_i) lies strictly deeper than n;
       spanning(window)   (label, section) pairs spanning the window;
       family(window)     (key, level numerator) for the same sections.
 
@@ -159,31 +164,27 @@ class FiltrationSpec:
 
     def graded_basis(self, r):
         n = self._num(r)
-        return [] if n is None else self.ibasis(n)
+        return [] if n is None else self.ipiece(n)[0]
 
     def graded_labels(self, r):
         n = self._num(r)
-        return [] if n is None else self.ilabels(n)
+        return [] if n is None else self.ipiece(n)[1]
 
-    def graded_coords(self, x, r=None, n=None):
-        """Coordinates of the class of x in Gr^r, or None.
+    def graded_coords(self, x, r):
+        """Coordinates of the class of x in Gr^r as a fresh list, or None.
 
         None means the class genuinely fails to land in the given
         graded basis (level too shallow, or a leading part outside the
-        basis span).  At level r itself the answer is _raw_coords, whose
-        slice-exact contract puts the remainder x - sum(coords * basis)
-        strictly deeper than r.  Off the grid, n < r*den < n + 1.  A
-        caller holding the level's numerator n passes it instead of r.
+        basis span).  On the grid this is _level_coords of the one image
+        x.  Off it, n < r*den < n + 1 and the piece is 0: x has the
+        class [] when it lies deeper than n.
         """
-        rem = 0
-        if n is None:
-            n, rem = divmod(r.numerator * self.den, r.denominator)
-        lvl = self.ilevel(x)
-        if lvl is None or lvl > n:
-            return [self.module.ctx.zero] * (0 if rem else self.idim(n))
-        if lvl < n or rem:
-            return None
-        return self._raw_coords(x, n)
+        n, rem = divmod(r.numerator * self.den, r.denominator)
+        if rem:
+            lvl = self.ilevel(x)
+            return [] if lvl is None or lvl > n else None
+        cols = self._level_coords([x], n)[1]
+        return None if type(cols) is int else list(cols[0])
 
     def to_json(self):
         return {"rule": self.rule}
@@ -202,7 +203,7 @@ class KummerVFilt(FiltrationSpec):
         self.kc = kc
         self.module = KummerSections(kc)
         self.d = self.den = kc.d
-        # (weight class, slice) -> express result as a tuple, or None
+        # (weight class, slice) -> express result as a tuple, () for none
         self._coords = {}
 
     def ilevel(self, x):
@@ -216,37 +217,44 @@ class KummerVFilt(FiltrationSpec):
         a = self.kc.weight_of_shift(e)
         return 0 if a is None else self.kc.dims[a]
 
-    def ibasis(self, e):
+    def ipiece(self, e):
         a = self.kc.weight_of_shift(e)
         if a is None:
-            return []
-        return [self.module.monomial(a, i, e) for i in range(self.kc.dims[a])]
+            return [], []
+        rows = self.kc.bases[a][0]
+        return [{e: u} for u in rows], [f"u{a}.{i}*s^{e}" for i in range(len(rows))]
 
-    def ilabels(self, e):
-        a = self.kc.weight_of_shift(e)
-        if a is None:
-            return []
-        return [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
-
-    def _raw_coords(self, x, e):
+    def _level_coords(self, images, e):
         """The basis at e is the monomials u_(a,i) s^e of weight a;
-        linalg.express checks the slice of x at e against them exactly,
-        and every other exponent of x is above e.
+        linalg.express checks the slice of an image at e against them
+        exactly, and every other exponent of an image at level e is
+        above e.
 
         The solve depends only on the weight class and the slice, so it
-        is shared between sections with equal ones (the t- and
+        is shared between images with equal ones (the t- and
         Frobenius-periodicity of the filtration makes most of them
-        repeat); each caller gets a fresh list."""
+        repeat); the columns are the shared tuples."""
         a = self.kc.weight_of_shift(e)
-        if a is None:
-            return None
-        key = (a, self.module.slice(x, e))
-        if key not in self._coords:
-            rows, piv = self.kc.bases[a]
-            coords = linalg.express(self.module.ctx, rows, piv, key[1])
-            self._coords[key] = None if coords is None else tuple(coords)
-        coords = self._coords[key]
-        return None if coords is None else list(coords)
+        dim = 0 if a is None else self.kc.dims[a]
+        zero, memo = (self.module.ctx.zero,) * dim, self._coords
+        cols = []
+        for k, y in enumerate(images):
+            lvl = min(y) if y else None
+            if lvl is None or lvl > e:
+                cols.append(zero)
+                continue
+            if lvl < e or a is None:
+                return dim, k
+            key = (a, y[e])
+            coords = memo.get(key)
+            if coords is None:
+                rows, piv = self.kc.bases[a]
+                coords = linalg.express(self.module.ctx, rows, piv, key[1])
+                coords = memo[key] = () if coords is None else tuple(coords)
+            if not coords:
+                return dim, k
+            cols.append(coords)
+        return dim, cols
 
     def spanning(self, window):
         lo, hi = window
@@ -352,7 +360,10 @@ class ExtensionVFilt(FiltrationSpec):
         return series, delta
 
     def ilevel(self, x):
-        f, g = self._rewrite(x)
+        return self._rewritten_level(*self._rewrite(x))
+
+    def _rewritten_level(self, f, g):
+        """The level numerator of the rewritten section (f, g')."""
         p = self.den
         v = f.valuation() if self.series_label else None
         w = g.valuation()
@@ -373,33 +384,37 @@ class ExtensionVFilt(FiltrationSpec):
         series, delta = self._parts(n)
         return (series is not None) + (delta is not None)
 
-    def ibasis(self, n):
+    def ipiece(self, n):
         series, delta = self._parts(n)
-        out = [] if series is None else [self.x_section(series)]
+        basis, labels = [], []
+        if series is not None:
+            basis.append(self.x_section(series))
+            labels.append(self.series_label.format(series))
         if delta is not None:
-            out.append(self.module.delta_monomial(delta))
-        return out
+            basis.append(self.module.delta_monomial(delta))
+            labels.append(f"e_{delta}")
+        return basis, labels
 
-    def ilabels(self, n):
-        series, delta = self._parts(n)
-        out = [] if series is None else [self.series_label.format(series)]
-        if delta is not None:
-            out.append(f"e_{delta}")
-        return out
-
-    def _raw_coords(self, x, n):
+    def _level_coords(self, images, n):
         """After the rewrite each x_i reads (t^i, 0), so the coefficients
-        at the one series exponent and the one delta index are the
-        coordinates; every other term of x already sits above n."""
+        at the one series exponent and the one delta index are an
+        image's coordinates; every other term of an image at level n
+        already sits above n."""
         series, delta = self._parts(n)
-        if series is None and delta is None:
-            return None
-        f, g = self._rewrite(x)
+        dim = (series is not None) + (delta is not None)
         zero = self.module.ctx.zero
-        out = [] if series is None else [f.coeffs.get(series, zero)]
-        if delta is not None:
-            out.append(g.coeffs.get(-delta, zero))
-        return out
+        cols = []
+        for k, y in enumerate(images):
+            f, g = self._rewrite(y)
+            lvl = self._rewritten_level(f, g)
+            if lvl is None or lvl > n:
+                cols.append((zero,) * dim)
+                continue
+            if lvl < n or not dim:
+                return dim, k
+            col = () if series is None else (f.coeffs.get(series, zero),)
+            cols.append(col if delta is None else col + (g.coeffs.get(-delta, zero),))
+        return dim, cols
 
     def spanning(self, window):
         lo, hi = window
@@ -476,15 +491,12 @@ class _Reindexed(FiltrationSpec):
     def idim(self, n) -> int:
         return self.base.idim(n + self._step)
 
-    def ibasis(self, n):
-        return self.base.ibasis(n + self._step)
+    def ipiece(self, n):
+        return self.base.ipiece(n + self._step)
 
-    def ilabels(self, n):
-        return self.base.ilabels(n + self._step)
-
-    def _raw_coords(self, x, n):
+    def _level_coords(self, images, n):
         """The base spec's, at the base numerator."""
-        return self.base._raw_coords(x, n + self._step)
+        return self.base._level_coords(images, n + self._step)
 
     def spanning(self, window):
         return self.base.spanning(self._base_window(window))
@@ -653,64 +665,41 @@ class GradedReport:
         }
 
 
-def _graded_map(spec: FiltrationSpec, basis, images, tn: int, den: int, tdim: int, invertible: dict) -> GradedMap:
-    """The map's matrix in the basis of the tdim-dimensional piece at
-    tn / den, which is on spec's grid (den == spec.den) whenever there
-    are images.  invertible maps each matrix already tested over spec's
-    field to its verdict; it is filled in here."""
-    ctx = spec.module.ctx
-    cols = []
-    for lbl_idx, y in enumerate(images):
-        coords = spec.graded_coords(y, n=tn)
-        if coords is None:
-            return GradedMap(
-                ctx,
-                tn,
-                den,
-                tdim,
-                None,
-                False,
-                f"image of basis vector {lbl_idx} has no class in the graded piece at the target",
-            )
-        cols.append(coords)
+def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int, invertible=None) -> GradedMap:
+    """The matrix of images, the images of a dim-dimensional graded
+    basis, in the basis of the piece at numerator tn over spec.den.
+    invertible maps each matrix already tested over spec's field to its
+    verdict; it is filled in here."""
+    ctx, den = spec.module.ctx, spec.den
+    tdim, cols = spec._level_coords(images, tn)
+    if type(cols) is int:
+        note = f"image of basis vector {cols} has no class in the graded piece at the target"
+        return GradedMap(ctx, tn, den, tdim, None, False, note)
     matrix = tuple(zip(*cols)) if cols else ((),) * tdim
-    if tdim != len(basis):
-        return GradedMap(
-            ctx, tn, den, tdim, matrix, False, f"graded pieces have dimensions {len(basis)} != {tdim}"
-        )
+    if tdim != dim:
+        return GradedMap(ctx, tn, den, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+    if invertible is None:
+        invertible = {}
     inv = invertible.get(matrix)
     if inv is None:
         inv = invertible[matrix] = linalg.is_invertible(ctx, matrix)
     return GradedMap(ctx, tn, den, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
-def _piece_map(spec: FiltrationSpec, basis, images, tn: int, invertible=None) -> GradedMap:
-    """_graded_map of basis -> images into the piece at numerator tn
-    over spec.den."""
-    return _graded_map(spec, basis, images, tn, spec.den, spec.idim(tn), {} if invertible is None else invertible)
-
-
-def _target(spec: FiltrationSpec, r):
-    """(numerator, den, dim) of the target level r: over spec.den on the
-    grid, else r's own reduced terms with dim 0."""
+def _rational_map(spec: FiltrationSpec, dim: int, images, r) -> GradedMap:
+    """_graded_map into the piece at the rational r.  Off the grid that
+    piece is 0 and so is the source piece, so the map is the empty
+    bijection, and its target keeps r's own reduced terms."""
     n = spec._num(r)
     if n is None:
-        return r.numerator, r.denominator, 0
-    return n, spec.den, spec.idim(n)
+        return GradedMap(spec.module.ctx, r.numerator, r.denominator, 0, (), True)
+    return _graded_map(spec, dim, images, n)
 
 
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
     """Matrix of the induced Frobenius Gr^r -> Gr^(p*r)."""
     basis = spec.graded_basis(r)
-    images = [spec.module.apply_F(b) for b in basis]
-    return _graded_map(spec, basis, images, *_target(spec, spec.module.ctx.p * r), {})
-
-
-def graded_t_map(spec: FiltrationSpec, r) -> GradedMap:
-    """Matrix of t-multiplication Gr^r -> Gr^(r + 1)."""
-    basis = spec.graded_basis(r)
-    images = [spec.module.mul_t(b) for b in basis]
-    return _graded_map(spec, basis, images, *_target(spec, r + 1), {})
+    return _rational_map(spec, len(basis), [spec.module.apply_F(b) for b in basis], spec.module.ctx.p * r)
 
 
 def _check_window(window) -> None:
@@ -731,17 +720,17 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     """
     _check_window(window)
     p, den = spec.module.ctx.p, spec.den
+    apply_F, mul_t = spec.module.apply_F, spec.module.mul_t
     invertible = {}  # matrix -> is_invertible, for this call's one field
     out = []
     for n in spec.ijumps(window):
-        basis = spec.ibasis(n)
+        basis, labels = spec.ipiece(n)
         if not basis:
             continue
-        f_images = [spec.module.apply_F(b) for b in basis]
-        t_images = [spec.module.mul_t(b) for b in basis]
-        f_map = _piece_map(spec, basis, f_images, p * n, invertible)
-        t_map = _piece_map(spec, basis, t_images, n + den, invertible)
-        out.append(GradedLevel(n, den, len(basis), spec.ilabels(n), f_map, t_map))
+        dim = len(basis)
+        f_map = _graded_map(spec, dim, [apply_F(b) for b in basis], p * n, invertible)
+        t_map = _graded_map(spec, dim, [mul_t(b) for b in basis], n + den, invertible)
+        out.append(GradedLevel(n, den, dim, labels, f_map, t_map))
     return GradedReport(tuple(window), out)
 
 
@@ -940,7 +929,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
             continue
         k, rest = divmod(lvl, den)
         if rest not in bases:
-            bases[rest] = spec.ibasis(rest)
+            bases[rest] = spec.ipiece(rest)[0]
         if not any(module.mul_t_pow(g, k) == x for g in bases[rest]):
             ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
             break

@@ -20,7 +20,6 @@ from fcrystal import (
     gf_roundtrip,
     gluing_data,
     graded_frobenius_map,
-    graded_t_map,
     make_field,
     mc_vfilt,
     naturality_check_F,
@@ -38,6 +37,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.linalg import invert, invert_int, mat_mul, mat_mul_int
+from fcrystal.vfilt import _rational_map
 from fcrystal.samples import (
     random_invertible_int,
     random_object,
@@ -155,6 +155,12 @@ def test_nearby_full_on_regular():
     rep = CyclicRep.regular(6, 5)
     spec = standard_vfilt(build_kummer_crystal(rep, F25))
     assert nearby_full(spec) == functor_F(rep, F25)
+
+
+def graded_t_map(spec, r):
+    """Matrix of t-multiplication Gr^r -> Gr^(r + 1), for any rational r."""
+    basis = spec.graded_basis(r)
+    return _rational_map(spec, len(basis), [spec.module.mul_t(b) for b in basis], r + 1)
 
 
 def _nearby_full_oracle(spec):

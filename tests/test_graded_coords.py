@@ -1,10 +1,13 @@
 """Slice-exact graded coordinates against the full remainder computation.
 
-FiltrationSpec.graded_coords trusts each spec's _raw_coords to check the
-one slice where x - sum(c_i * b_i) can sit at level r.  The oracle here
-is the full computation: rebuild that remainder over whole sections and
-require its level to be strictly deeper than r.  The two must agree on
-every input, None included.
+Each spec's _level_coords sorts a map's images by level (deeper than n:
+a zero column; shallower: no class) and reads the coordinates of an
+image at n off the one slice where y - sum(c_i * b_i) can sit at n.
+The oracle here is the full computation: a fresh slice solve gives the
+candidate coordinates, and the remainder is rebuilt over whole sections
+and must lie strictly deeper than r.  graded_coords must agree with it
+on every input, None included, and _level_coords on every batch of
+images: the same columns, or the same first image with no class.
 """
 
 from fractions import Fraction
@@ -28,6 +31,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
+from test_graded_memo import _acceptance_crystals, oracle_slice_coords
 
 PAIRS = tuple((p, d) for p in (5, 7) for d in (2, 3, 4, 6))
 SEED = 4041
@@ -68,7 +72,7 @@ def remainder_graded_coords(spec, x, r):
         return [ctx.zero] * spec.dim_at(r)
     if lvl < r:
         return None
-    coords = spec._raw_coords(x, int(r * spec.den))
+    coords = oracle_slice_coords(spec, x, int(r * spec.den))
     if coords is None:
         return None
     rem = x
@@ -85,24 +89,51 @@ def _agree(spec, x, r, seen):
     seen["none" if got is None else "coords"] += 1
 
 
+def _agree_batch(spec, images, r, seen):
+    """_level_coords of the images at r (on the grid) against the oracle
+    image by image."""
+    want = []
+    for y in images:
+        coords = remainder_graded_coords(spec, y, r)
+        if coords is None:
+            break
+        want.append(coords)
+    n = int(r * spec.den)
+    dim, cols = spec._level_coords(images, n)
+    assert dim == spec.idim(n), (spec.to_json(), n)
+    if len(want) < len(images):
+        assert cols == len(want), (spec.to_json(), images, r)
+        seen["stop-first" if cols == 0 else "stop-later"] += 1
+    else:
+        assert [list(c) for c in cols] == want, (spec.to_json(), images, r)
+        seen["columns"] += 1
+
+
 def _cross_check(spec, extra_sections):
     """Every F- and t-image of every graded basis vector on the window,
-    at its own target, one step too deep and one step too shallow;
-    then the extra sections at their own level and around it."""
+    at its own target, one step too deep and one step too shallow, one
+    image at a time and as one batch per map; then the extra sections at
+    their own level and around it, and as batches: all of them at each
+    one's level, with the batch rotated to start there."""
     module = spec.module
     p = module.ctx.p
-    seen = {"none": 0, "coords": 0}
+    seen = dict.fromkeys(("none", "coords", "columns", "stop-first", "stop-later"), 0)
     for r in spec.jumps(WINDOW):
-        for b in spec.graded_basis(r):
-            pairs = [(module.apply_F(b), p * r), (module.mul_t(b), r + 1)]
-            pairs.append((_add(module.ctx, pairs[0][0], pairs[1][0]), min(p * r, r + 1)))
-            for y, target in pairs:
-                for s in (target, target + 1, target - 1):
+        basis = spec.graded_basis(r)
+        f_images = [module.apply_F(b) for b in basis]
+        t_images = [module.mul_t(b) for b in basis]
+        sums = [_add(module.ctx, y, z) for y, z in zip(f_images, t_images)]
+        for images, target in ((f_images, p * r), (t_images, r + 1), (sums, min(p * r, r + 1))):
+            for s in (target, target + 1, target - 1):
+                for y in images:
                     _agree(spec, y, s, seen)
-    for x in extra_sections:
+                _agree_batch(spec, images, s, seen)
+    for k, x in enumerate(extra_sections):
         lvl = spec.level(x)
         for s in (lvl, lvl + Fraction(1, 2), lvl - 1):
             _agree(spec, x, s, seen)
+        _agree_batch(spec, extra_sections[k:] + extra_sections[:k], lvl, seen)
+        _agree_batch(spec, extra_sections[k + 1 :] + extra_sections[: k + 1], lvl, seen)
     return seen
 
 
@@ -138,7 +169,29 @@ KUMMER_SPECS = _kummer_specs()
 def test_kummer_coords_match_the_remainder_oracle(idx):
     spec = KUMMER_SPECS[idx]
     seen = _cross_check(spec, _kummer_extras(spec, Random(SEED + idx)))
-    assert seen["none"] and seen["coords"], seen
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"p{p}-d{d}" for p, d in PAIRS])
+def test_acceptance_crystals_match_the_remainder_oracle(pair):
+    for i, kc in enumerate(_acceptance_crystals(*pair)[:3]):
+        spec = standard_vfilt(kc)
+        seen = _cross_check(spec, _kummer_extras(spec, Random(SEED + i)))
+        assert all(seen.values()), seen
+
+
+def test_a_shallower_image_stops_the_batch_where_its_slice_would_fit():
+    """A basis vector b at e, asked for at e + d, the same weight class:
+    its slice at e + d is zero and its leading slice is a basis row, so a
+    hook that skipped the level test, or read the leading slice as if it
+    sat at e + d, would return a column for it.  The batch must stop at b."""
+    for spec in KUMMER_SPECS:
+        d = spec.den
+        for e in spec.ijumps((0, 1)):
+            b = spec.ipiece(e)[0][0]
+            deeper = spec.module.mul_t_pow(b, 2)
+            assert spec._level_coords([deeper, b], e + d) == (spec.idim(e), 1)
+            assert spec.graded_coords(b, Fraction(e + d, d)) is None
 
 
 F25 = make_field(5, 2)
@@ -180,7 +233,7 @@ def _extension_extras(spec):
 def test_extension_coords_match_the_remainder_oracle(name):
     spec = EXTENSION_SPECS[name]
     seen = _cross_check(spec, _extension_extras(spec))
-    assert seen["none"] and seen["coords"], seen
+    assert all(seen.values()), seen
 
 
 def _derived_cases():
@@ -207,4 +260,4 @@ DERIVED_CASES = _derived_cases()
 def test_derived_coords_match_the_remainder_oracle(name):
     spec, extras = DERIVED_CASES[name]
     seen = _cross_check(spec, extras)
-    assert seen["none"] and seen["coords"], seen
+    assert all(seen.values()), seen

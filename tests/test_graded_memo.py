@@ -48,8 +48,12 @@ def oracle_apply_F(mod, x):
     return mod.apply_F(x)
 
 
-def oracle_raw_coords(spec, x, n):
-    """spec._raw_coords(x, n) with every solve done afresh."""
+def oracle_slice_coords(spec, x, n):
+    """The coordinates of x, a section at level n, read off its slice at
+    n with every solve done afresh: a Kummer slice is expressed in its
+    weight class's basis rows, an extension section's rewritten
+    coefficients are read at the series exponent and the delta index of
+    n.  None when the piece at n is 0 or the slice leaves its span."""
     if isinstance(spec, KummerVFilt):
         a = spec.kc.weight_of_shift(n)
         if a is None:
@@ -57,8 +61,16 @@ def oracle_raw_coords(spec, x, n):
         rows, piv = spec.kc.bases[a]
         return linalg.express(spec.module.ctx, rows, piv, spec.module.slice(x, n))
     if isinstance(spec, ExtensionVFilt):
-        return spec._raw_coords(x, n)  # reads coefficients off, solves nothing
-    return oracle_raw_coords(spec.base, x, n + spec._step)  # shifted or pullback
+        series, delta = spec._parts(n)
+        if series is None and delta is None:
+            return None
+        f, g = spec._rewrite(x)
+        zero = spec.module.ctx.zero
+        out = [] if series is None else [f.coeffs.get(series, zero)]
+        if delta is not None:
+            out.append(g.coeffs.get(-delta, zero))
+        return out
+    return oracle_slice_coords(spec.base, x, n + spec._step)  # shifted or pullback
 
 
 def oracle_map(spec, dim, images, n):
@@ -72,7 +84,7 @@ def oracle_map(spec, dim, images, n):
         if lvl is None or lvl > n:
             coords = [ctx.zero] * tdim
         else:
-            coords = None if lvl < n else oracle_raw_coords(spec, y, n)
+            coords = None if lvl < n else oracle_slice_coords(spec, y, n)
         if coords is None:
             note = f"image of basis vector {j} has no class in the graded piece at the target"
             return GradedMap(ctx, n, den, tdim, None, False, note)
@@ -88,12 +100,12 @@ def oracle_graded(spec, window):
     mod, den = spec.module, spec.den
     levels = []
     for n in spec.ijumps(window):
-        basis = spec.ibasis(n)
+        basis, labels = spec.ipiece(n)
         if not basis:
             continue
         f_map = oracle_map(spec, len(basis), [oracle_apply_F(mod, b) for b in basis], mod.ctx.p * n)
         t_map = oracle_map(spec, len(basis), [mod.mul_t(b) for b in basis], n + den)
-        levels.append(GradedLevel(n, den, len(basis), spec.ilabels(n), f_map, t_map))
+        levels.append(GradedLevel(n, den, len(basis), labels, f_map, t_map))
     return GradedReport(tuple(window), levels)
 
 
@@ -204,13 +216,14 @@ def test_mutating_returned_coordinates_leaves_later_answers_unchanged():
     for view in (spec, shifted_filtration(spec, 2)):
         n = view.ijumps((0, 1))[0]
         r = Fraction(n + view.den, view.den)
-        y = spec.module.mul_t(view.ibasis(n)[0])
+        y = spec.module.mul_t(view.ipiece(n)[0][0])
         first = view.graded_coords(y, r)
         want = list(first)
         assert want and ctx.one in want
         first[:] = [ctx.from_int(2)] * (len(first) + 1)
         assert view.graded_coords(y, r) == want
-        raw = view._raw_coords(y, n + view.den)
+        dim, raw = view._level_coords([y], n + view.den)
+        assert dim == len(want) and list(raw[0]) == want
         raw.clear()
         assert view.graded_coords(y, r) == want
         assert_matches_oracle(view, (-2, 2))

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from test_acceptance import PAIRS, WINDOW
+from test_functors import graded_t_map
 from test_graded_memo import DERIVED_SPECS, EXTENSION_SPECS, _acceptance_crystals
 
 from fcrystal import (
@@ -24,14 +25,13 @@ from fcrystal import (
     check_super,
     graded,
     graded_frobenius_map,
-    graded_t_map,
     make_field,
     mc_vfilt,
     parse_series,
     standard_vfilt,
 )
 from fcrystal.series import level_json
-from fcrystal.vfilt import FiltrationSpec
+from fcrystal.vfilt import KummerVFilt
 
 
 def test_level_json_of_a_numerator_matches_the_fraction():
@@ -66,22 +66,25 @@ def test_check_axioms_equals_the_two_checkers_run_apart():
 
 def test_graded_solves_each_image_once(monkeypatch):
     """On the acceptance crystals every graded map is complete, so
-    graded() asks for the coordinates of each basis vector's Frobenius
-    image and t-image exactly once: 2 * (sum of the piece dimensions)."""
-    calls = [0]
-    original = FiltrationSpec.graded_coords
+    graded() hands _level_coords each basis vector's Frobenius image and
+    t-image exactly once: 2 * (sum of the piece dimensions) images, in
+    one call per map."""
+    calls = [0, 0]  # images, hook calls
+    original = KummerVFilt._level_coords
 
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return original(self, *args, **kwargs)
+    def counted(self, images, n):
+        calls[0] += len(images)
+        calls[1] += 1
+        return original(self, images, n)
 
-    monkeypatch.setattr(FiltrationSpec, "graded_coords", counted)
+    monkeypatch.setattr(KummerVFilt, "_level_coords", counted)
     for p, d in PAIRS:
         for kc in _acceptance_crystals(p, d)[:4]:
-            calls[0] = 0
+            calls[:] = [0, 0]
             rep = graded(standard_vfilt(kc), WINDOW)
             assert rep.all_frobenius_invertible() and rep.all_t_invertible(skip=())
             assert calls[0] == 2 * sum(gl.dim for gl in rep.levels) > 0, (p, d)
+            assert calls[1] == 2 * len(rep.levels), (p, d)
 
 
 def _ss3(spec, window):

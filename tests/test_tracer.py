@@ -3,15 +3,16 @@
 perfbench/tracer.py wraps a few methods through ``cls.__dict__``; a
 refactor that moves or deletes one of them breaks ``--trace 1`` runs.
 This installs the tracer over the already-imported package, runs one
-CLI job and uninstalls it again.
+CLI job and one direct graded_coords call, and uninstalls it again.
 """
 
 import importlib
 import importlib.util
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
-from fcrystal import cli
+from fcrystal import build_extension, cli, make_field, mc_vfilt, parse_series
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ARGV = ["check", "--p", "5", "--c", "t^-2", "--window", "4"]
@@ -41,8 +42,13 @@ def _traced():
 def test_tracer_counts_series_frobenius(capsys):
     code = cli.main(ARGV)
     plain = capsys.readouterr().out
+    ctx = make_field(5, 1)
+    spec = mc_vfilt(build_extension(ctx, parse_series(ctx, "t^-2")))
     with _traced() as tracer:
         assert cli.main(ARGV) == code
+        # graded() reads its matrices through _level_coords, so the
+        # graded_coords span is reached by a direct call
+        assert spec.graded_coords(spec.module.delta_monomial(1), Fraction(-1)) == [ctx.one]
     assert capsys.readouterr().out == plain
     spans = (
         "series.LaurentSeries.frob",

@@ -21,7 +21,6 @@ from fcrystal import (
     direct_sum,
     graded,
     graded_frobenius_map,
-    graded_t_map,
     make_field,
     mc_depth_grading,
     mc_vfilt,
@@ -32,6 +31,8 @@ from fcrystal import (
     split_vfilt,
     standard_vfilt,
 )
+
+from test_functors import graded_t_map
 
 F25 = make_field(5, 2)
 F5 = make_field(5, 1)

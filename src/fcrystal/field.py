@@ -39,7 +39,15 @@ Semilinear operators model Frobenius-twisted actions: the operator with
 matrix A sends v to A @ v^(p), where v^(p) raises every coordinate to
 the p-th power.  Fixed vectors of such an operator form an F_p-subspace
 computed exactly by flattening F_{p^m}^n to an F_p-space of dimension
-n*m.  When an operator has too few fixed vectors over the base field,
+n*m.  The flattened operator is built once, as packed F_p rows in
+linalg's lane layout with column c in lane c: row s of block (i, j),
+c |-> a_ij c^p, combines the Frobenius images (x^t)^p weighted by row s
+of the multiplication matrix of a_ij, read from its coefficients and
+the modulus, so no field product runs.  The identity is subtracted in
+the lanes, and the rows stay packed through elimination and the kernel
+read-off that linalg.kernel_int shares.
+
+When an operator has too few fixed vectors over the base field,
 `saturate_fixed_points` finds the least extension F_{p^{m*r}} where the
 fixed space reaches full rank from the norm matrix N of the operator:
 by Lang's theorem the fixed dimension over F_{p^{m*r}} is that of
@@ -172,6 +180,14 @@ def _frobenius_rows(f, p, xp):
     for _ in range(m - 1):
         rows.append(_pol_divmod(_pol_mul(rows[-1], xp, p), f, p)[1])
     return [r + [0] * (m - len(r)) for r in rows]
+
+
+def _minus_identity(mat, p):
+    """mat - I mod p, as a new matrix."""
+    out = [list(row) for row in mat]
+    for k, row in enumerate(out):
+        row[k] = (row[k] - 1) % p
+    return out
 
 
 def _has_factor_dividing(h, f, p):
@@ -562,37 +578,57 @@ class SemilinearOperator:
         }
 
 
-def _flat_operator(ctx: FieldCtx, entries):
-    """The (n*m) x (n*m) F_p-matrix of v |-> A v^(p) on the flattened F_q^n."""
-    n = len(entries)
-    m = ctx.m
-    big_n = n * m
-    frobpow = [ctx.frob(ctx.decode(ctx.p**t)) for t in range(m)]  # (x^t)^p, x^t of int code p^t
-    mat = [[0] * big_n for _ in range(big_n)]
-    for j in range(n):
-        for t in range(m):
-            col = j * m + t
-            for i in range(n):
-                e = ctx.coeffs(ctx.mul(entries[i][j], frobpow[t]))
-                for s in range(m):
-                    if e[s]:
-                        mat[i * m + s][col] = e[s]
-    return mat
+def _flat_rows(ctx: FieldCtx, entries):
+    """(lanes, rows): the (n*m) x (n*m) F_p-matrix of v |-> A v^(p) on the
+    flattened F_q^n as packed rows, column c in lane c, each lane at most
+    m (p-1)^2 and not yet reduced; the lanes have room for one residue
+    more."""
+    p, m, n = ctx.p, ctx.m, len(entries)
+    lanes = linalg._lanes(p, n * m, m + 1)
+    bits = lanes.bits
+    basis = [(0,) * t + (1,) + (0,) * (m - 1 - t) for t in range(m)]  # x^t
+    imgs = [ctx.coeffs(ctx.frob(ctx.from_coeffs(e))) for e in basis]
+    # images[j][u]: coefficient u of every image, (x^t)^p in lane j*m + t
+    images = [0] * m
+    for img in reversed(imgs):
+        images = [v << bits | x for v, x in zip(images, img)]
+    images = [[v << bits * m * j for v in images] for j in range(n)]
+    red = [-c % p for c in ctx.modulus]  # x^m as a combination of 1, x, ..., x^(m-1)
+    rows = []
+    for row in entries:
+        acc = [0] * m
+        for a, imgs_j in zip(row, images):
+            col = list(ctx.coeffs(a))  # a x^u, column u of a's multiplication matrix
+            if not any(col[1:]):  # a in F_p multiplies by a_0 I
+                if col[0]:
+                    acc = [v + col[0] * img for v, img in zip(acc, imgs_j)]
+                continue
+            for u, img in enumerate(imgs_j):
+                if u:
+                    top, col = col[-1], [0] + col[:-1]
+                    if top:
+                        col = [(x + top * r) % p for x, r in zip(col, red)]
+                for s, x in enumerate(col):
+                    if x:
+                        acc[s] += x * img
+        rows += acc
+    return lanes, rows
 
 
-def _minus_identity(mat, p):
-    """mat - I mod p, as a new matrix."""
-    out = [list(row) for row in mat]
-    for k, row in enumerate(out):
-        row[k] = (row[k] - 1) % p
-    return out
+def _fixed_point_rows(ctx: FieldCtx, entries):
+    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)}.
 
-
-def _fixed_point_rows(ctx: FieldCtx, entries, flat=None):
-    """Echelonized F_p-basis (flat rows + pivots) of {v : v = A v^(p)};
-    flat, if given, is _flat_operator(ctx, entries), left unchanged."""
-    flat = _flat_operator(ctx, entries) if flat is None else flat
-    return linalg.kernel_int(_minus_identity(flat, ctx.p), ctx.p)
+    Block (i, j) of the flattened operator is c |-> a_ij c^p: its row s
+    holds in lane t coefficient s of a_ij (x^t)^p, the multiplication
+    row s of a_ij (coefficient s of a_ij x^u, column u) times the
+    Frobenius images (x^t)^p, so no field product runs.  The identity is
+    subtracted in the lanes (lane k of row k) before the one reduction,
+    and with column c in lane c the rows are already in the order the
+    kernel read-off of linalg.kernel_int takes."""
+    lanes, rows = _flat_rows(ctx, entries)
+    bits, minus_one = lanes.bits, ctx.p - 1
+    rows = [lanes.reduce(v + (minus_one << bits * k)) for k, v in enumerate(rows)]
+    return linalg._kernel_packed(rows, lanes)
 
 
 def _decode_flat(ctx: FieldCtx, flat, n: int):
@@ -733,10 +769,11 @@ def saturate_fixed_points(
     if cap < 1:
         raise CapExceededError(message, ())
     big, emb = ctx, embed_field(ctx, ctx)
-    flat = _flat_operator(ctx, op.entries)
-    rows, _ = _fixed_point_rows(ctx, op.entries, flat)
+    rows, _ = _fixed_point_rows(ctx, op.entries)
     profile = [(1, len(rows))]
     if len(rows) < n:
+        lanes, flat = _flat_rows(ctx, op.entries)
+        flat = [lanes.unpack(lanes.reduce(v))[::-1] for v in flat]
         ranks = linalg._power_ranks(linalg.mat_pow_int(flat, m, p), p)
         for r in range(2, cap + 1):
             if p ** (m * r) > DEFAULT_ORDER_BOUND:

@@ -2,13 +2,15 @@
 
 The ``*_int`` functions work on matrices of Python ints mod p: they
 take rows as lists or tuples of any ints and return lists of ints in
-[0, p).  Elimination (``rref_int``, and through it ``kernel_int`` and
-``invert_int``) and products (``mat_mul_int``, ``mat_pow_int``) hold
-each row of ``width`` entries as one int with fixed-width lanes
-(``_Lanes``, private): entry j sits in lane width-1-j, so the leading
-entry is the top lane and the largest row has the leftmost lead.  A row
-operation is one big-int multiply-add, row + (p - f) * pivot_row, and a
-pivot lane is one shift and mask.
+[0, p).  Elimination (``rref_int``, ``kernel_int`` and ``invert_int``)
+and products (``mat_mul_int``, ``mat_pow_int``) hold each row of
+``width`` entries as one int with fixed-width lanes (``_Lanes``,
+private): entry j sits in lane width-1-j, so the leading entry is the
+top lane and the largest row has the leftmost lead.  A row operation is
+one big-int multiply-add, row + (p - f) * pivot_row, and a pivot lane is
+one shift and mask.  ``kernel_int`` packs the columns reversed, column c
+in lane c, and reads its basis off the packed rows (``_kernel_packed``,
+which also takes rows packed that way by their builder).
 
 Before a reduction every lane holds some v <= bound: p(p-1) after a row
 operation, terms * (p-1)^2 in a sum of ``terms`` products.  All lanes
@@ -129,25 +131,35 @@ def rref_int(rows, p):
 
 
 def kernel_int(mat, p):
-    """Echelonized basis of {v : mat @ v = 0} mod p.  Returns (rows, pivots).
+    """Echelonized basis of {v : mat @ v = 0} mod p.  Returns (rows, pivots)."""
+    lanes = _lanes(p, len(mat[0]) if mat else 0)
+    return _kernel_packed([lanes.pack(row[::-1]) for row in mat], lanes)
 
-    Eliminates with the columns reversed.  There each non-pivot column f
-    gives the kernel vector that is 1 at f, minus column f of the reduced
-    rows at their pivots, and 0 at the other non-pivot columns; a row
-    with an entry in column f has its pivot left of f.  Put back in
-    order, every vector leads with the 1 at its own f and is 0 at the
-    other vectors' leads, so the vectors are already reduced."""
-    ncols = len(mat[0]) if mat else 0
-    red, pivots = rref_int([row[::-1] for row in mat], p)
-    free = sorted(set(range(ncols)) - set(pivots), reverse=True)
+
+def _kernel_packed(rows, lanes):
+    """kernel_int on packed rows that hold column c in lane c, the
+    columns reversed from ``pack``'s order; eliminates rows in place.
+
+    A row's leading lane is then its last nonzero column.  Each non-pivot
+    column f gives the kernel vector that is 1 at f, minus lane f of the
+    reduced rows at their pivot columns, and 0 at the other non-pivot
+    columns; a row with an entry in lane f has its pivot right of f.  In
+    the order of f, every vector leads with the 1 at its own f and is 0
+    at the other vectors' leads, so the vectors are already reduced."""
+    p, bits, mask, width = lanes.p, lanes.bits, lanes.mask, lanes.width
+    red, pivots = _rref_packed(rows, lanes)
+    leads = [width - 1 - c for c in pivots]
+    free = sorted(set(range(width)) - set(leads))
     basis = []
     for f in free:
-        v = [0] * ncols
+        v = [0] * width
         v[f] = 1
-        for row, c in zip(red, pivots):
-            v[c] = -row[f] % p
-        basis.append(v[::-1])
-    return basis, [ncols - 1 - f for f in free]
+        for row, c in zip(red, leads):
+            x = (row >> bits * f) & mask
+            if x:
+                v[c] = p - x
+        basis.append(v)
+    return basis, free
 
 
 def _power_ranks(a, p):

@@ -101,9 +101,6 @@ class KummerSections:
     def mul_t_pow(self, x, k: int):
         return {e + self.d * k: v for e, v in x.items()}
 
-    def slice(self, x, e: int):
-        return x.get(e, self.zero_vector)
-
 
 # ---------------------------------------------------------------------------
 # filtration specs

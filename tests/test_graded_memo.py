@@ -59,7 +59,7 @@ def oracle_slice_coords(spec, x, n):
         if a is None:
             return None
         rows, piv = spec.kc.bases[a]
-        return linalg.express(spec.module.ctx, rows, piv, spec.module.slice(x, n))
+        return linalg.express(spec.module.ctx, rows, piv, x.get(n, spec.module.zero_vector))
     if isinstance(spec, ExtensionVFilt):
         series, delta = spec._parts(n)
         if series is None and delta is None:

@@ -13,10 +13,11 @@ where the norm matrix is a product of Frobenius twists.
 from random import Random
 
 import pytest
+from test_fixed_point_oracle import oracle_flat_operator
 from test_linalg_oracle import oracle_rref_int
 
 from fcrystal.errors import CapExceededError
-from fcrystal.field import DEFAULT_SATURATION_CAP, _flat_operator, make_field, saturate_fixed_points
+from fcrystal.field import DEFAULT_SATURATION_CAP, make_field, saturate_fixed_points
 
 
 def _mul(a, b, p):
@@ -30,7 +31,7 @@ def _identity(n):
 def _walk(ctx, entries, cap):
     """(profile, saturated): (r, n - rank(N^r - I) / m) for r = 1, 2, ..."""
     p, m, n = ctx.p, ctx.m, len(entries)
-    flat = _flat_operator(ctx, entries)
+    flat = oracle_flat_operator(ctx, entries)
     norm = _identity(n * m)
     for _ in range(m):
         norm = _mul(norm, flat, p)
@@ -103,7 +104,7 @@ def test_rank_one_per_class_systems(p, d):
 
 def _is_invertible(ctx, entries):
     p = ctx.p
-    flat = _flat_operator(ctx, entries)
+    flat = oracle_flat_operator(ctx, entries)
     return len(oracle_rref_int(flat, p)[1]) == len(flat)
 
 

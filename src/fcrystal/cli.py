@@ -9,7 +9,7 @@ reports: indented JSON with sorted keys, byte for byte what
 is built once per process, on the first call of ``main``.
 
 Exit codes: 0 all checks pass, 1 check failures, 2 invalid input,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 an internal error (a fault of the program).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import sys
+import traceback
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from random import Random
@@ -350,7 +351,7 @@ def cmd_vfilt(args) -> int:
         "kind": meta["kind"],
         "filtration": spec.to_json(),
         "jumps": [level_json(n, spec.den) for n in spec.ijumps(win)],
-        "graded": rep.to_json(),
+        "graded": rep.to_json(spec),
         "checks": checks.to_json(),
         "all_pass": checks.all_pass,
     }
@@ -362,7 +363,7 @@ def cmd_graded(args) -> int:
     obj, spec, meta = _make_objects(args)
     rep = graded(spec, win)
     ok = rep.all_frobenius_invertible() and rep.all_t_invertible()
-    result = {"kind": meta["kind"], "graded": rep.to_json(), "all_invertible": ok}
+    result = {"kind": meta["kind"], "graded": rep.to_json(spec), "all_invertible": ok}
     return _emit(args, "graded", result, 0 if ok else 1)
 
 
@@ -595,6 +596,11 @@ def main(argv=None) -> int:
     except CapExceededError as err:
         _print_error(f"resource cap exceeded: {err}", "cap", err, err.profile)
         return 3
+    except Exception as err:  # a fault of the program, never a failed check
+        at = traceback.extract_tb(err.__traceback__)[-1]  # where it was raised
+        what = f"{type(err).__name__}: {err} (in {at.name}, {Path(at.filename).name}:{at.lineno})"
+        _print_error(f"internal error: {what}", "internal", what, None)
+        return 4
 
 
 if __name__ == "__main__":

@@ -371,14 +371,14 @@ class UnipotentNearby:
 def nearby_unipotent(spec: FiltrationSpec) -> UnipotentNearby:
     """Gr^0 with the induced Frobenius (level 0 maps to level p*0 = 0)."""
     module = spec.module
-    basis, labels = spec.ipiece(0)
+    basis = spec.ipiece(0)
     if not basis:
         return UnipotentNearby(module.ctx, 0, (), (), None)
     gm = _graded_map(spec, len(basis), [module.apply_F(b) for b in basis], 0)
     if gm.matrix is None:
         raise InvalidInputError("level-0 Frobenius image has no graded class")
     op = SemilinearOperator(module.ctx, gm.matrix)
-    return UnipotentNearby(module.ctx, len(basis), tuple(labels), gm.matrix, op)
+    return UnipotentNearby(module.ctx, len(basis), tuple(spec.ilabels(0)), gm.matrix, op)
 
 
 def nearby_full(spec: FiltrationSpec) -> CGObject:
@@ -399,7 +399,7 @@ def nearby_full(spec: FiltrationSpec) -> CGObject:
     dims = [0] * d
     mats = [()] * d
     for j in range(d):
-        basis = spec.ipiece(j)[0]
+        basis = spec.ipiece(j)
         a = (-j) % d
         dims[a] = len(basis)
         if not basis:
@@ -463,7 +463,7 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
     module = spec.module
     ctx = module.ctx
     p, den = ctx.p, spec.den
-    (basisV, labelsV), basisW = spec.ipiece(-den), spec.ipiece(-p * den)[0]
+    basisV, basisW = spec.ipiece(-den), spec.ipiece(-p * den)
     psi = nearby_unipotent(spec)
     fm = _graded_map(spec, len(basisV), [module.apply_F(b) for b in basisV], -p * den)
     tV = _graded_map(spec, len(basisV), [module.mul_t(b) for b in basisV], 0)
@@ -482,7 +482,7 @@ def vanishing(spec: FiltrationSpec) -> VanishingReport:
         ctx=ctx,
         source_dim=len(basisV),
         target_dim=len(basisW),
-        source_labels=tuple(labelsV),
+        source_labels=tuple(spec.ilabels(-den)),
         f_matrix=fm.matrix,
         psi=psi,
         t_source=tV.matrix,

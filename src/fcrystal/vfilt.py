@@ -34,7 +34,10 @@ computations over a level range [lo, hi):
       where the delta generator e_1 |-> 0 is the recorded exception.
 
 Failures always carry a witness.  Reports are plain data, serialized
-with exact rationals.
+with exact rationals.  Labels are formatted only where they are read:
+a graded report asks its spec for a level's labels when it serializes,
+and the checkers sweep sections under cheap keys and name a section
+only in a witness.
 """
 
 from __future__ import annotations
@@ -115,7 +118,9 @@ class FiltrationSpec:
       ilevel(x)          the level numerator of x, None for zero;
       ijumps(window)     the sorted jump numerators, lo <= n/den < hi;
       idim(n)            the dimension of the graded piece at n;
-      ipiece(n)          (basis, labels) of the graded piece at n;
+      ipiece(n)          the basis of the graded piece at n;
+      ilabels(n)         the labels of that basis, formatted alone (no
+                         section is built): the spec's one label path;
       _level_coords(images, n)
                          (idim(n), columns): each image's coordinates
                          in the basis at n, a zero column for an image
@@ -124,7 +129,10 @@ class FiltrationSpec:
                          or at n with a leading part outside the span);
                          slice-exact: a column is returned only when
                          y - sum(c_i * b_i) lies strictly deeper than n;
-      spanning(window)   (label, section) pairs spanning the window;
+      spanning(window)   (key, section) pairs spanning the window; the
+                         key (n, k) says the section is basis vector k
+                         of the piece at n, and section_label(key)
+                         reads its label off ilabels(n);
       family(window)     (key, level numerator) for the same sections.
 
     The Fraction API (level, jumps, dim_at, graded_basis, graded_labels,
@@ -161,11 +169,15 @@ class FiltrationSpec:
 
     def graded_basis(self, r):
         n = self._num(r)
-        return [] if n is None else self.ipiece(n)[0]
+        return [] if n is None else self.ipiece(n)
 
     def graded_labels(self, r):
         n = self._num(r)
-        return [] if n is None else self.ipiece(n)[1]
+        return [] if n is None else self.ilabels(n)
+
+    def section_label(self, key):
+        n, k = key
+        return self.ilabels(n)[k]
 
     def graded_coords(self, x, r):
         """Coordinates of the class of x in Gr^r as a fresh list, or None.
@@ -216,10 +228,11 @@ class KummerVFilt(FiltrationSpec):
 
     def ipiece(self, e):
         a = self.kc.weight_of_shift(e)
-        if a is None:
-            return [], []
-        rows = self.kc.bases[a][0]
-        return [{e: u} for u in rows], [f"u{a}.{i}*s^{e}" for i in range(len(rows))]
+        return [] if a is None else [{e: u} for u in self.kc.bases[a][0]]
+
+    def ilabels(self, e):
+        a = self.kc.weight_of_shift(e)
+        return [] if a is None else [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
 
     def _level_coords(self, images, e):
         """The basis at e is the monomials u_(a,i) s^e of weight a;
@@ -259,7 +272,7 @@ class KummerVFilt(FiltrationSpec):
             for k in range(lo, hi):
                 e = self.kc.shifts[a] + k * self.d
                 for i in range(self.kc.dims[a]):
-                    yield f"u{a}.{i}*s^{e}", self.module.monomial(a, i, e)
+                    yield (e, i), self.module.monomial(a, i, e)
 
     def family(self, window):
         # keyed by the reduced level mod 1: presentations over d and d*e agree
@@ -383,14 +396,17 @@ class ExtensionVFilt(FiltrationSpec):
 
     def ipiece(self, n):
         series, delta = self._parts(n)
-        basis, labels = [], []
-        if series is not None:
-            basis.append(self.x_section(series))
-            labels.append(self.series_label.format(series))
+        basis = [] if series is None else [self.x_section(series)]
         if delta is not None:
             basis.append(self.module.delta_monomial(delta))
+        return basis
+
+    def ilabels(self, n):
+        series, delta = self._parts(n)
+        labels = [] if series is None else [self.series_label.format(series)]
+        if delta is not None:
             labels.append(f"e_{delta}")
-        return basis, labels
+        return labels
 
     def _level_coords(self, images, n):
         """After the rewrite each x_i reads (t^i, 0), so the coefficients
@@ -414,12 +430,14 @@ class ExtensionVFilt(FiltrationSpec):
         return dim, cols
 
     def spanning(self, window):
+        # the series generator leads its piece and e_m closes its own
         lo, hi = window
+        p = self.den
         if self.series_label:
             for i in self._exponents(window):
-                yield self.series_label.format(i), self.x_section(i)
+                yield (i * p - self.shift_num, 0), self.x_section(i)
         for mneg in range(lo, min(hi, 0)):
-            yield f"e_{-mneg}", self.module.delta_monomial(-mneg)
+            yield (mneg * p, self.idim(mneg * p) - 1), self.module.delta_monomial(-mneg)
 
     def family(self, window):
         lo, hi = window
@@ -490,6 +508,12 @@ class _Reindexed(FiltrationSpec):
 
     def ipiece(self, n):
         return self.base.ipiece(n + self._step)
+
+    def ilabels(self, n):
+        return self.base.ilabels(n + self._step)
+
+    def section_label(self, key):
+        return self.base.section_label(key)  # spanning's keys are the base's
 
     def _level_coords(self, images, n):
         """The base spec's, at the base numerator."""
@@ -622,7 +646,6 @@ class GradedLevel:
     n: int  # the level is n / den
     den: int
     dim: int
-    labels: list
     f_map: GradedMap
     t_map: GradedMap
 
@@ -630,11 +653,11 @@ class GradedLevel:
     def level(self) -> Fraction:
         return Fraction(self.n, self.den)
 
-    def to_json(self):
+    def to_json(self, labels):
         return {
             "level": level_json(self.n, self.den),
             "dim": self.dim,
-            "labels": self.labels,
+            "labels": labels,
             "frobenius": self.f_map.to_json(),
             "t": self.t_map.to_json(),
         }
@@ -642,6 +665,9 @@ class GradedLevel:
 
 @dataclass
 class GradedReport:
+    """The graded pieces of a spec on a window.  It holds no reference to
+    the spec: to_json takes the spec that was graded, for the labels."""
+
     window: tuple
     levels: list
 
@@ -655,10 +681,10 @@ class GradedReport:
             if not any(gl.n * r.denominator == r.numerator * gl.den for r in skip)
         )
 
-    def to_json(self):
+    def to_json(self, spec: FiltrationSpec):
         return {
             "window": list(self.window),
-            "levels": [gl.to_json() for gl in self.levels],
+            "levels": [gl.to_json(spec.ilabels(gl.n)) for gl in self.levels],
         }
 
 
@@ -709,10 +735,11 @@ def _check_window(window) -> None:
 def graded(spec: FiltrationSpec, window) -> GradedReport:
     """Graded pieces on the window with their Frobenius and t maps.
 
-    Every nonzero jump level in [lo, hi) appears with its basis, the
+    Every nonzero jump level in [lo, hi) appears with its dimension, the
     matrix of the induced Frobenius into the piece at p * level, and
-    the matrix of t-multiplication into level + 1.  Targets may fall
-    outside the window; sections are exact so the matrices still are.
+    the matrix of t-multiplication into level + 1; its labels wait for
+    to_json.  Targets may fall outside the window; sections are exact
+    so the matrices still are.
     Levels and targets are numerators over den throughout.
     """
     _check_window(window)
@@ -721,13 +748,13 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     invertible = {}  # matrix -> is_invertible, for this call's one field
     out = []
     for n in spec.ijumps(window):
-        basis, labels = spec.ipiece(n)
+        basis = spec.ipiece(n)
         if not basis:
             continue
         dim = len(basis)
         f_map = _graded_map(spec, dim, [apply_F(b) for b in basis], p * n, invertible)
         t_map = _graded_map(spec, dim, [mul_t(b) for b in basis], n + den, invertible)
-        out.append(GradedLevel(n, den, dim, labels, f_map, t_map))
+        out.append(GradedLevel(n, den, dim, f_map, t_map))
     return GradedReport(tuple(window), out)
 
 
@@ -820,16 +847,17 @@ def _graded_check(name, title, maps, den, default_note, exempt=None):
 
 
 def _sweep(spec: FiltrationSpec, window):
-    """The spanning family on the window as (label, section, level
-    numerator) triples."""
-    return [(label, x, spec.ilevel(x)) for label, x in spec.spanning(window)]
+    """The spanning family on the window as (key, section, level
+    numerator) triples; a witness names its section by
+    spec.section_label(key)."""
+    return [(key, x, spec.ilevel(x)) for key, x in spec.spanning(window)]
 
 
 def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=None, sweep=None) -> AxiomReport:
     """A1-A4 on the window; failures carry witnesses, A4 per level.
 
     graded_report, when given, must be graded(spec, window), and sweep
-    the spanning family's (label, section, level numerator) triples on
+    the spanning family's (key, section, level numerator) triples on
     the window; passing them avoids recomputing what the caller has.
     """
     _check_window(window)
@@ -846,30 +874,30 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A1: finite levels, and t-powers push any section past the window
     a1_witness = None
-    for label, x, lvl in sweep:
+    for key, x, lvl in sweep:
         if lvl is None:
-            a1_witness = {"section": label, "reason": "no finite level on the window"}
+            a1_witness = {"section": spec.section_label(key), "reason": "no finite level on the window"}
             break
     if a1_witness is None and sweep:
-        label, x, lvl = sweep[0]
+        key, x, lvl = sweep[0]
         k = max(1, -((lvl - top) // den))  # ceil(hi - level)
         esc = spec.ilevel(module.mul_t_pow(x, k))
         if esc is not None and esc < top:
             a1_witness = {
-                "section": label,
+                "section": spec.section_label(key),
                 "reason": f"t^{k} failed to push the level past the window top",
             }
     checks["A1"] = _verdict("A1", "finite presentation on the window", a1_witness, sections=len(sweep))
 
     # A2: ideal^power raises levels by at least 1
     a2_witness = None
-    for label, x, lvl in sweep:
+    for key, x, lvl in sweep:
         if lvl is None:
             continue
         moved = spec.ilevel(spec.mul_ideal(x, power))
         if moved is not None and moved < lvl + den:
             a2_witness = {
-                "section": label,
+                "section": spec.section_label(key),
                 "level": level_json(lvl, den),
                 "after": level_json(moved, den),
                 "ideal_power": power,
@@ -881,13 +909,13 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
 
     # A3: Frobenius multiplies levels by at least p
     a3_witness = None
-    for label, x, lvl in sweep:
+    for key, x, lvl in sweep:
         if lvl is None:
             continue
         flvl = spec.ilevel(module.apply_F(x))
         if flvl is not None and flvl < p * lvl:
             a3_witness = {
-                "section": label,
+                "section": spec.section_label(key),
                 "level": level_json(lvl, den),
                 "frobenius_level": level_json(flvl, den),
             }
@@ -921,39 +949,39 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
     ss1_witness = None
     gens = sum(spec.idim(n) for n in spec.ijumps((0, 1)))
     bases = {}  # residue numerator -> its graded basis
-    for label, x, lvl in sweep:
+    for key, x, lvl in sweep:
         if lvl is None or lvl < 0:
             continue
         k, rest = divmod(lvl, den)
         if rest not in bases:
-            bases[rest] = spec.ipiece(rest)[0]
+            bases[rest] = spec.ipiece(rest)
         if not any(module.mul_t_pow(g, k) == x for g in bases[rest]):
-            ss1_witness = {"section": label, "reason": "not a t-power multiple of a generator"}
+            ss1_witness = {"section": spec.section_label(key), "reason": "not a t-power multiple of a generator"}
             break
     checks["SS1"] = _verdict("SS1", "V^0 finitely generated on the window", ss1_witness, generators=gens)
 
     # SS2: t V^i = V^(i+1) for i != -1
     ss2_witness = None
-    for label, x, lvl in sweep:
+    for key, x, lvl in sweep:
         if lvl is None:
             continue
         up = spec.ilevel(module.mul_t(x))
         if up is not None and up < lvl + den:
-            ss2_witness = {"section": label, "reason": "t does not raise the level"}
+            ss2_witness = {"section": spec.section_label(key), "reason": "t does not raise the level"}
             break
         if lvl == 0:
             continue
         pre = spec.t_preimage(x)
         if pre is None:
-            ss2_witness = {"section": label, "reason": "no t-preimage available"}
+            ss2_witness = {"section": spec.section_label(key), "reason": "no t-preimage available"}
             break
         if module.mul_t(pre) != x:
-            ss2_witness = {"section": label, "reason": "t-preimage does not multiply back"}
+            ss2_witness = {"section": spec.section_label(key), "reason": "t-preimage does not multiply back"}
             break
         pre_lvl = spec.ilevel(pre)
         if pre_lvl is not None and pre_lvl < lvl - den:
             ss2_witness = {
-                "section": label,
+                "section": spec.section_label(key),
                 "reason": "t-preimage is too deep",
                 "preimage_level": level_json(pre_lvl, den),
             }
@@ -1001,18 +1029,19 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
         getattr(spec1.module, "kind", None) is not None
         and spec1.module.kind == spec2.module.kind
     )
-    pairs = []
+    pairs = []  # (namer, key, level 1, level 2): namer(key) is the section's name
     if concrete:
-        for label, x in list(spec1.spanning(window)) + list(spec2.spanning(window)):
-            l1, l2 = spec1.ilevel(x), spec2.ilevel(x)
-            if l1 is None and l2 is None:
-                continue
-            if l1 is None or l2 is None:
-                return {
-                    "verdict": "incomparable",
-                    "witness": {"section": label, "reason": "finite level on one side only"},
-                }
-            pairs.append((label, l1 * den2, l2 * den1))
+        for spec in (spec1, spec2):
+            for key, x in spec.spanning(window):
+                l1, l2 = spec1.ilevel(x), spec2.ilevel(x)
+                if l1 is None and l2 is None:
+                    continue
+                if l1 is None or l2 is None:
+                    return {
+                        "verdict": "incomparable",
+                        "witness": {"section": spec.section_label(key), "reason": "finite level on one side only"},
+                    }
+                pairs.append((spec.section_label, key, l1 * den2, l2 * den1))
     else:
         fam1 = dict(spec1.family(window))
         fam2 = dict(spec2.family(window))
@@ -1022,10 +1051,10 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
                 "verdict": "incomparable",
                 "witness": {"reason": "spanning families differ", "keys": diff},
             }
-        pairs = [(str(k), fam1[k] * den2, fam2[k] * den1) for k in fam1]
+        pairs = [(str, k, fam1[k] * den2, fam2[k] * den1) for k in fam1]
 
-    le = all(l1 <= l2 for _, l1, l2 in pairs)
-    ge = all(l1 >= l2 for _, l1, l2 in pairs)
+    le = all(l1 <= l2 for _, _, l1, l2 in pairs)
+    ge = all(l1 >= l2 for _, _, l1, l2 in pairs)
     if le and ge:
         return {"verdict": "equal", "sections": len(pairs)}
     if le:
@@ -1033,13 +1062,13 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
     if ge:
         return {"verdict": "reverse-contained", "sections": len(pairs)}
     den = den1 * den2
-    wit = next((lbl, l1, l2) for lbl, l1, l2 in pairs if l1 > l2)
-    wit2 = next((lbl, l1, l2) for lbl, l1, l2 in pairs if l1 < l2)
+    wit = next(pair for pair in pairs if pair[2] > pair[3])
+    wit2 = next(pair for pair in pairs if pair[2] < pair[3])
     return {
         "verdict": "incomparable",
         "witness": {
-            "deeper_in_first": {"section": wit[0], "levels": [level_json(wit[1], den), level_json(wit[2], den)]},
-            "deeper_in_second": {"section": wit2[0], "levels": [level_json(wit2[1], den), level_json(wit2[2], den)]},
+            "deeper_in_first": {"section": wit[0](wit[1]), "levels": [level_json(wit[2], den), level_json(wit[3], den)]},
+            "deeper_in_second": {"section": wit2[0](wit2[1]), "levels": [level_json(wit2[2], den), level_json(wit2[3], den)]},
         },
     }
 

@@ -67,13 +67,25 @@ class PreimageWrongAtOneStep(KummerVFilt):
         return {e - 1: v for e, v in pre.items()} if self.ilevel(y) == 1 else pre
 
 
-def twice(spec, label, x):
+def twice(spec, key, x):
     ctx = spec.module.ctx
     two = ctx.from_int(2)
-    return f"2*{label}", {e: tuple(ctx.mul(two, c) for c in v) for e, v in x.items()}
+    return ("2*", key), {e: tuple(ctx.mul(two, c) for c in v) for e, v in x.items()}
 
 
-class ExtraSection(KummerVFilt):
+class Renamed(KummerVFilt):
+    """Names the sections the mutant families add: the key "0", and
+    ("2*", key) for twice the section under key."""
+
+    def section_label(self, key):
+        if key == "0":
+            return key
+        if key[0] == "2*":
+            return "2*" + super().section_label(key[1])
+        return super().section_label(key)
+
+
+class ExtraSection(Renamed):
     """The spanning family plus 2 times its last section."""
 
     def spanning(self, window):
@@ -82,16 +94,16 @@ class ExtraSection(KummerVFilt):
         yield twice(self, *sections[-1])
 
 
-class DoubledLevelZero(KummerVFilt):
+class DoubledLevelZero(Renamed):
     """The spanning family with its level-0 section doubled: still a
     spanning family, but that section is no generator."""
 
     def spanning(self, window):
-        for label, x in super().spanning(window):
-            yield twice(self, label, x) if self.ilevel(x) == 0 else (label, x)
+        for key, x in super().spanning(window):
+            yield twice(self, key, x) if self.ilevel(x) == 0 else (key, x)
 
 
-class ZeroSection(KummerVFilt):
+class ZeroSection(Renamed):
     """The spanning family with the zero section in front."""
 
     def spanning(self, window):

@@ -200,6 +200,25 @@ def test_cap_exit_carries_the_profile(capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["graded", "check"])
+def test_an_internal_error_exits_4_with_the_json_error_line(capsys, monkeypatch, command):
+    """A fault of the program is not a failed check: it exits 4, not 1,
+    with the message line and an error line of kind "internal"."""
+
+    def broken(args):
+        raise RuntimeError("no such thing")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", broken)
+    code, out, err = run(capsys, [command, "--p", "5", "--d", "3", "--rep", "companion"])
+    assert code == 4 and out == ""
+    line, json_line = err.strip().splitlines()
+    error = json.loads(json_line)["error"]
+    assert line == f"internal error: {error['message']}"
+    assert error["kind"] == "internal" and error["profile"] is None
+    assert error["message"].startswith("RuntimeError: no such thing (in broken, test_cli.py:")
+    assert json_line == json.dumps({"error": error}, sort_keys=True)
+
+
 HUGE_M = str(2**70)
 IDENTITY_65 = json.dumps({"d": 1, "mat": [[int(i == j) for j in range(65)] for i in range(65)]})
 MERSENNE_61 = str(2**61 - 1)  # prime, and past the bound on p: trial division would take minutes

@@ -188,7 +188,7 @@ def test_a_shallower_image_stops_the_batch_where_its_slice_would_fit():
     for spec in KUMMER_SPECS:
         d = spec.den
         for e in spec.ijumps((0, 1)):
-            b = spec.ipiece(e)[0][0]
+            b = spec.ipiece(e)[0]
             deeper = spec.module.mul_t_pow(b, 2)
             assert spec._level_coords([deeper, b], e + d) == (spec.idim(e), 1)
             assert spec.graded_coords(b, Fraction(e + d, d)) is None

@@ -8,7 +8,8 @@ matrix it has tested.  The oracle below rebuilds the report with a fresh
 coefficientwise Frobenius for every Kummer basis vector, a fresh
 linalg.express for every coordinate vector and a fresh
 linalg.is_invertible for every matrix, and the two reports must be equal
-entry for entry: levels, labels, matrices, verdicts and notes.
+entry for entry: levels, matrices, verdicts and notes.  The serialized
+labels must equal those an eager oracle formats from each piece.
 """
 
 from fractions import Fraction
@@ -100,20 +101,43 @@ def oracle_graded(spec, window):
     mod, den = spec.module, spec.den
     levels = []
     for n in spec.ijumps(window):
-        basis, labels = spec.ipiece(n)
+        basis = spec.ipiece(n)
         if not basis:
             continue
         f_map = oracle_map(spec, len(basis), [oracle_apply_F(mod, b) for b in basis], mod.ctx.p * n)
         t_map = oracle_map(spec, len(basis), [mod.mul_t(b) for b in basis], n + den)
-        levels.append(GradedLevel(n, den, len(basis), labels, f_map, t_map))
+        levels.append(GradedLevel(n, den, len(basis), f_map, t_map))
     return GradedReport(tuple(window), levels)
+
+
+def oracle_labels(spec, n):
+    """The labels of the piece at numerator n, formatted eagerly from the
+    piece itself, as graded() once did for every level: u{a}.{i}*s^{e}
+    for the basis rows of a Kummer weight class, then the series
+    generator (t^i, or x_i under the depth rewrite) and e_m for the
+    extension family."""
+    if isinstance(spec, KummerVFilt):
+        a = spec.kc.weight_of_shift(n)
+        return [] if a is None else [f"u{a}.{i}*s^{n}" for i in range(len(spec.kc.bases[a][0]))]
+    if isinstance(spec, ExtensionVFilt):
+        p = spec.den
+        out = []
+        i, rem = divmod(n + spec.shift_num, p)
+        if spec.rule != "delta" and not rem:
+            out.append(f"x_{i}" if spec.rule == "depth-grading" else f"t^{i}")
+        if n % p == 0 and n <= -p:
+            out.append(f"e_{-n // p}")
+        return out
+    return oracle_labels(spec.base, n + spec._step)  # shifted or pullback
 
 
 def assert_matches_oracle(spec, window):
     got, want = graded(spec, window), oracle_graded(spec, window)
     assert want.levels
     assert got == want, spec.to_json()
-    assert got.to_json() == want.to_json()
+    serialized = got.to_json(spec)
+    assert serialized == want.to_json(spec)
+    assert [lv["labels"] for lv in serialized["levels"]] == [oracle_labels(spec, gl.n) for gl in want.levels]
     return got
 
 
@@ -216,7 +240,7 @@ def test_mutating_returned_coordinates_leaves_later_answers_unchanged():
     for view in (spec, shifted_filtration(spec, 2)):
         n = view.ijumps((0, 1))[0]
         r = Fraction(n + view.den, view.den)
-        y = spec.module.mul_t(view.ipiece(n)[0][0])
+        y = spec.module.mul_t(view.ipiece(n)[0])
         first = view.graded_coords(y, r)
         want = list(first)
         assert want and ctx.one in want

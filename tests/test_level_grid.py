@@ -173,7 +173,7 @@ def test_jumps_are_the_nonzero_pieces_of_the_window(spec, lo, width):
     assert nums == [n for n in range(lo * den, (lo + width) * den) if spec.idim(n)]
     for n, r in zip(nums, jumps):
         basis = spec.graded_basis(r)
-        assert (basis, spec.graded_labels(r)) == spec.ipiece(n)
+        assert (basis, spec.graded_labels(r)) == (spec.ipiece(n), spec.ilabels(n))
         assert spec.dim_at(r) == len(basis) == len(spec.graded_labels(r))
         assert all(spec.level(b) == r for b in basis)
 

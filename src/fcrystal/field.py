@@ -433,11 +433,6 @@ class FieldCtx:
         p = self.p
         return tuple(x % p for x in out)
 
-    def frob_iter(self, a, k: int):
-        for _ in range(k % self.m):
-            a = self.frob(a)
-        return a
-
     def encode(self, a) -> int:
         n = 0
         for c in reversed(a):

@@ -100,21 +100,6 @@ class CGObject:
         self.dims = dims
         self.mats = mats
 
-    @classmethod
-    def from_pair(cls, ctx, d: int, dims, taus, tau_tildes) -> "CGObject":
-        """Normalize a (tau, tau-tilde) presentation: C_a = tilde_(pa)^(-1) tau_a."""
-        p = ctx.p
-        mats = []
-        for a in range(d):
-            ta = (p * a) % d
-            tilde = tuple(tuple(row) for row in tau_tildes[ta])
-            inv = linalg.invert(ctx, tilde)
-            if inv is None:
-                raise InvalidInputError(f"twist identification at class {ta} is singular")
-            tau = tuple(tuple(row) for row in taus[a])
-            mats.append(linalg.mat_mul(ctx, inv, tau) if dims[a] else ())
-        return cls(ctx, d, dims, tuple(mats))
-
     @property
     def rank(self) -> int:
         return sum(self.dims)

@@ -55,22 +55,26 @@ from .series import LaurentSeries, level_json
 # sections
 #
 # A spec's module provides ctx, kind, apply_F, mul_t and mul_t_pow, on
-# sections with value equality (==): Kummer sections are dicts, extension
-# sections are pairs of LaurentSeries.  ExtensionModule provides them
-# itself (and add, which shifted_exactness uses); Kummer crystals go
-# through KummerSections.
+# sections with value equality (==): Kummer sections are canonical
+# (valuation, terms) tuples, extension sections are pairs of
+# LaurentSeries.  ExtensionModule provides them itself (and add, which
+# shifted_exactness uses); Kummer crystals go through KummerSections.
 
 
 class KummerSections:
-    """Sparse sections on the cover: {exponent e: length-r vector over F_q}.
+    """Sparse sections on the cover as canonical (n, terms) tuples.
 
-    A section sum_e v_e s^e is the dict of its nonzero coefficient
-    vectors.  No zero vector is ever stored, so {} is the zero section,
-    dict equality is section equality and min(x) is the valuation.
+    A nonzero section sum_e v_e s^e is the pair (n, terms): n is its
+    valuation and terms the tuple of (e - n, v_e) over the exponents
+    with v_e nonzero, so offsets strictly increase from 0.  The zero
+    section is ().  Tuple equality is section equality, x[0] is the
+    valuation and x[1][0][1] the slice there; a t-power moves n and
+    keeps terms.
 
     Frobenius acts on each coefficient, and the sections a spec meets
     are t- and Frobenius-shifts of a few basis vectors, so the image of
-    each vector is kept, keyed on its value, for the module's lifetime.
+    each terms tuple is kept, keyed on its value, for the module's
+    lifetime.
     """
 
     def __init__(self, kc: KummerCrystal):
@@ -79,30 +83,30 @@ class KummerSections:
         self.rank = kc.rank
         self.d = kc.d
         self.kind = ("kummer", kc.d, kc.rank, id(kc.ctx))
-        self.zero_vector = (kc.ctx.zero,) * kc.rank
-        self._frob = {}  # coefficient vector -> its coefficientwise Frobenius
+        self._frob = {}  # terms -> the terms of their Frobenius image
 
     def zero(self):
-        return {}
+        return ()
 
     def monomial(self, a: int, i: int, e: int):
-        return {e: self.kc.bases[a][0][i]}
+        return (e, ((0, self.kc.bases[a][0][i]),))
 
     def apply_F(self, x):
-        p, images = self.ctx.p, self._frob
-        out = {}
-        for e, v in x.items():
-            fv = images.get(v)
-            if fv is None:
-                fv = images[v] = tuple(map(self.ctx.frob, v))
-            out[p * e] = fv
-        return out
+        if not x:
+            return x
+        n, terms = x
+        p = self.ctx.p
+        fterms = self._frob.get(terms)
+        if fterms is None:
+            frob = self.ctx.frob
+            fterms = self._frob[terms] = tuple((p * o, tuple(map(frob, v))) for o, v in terms)
+        return (p * n, fterms)
 
     def mul_t(self, x):
-        return {e + self.d: v for e, v in x.items()}
+        return (x[0] + self.d, x[1]) if x else x
 
     def mul_t_pow(self, x, k: int):
-        return {e + self.d * k: v for e, v in x.items()}
+        return (x[0] + self.d * k, x[1]) if x else x
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ class KummerVFilt(FiltrationSpec):
         self._coords = {}
 
     def ilevel(self, x):
-        return min(x) if x else None
+        return x[0] if x else None
 
     def ijumps(self, window):
         lo, hi = window
@@ -228,7 +232,7 @@ class KummerVFilt(FiltrationSpec):
 
     def ipiece(self, e):
         a = self.kc.weight_of_shift(e)
-        return [] if a is None else [{e: u} for u in self.kc.bases[a][0]]
+        return [] if a is None else [(e, ((0, u),)) for u in self.kc.bases[a][0]]
 
     def ilabels(self, e):
         a = self.kc.weight_of_shift(e)
@@ -236,9 +240,9 @@ class KummerVFilt(FiltrationSpec):
 
     def _level_coords(self, images, e):
         """The basis at e is the monomials u_(a,i) s^e of weight a;
-        linalg.express checks the slice of an image at e against them
-        exactly, and every other exponent of an image at level e is
-        above e.
+        linalg.express checks the slice of an image at e, its leading
+        vector, against them exactly, and every other term of an image
+        at level e is above e.
 
         The solve depends only on the weight class and the slice, so it
         is shared between images with equal ones (the t- and
@@ -249,13 +253,12 @@ class KummerVFilt(FiltrationSpec):
         zero, memo = (self.module.ctx.zero,) * dim, self._coords
         cols = []
         for k, y in enumerate(images):
-            lvl = min(y) if y else None
-            if lvl is None or lvl > e:
+            if not y or y[0] > e:
                 cols.append(zero)
                 continue
-            if lvl < e or a is None:
+            if y[0] < e or a is None:
                 return dim, k
-            key = (a, y[e])
+            key = (a, y[1][0][1])
             coords = memo.get(key)
             if coords is None:
                 rows, piv = self.kc.bases[a]
@@ -285,7 +288,7 @@ class KummerVFilt(FiltrationSpec):
                     yield ("w", fr, i, k), s + k * self.d
 
     def t_preimage(self, y):
-        return {e - self.d: v for e, v in y.items()}
+        return self.module.mul_t_pow(y, -1)
 
     def to_json(self):
         return {

@@ -20,6 +20,7 @@ from fcrystal import (
     parse_series,
 )
 from fcrystal.vfilt import KummerSections
+from kummer_dicts import as_dict, from_dict
 
 F25 = make_field(5, 2)
 F5 = make_field(5, 1)
@@ -30,32 +31,37 @@ def lvl(num, den):
     return {"num": num, "den": den}
 
 
+def moved(ctx, x, s):
+    """The Kummer section x with every exponent moved by s."""
+    return from_dict(ctx, {e + s: v for e, v in as_dict(x).items()})
+
+
 class ShortTPower(KummerSections):
     """t^k lands one cover step short: s^(d*k - 1)."""
 
     def mul_t_pow(self, x, k):
-        return {e + self.d * k - 1: v for e, v in x.items()}
+        return moved(self.ctx, x, self.d * k - 1)
 
 
 class LowFrobenius(KummerSections):
     """Frobenius lands one cover step below p*e."""
 
     def apply_F(self, x):
-        return {e - 1: v for e, v in super().apply_F(x).items()}
+        return moved(self.ctx, super().apply_F(x), -1)
 
 
 class LongT(KummerSections):
     """t multiplies by s^(d+1)."""
 
     def mul_t(self, x):
-        return {e + self.d + 1: v for e, v in x.items()}
+        return moved(self.ctx, x, self.d + 1)
 
 
 class WrongPreimage(KummerVFilt):
     """A t-preimage one cover step too deep: s^(-d-1)."""
 
     def t_preimage(self, y):
-        return {e - self.d - 1: v for e, v in y.items()}
+        return moved(self.module.ctx, y, -self.d - 1)
 
 
 class PreimageWrongAtOneStep(KummerVFilt):
@@ -64,13 +70,13 @@ class PreimageWrongAtOneStep(KummerVFilt):
 
     def t_preimage(self, y):
         pre = super().t_preimage(y)
-        return {e - 1: v for e, v in pre.items()} if self.ilevel(y) == 1 else pre
+        return moved(self.module.ctx, pre, -1) if self.ilevel(y) == 1 else pre
 
 
 def twice(spec, key, x):
     ctx = spec.module.ctx
     two = ctx.from_int(2)
-    return ("2*", key), {e: tuple(ctx.mul(two, c) for c in v) for e, v in x.items()}
+    return ("2*", key), from_dict(ctx, {e: tuple(ctx.mul(two, c) for c in v) for e, v in as_dict(x).items()})
 
 
 class Renamed(KummerVFilt):

@@ -81,9 +81,6 @@ class IntField:
     def frob(self, a):
         return self._wrap("frob", a)
 
-    def frob_iter(self, a, k):
-        return self._wrap("frob_iter", a, extra=(k,))
-
     def encode(self, a):
         return a
 

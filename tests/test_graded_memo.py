@@ -2,8 +2,8 @@
 
 graded() shares each exact solve between maps with equal inputs: a
 KummerVFilt keeps the coordinates of each (weight class, slice) it has
-solved, its KummerSections keeps the Frobenius image of each coefficient
-vector, and one graded() call keeps the invertibility verdict of each
+solved, its KummerSections keeps the Frobenius image of each terms
+tuple, and one graded() call keeps the invertibility verdict of each
 matrix it has tested.  The oracle below rebuilds the report with a fresh
 coefficientwise Frobenius for every Kummer basis vector, a fresh
 linalg.express for every coordinate vector and a fresh
@@ -38,6 +38,7 @@ from fcrystal import (
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
 from fcrystal.vfilt import ExtensionVFilt, GradedLevel, GradedMap, GradedReport, KummerSections, KummerVFilt
+from kummer_dicts import as_dict, from_dict
 
 
 def oracle_apply_F(mod, x):
@@ -45,7 +46,7 @@ def oracle_apply_F(mod, x):
     coefficientwise on Kummer sections, the module's own otherwise."""
     if isinstance(mod, KummerSections):
         ctx = mod.ctx
-        return {ctx.p * e: tuple(map(ctx.frob, v)) for e, v in x.items()}
+        return from_dict(ctx, {ctx.p * e: tuple(map(ctx.frob, v)) for e, v in as_dict(x).items()})
     return mod.apply_F(x)
 
 
@@ -60,7 +61,8 @@ def oracle_slice_coords(spec, x, n):
         if a is None:
             return None
         rows, piv = spec.kc.bases[a]
-        return linalg.express(spec.module.ctx, rows, piv, x.get(n, spec.module.zero_vector))
+        ctx = spec.module.ctx
+        return linalg.express(ctx, rows, piv, as_dict(x).get(n, (ctx.zero,) * spec.kc.rank))
     if isinstance(spec, ExtensionVFilt):
         series, delta = spec._parts(n)
         if series is None and delta is None:
@@ -283,11 +285,12 @@ def _random_vector(ctx, rank, rng):
 
 
 def test_kummer_frobenius_images_are_coefficientwise():
-    """apply_F keeps each vector's image, keyed on its value.  Random
-    sections put one vector at several exponents and fresh vectors at
-    old exponents, on hundreds of modules built and dropped over fields
-    of equal and unequal degree, so an image kept under the exponent,
-    the vector's id or another module's field comes out wrong here."""
+    """apply_F keeps each terms tuple's image, keyed on its value.
+    Random sections put one vector at several exponents and fresh
+    vectors at old exponents, on hundreds of modules built and dropped
+    over fields of equal and unequal degree, so an image kept under the
+    valuation, a vector's id or another module's field comes out wrong
+    here."""
     rng = Random(SEED)
     fields = [(make_field(p, m), d) for p, m, d in ((5, 2, 3), (7, 2, 4), (2, 6, 3), (5, 3, 4))]
     for _ in range(60):
@@ -297,5 +300,5 @@ def test_kummer_frobenius_images_are_coefficientwise():
                 vecs = [_random_vector(ctx, module.rank, rng) for _ in range(3)]
                 # equal vectors, as distinct objects, at several exponents
                 x = {e: tuple(list(rng.choice(vecs))) for e in rng.sample(range(-6, 6), 4)}
-                x = {e: v for e, v in x.items() if v != module.zero_vector}
+                x = from_dict(ctx, {e: v for e, v in x.items() if v != (ctx.zero,) * module.rank})
                 assert module.apply_F(x) == oracle_apply_F(module, x)

@@ -40,6 +40,7 @@ from fcrystal import (
     standard_vfilt,
 )
 from fcrystal.vfilt import ExtensionVFilt, KummerSections, KummerVFilt, _Reindexed
+from kummer_dicts import as_dict, from_dict
 
 F25 = make_field(5, 2)
 F5 = make_field(5, 1)
@@ -144,7 +145,7 @@ class MovedLevels(KummerVFilt):
         if not x:
             return None
         d, start = self.d, self.start
-        return min(e + self.offsets.get(-e % d, 0) * d * (start is None or e >= start) for e in x)
+        return min(e + self.offsets.get(-e % d, 0) * d * (start is None or e >= start) for e in as_dict(x))
 
 
 class Blind(KummerVFilt):
@@ -155,14 +156,14 @@ class Blind(KummerVFilt):
         self.weight = weight
 
     def ilevel(self, x):
-        return None if x and -min(x) % self.d == self.weight else super().ilevel(x)
+        return None if x and -min(as_dict(x)) % self.d == self.weight else super().ilevel(x)
 
 
 class ZeroRow(KummerSections):
     """The spanning section of u2.0 is zero at every exponent."""
 
     def monomial(self, a, i, e):
-        return {} if (a, i) == (2, 0) else super().monomial(a, i, e)
+        return from_dict(self.ctx, {}) if (a, i) == (2, 0) else super().monomial(a, i, e)
 
 
 class SeriesDeeper(ExtensionVFilt):

@@ -31,6 +31,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
+from kummer_dicts import as_dict, from_dict
 
 PAIRS = tuple((p, d) for p in (5, 7) for d in (2, 3, 4, 6))
 
@@ -85,6 +86,7 @@ def _nonzero(ctx):
 
 
 def _kummer_add(ctx, x, y):
+    """x + y for Kummer sections as {exponent: vector} dicts."""
     out = dict(x)
     for e, v in y.items():
         w = tuple(map(ctx.add, out[e], v)) if e in out else v
@@ -111,13 +113,13 @@ def spec_sections(draw):
             i = draw(st.integers(0, kc.dims[a] - 1))
             e = kc.shifts[a] + draw(st.integers(-5, 5)) * kc.d
             c = draw(_nonzero(ctx))
-            ((e, v),) = spec.module.monomial(a, i, e).items()
+            ((e, v),) = as_dict(spec.module.monomial(a, i, e)).items()
             x = _kummer_add(ctx, x, {e: tuple(ctx.mul(c, u) for u in v)})
         if draw(st.booleans()):
             e = draw(st.integers(-5 * kc.d, 5 * kc.d))
             v = tuple(draw(st.integers(0, ctx.order - 1).map(ctx.decode)) for _ in range(kc.rank))
             x = _kummer_add(ctx, x, {e: v})
-        return spec, x
+        return spec, from_dict(ctx, x)
     coeff = _nonzero(ctx)
     f = {} if root.rule == "delta" else draw(st.dictionaries(st.integers(-6, 6), coeff, max_size=3))
     g = draw(st.dictionaries(st.integers(1, 8), coeff, max_size=3))

@@ -9,15 +9,32 @@ from the piece of weight a at n lands at p*n only when k_(pa) = p * k_a;
 along an orbit of length L that forces k_a * (p^L - 1) = 0.  So A4 must
 fail at exactly the levels whose weight breaks that relation, for every
 perturbation, and pass everywhere when nothing moves.
+
+The extension family has one free parameter: the series generator at
+exponent i sits at numerator i*p - shift_num over p, and the delta
+generators sit at the negative integers.  Moving shift_num by j moves
+every series level by -j/p and leaves the delta levels alone, so A4
+must fail, and only at levels that hold a moved series generator, on
+windows off the positive levels (criterion 8 expects the canonical
+extension spec itself to fail A4 there).
 """
 
 import pytest
 
 from test_acceptance import PAIRS
 
-from fcrystal import CyclicRep, build_kummer_crystal, check_axioms, make_field
+from fcrystal import (
+    CyclicRep,
+    ExtensionVFilt,
+    build_extension,
+    build_kummer_crystal,
+    check_axioms,
+    make_field,
+    parse_series,
+)
 from fcrystal.cli import resolve_m
 from fcrystal.vfilt import KummerVFilt
+from kummer_dicts import as_dict, from_dict
 
 WINDOW = (-6, 6)
 MOVES = (-2, -1, 1, 2)
@@ -37,7 +54,7 @@ class MovedWeights(KummerVFilt):
         return self.offsets.get(-e % self.d, 0) * self.d
 
     def _moved(self, x):
-        return {e + self._step(e): v for e, v in x.items()}
+        return from_dict(self.module.ctx, {e + self._step(e): v for e, v in as_dict(x).items()})
 
     def ilevel(self, x):
         return super().ilevel(self._moved(x))
@@ -94,3 +111,48 @@ def test_every_moved_weight_class_fails_a4_where_it_moved(pair):
             n = witness["num"] * d // witness["den"]
             a = -n % d
             assert n == min(failed) and (a in weights or p * a % d in weights), (p, d, offsets)
+
+
+EXTENSION_WINDOW = (-6, 0)
+
+
+def _extension_cases():
+    """(rule, field, twist) for each rule, over F_3, F_5 and F_7: pole
+    twists t^-k with p not dividing k - 1 and two mixed ones for the
+    extension rule, t^-(l*p + 1) with l prime to p for depth-grading, and
+    0 for split."""
+    out = []
+    for p in (3, 5, 7):
+        ctx = make_field(p, 1)
+        out += [("extension", ctx, f"t^-{k}") for k in range(2, 7) if (k - 1) % p]
+        out += [("depth-grading", ctx, f"t^-{l * p + 1}") for l in (1, 2) if l % p]
+        out.append(("split", ctx, "0"))
+    out.append(("extension", make_field(3, 1), "t^-3+2t^-1"))
+    out.append(("extension", make_field(7, 1), "2t^-10+t^-1+3t^2"))
+    return out
+
+
+EXTENSION_CASES = _extension_cases()
+
+
+@pytest.mark.parametrize("rule", ("extension", "depth-grading", "split"))
+def test_every_moved_extension_shift_fails_a4_at_a_moved_level(rule):
+    cases = [(ctx, c) for r, ctx, c in EXTENSION_CASES if r == rule]
+    assert len(cases) >= 3
+    for ctx, c in cases:
+        p = ctx.p
+        mod = build_extension(ctx, parse_series(ctx, c))
+        assert check_axioms(ExtensionVFilt(mod, rule), EXTENSION_WINDOW).all_pass, (p, c)
+        for j in range(-2 * p, 2 * p + 1):
+            if j == 0:
+                continue
+            spec = ExtensionVFilt(mod, rule)
+            spec.shift_num += j
+            a4 = check_axioms(spec, EXTENSION_WINDOW).checks["A4"]
+            assert a4.status == "fail", (p, c, j)
+            failed = [n for n, status, _ in a4.levels if status == "fail"]
+            # only the levels holding a moved series generator fail
+            assert all(spec._parts(n)[0] is not None for n in failed), (p, c, j, failed)
+            witness = a4.witness["level"]
+            assert p % witness["den"] == 0
+            assert witness["num"] * (p // witness["den"]) == failed[0], (p, c, j)

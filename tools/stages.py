@@ -1,0 +1,97 @@
+"""Per-stage times of one seeded `corpus` block, in-process, as JSON.
+
+    python3 tools/stages.py [--seed 1] [--rounds 15]
+
+The block is the first block of the benchmark's `corpus` workload
+(perfbench/workloads.setup_corpus at the seed): 40 Kummer crystals,
+each graded and checked on [-64, 64).  Each round runs every crystal
+through the stages of one benchmark op, timing each stage on its own:
+
+  build    build_kummer_crystal and standard_vfilt;
+  graded   graded() on the window;
+  sweep    the spanning sweep the checkers share;
+  A1-A4    check_specializing on that report and sweep;
+  SS1-SS3  check_super on the same.
+
+A stage's time is its sum over the block; the JSON gives each stage's
+minimum over the rounds, in ms (round-to-round spread on a shared host
+is large, so compare minima).  fcrystal is imported from src/ next to
+this file; the standard library is all it needs.  Every crystal must
+pass all seven checks, or the script exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import fcrystal  # noqa: E402
+import fcrystal.samples  # noqa: E402,F401  (setup_corpus reads fc.samples)
+from fcrystal.vfilt import _sweep  # noqa: E402
+from workloads import CrystalOp, setup_corpus  # noqa: E402
+
+STAGES = ("build", "graded", "sweep", "A1-A4", "SS1-SS3")
+
+
+def one_round(block, window):
+    """Each stage's time over the block, in seconds; False if a check failed."""
+    total = dict.fromkeys(STAGES, 0.0)
+    ok = True
+    for op in block:
+        t0 = perf_counter()
+        spec = fcrystal.standard_vfilt(fcrystal.build_kummer_crystal(op.rep, op.ctx))
+        t1 = perf_counter()
+        report = fcrystal.graded(spec, window)
+        t2 = perf_counter()
+        sweep = _sweep(spec, window)
+        t3 = perf_counter()
+        spec_checks = fcrystal.check_specializing(spec, window, None, report, sweep)
+        t4 = perf_counter()
+        super_checks = fcrystal.check_super(spec, window, report, sweep)
+        t5 = perf_counter()
+        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            total[stage] += dt
+        ok = ok and spec_checks.all_pass and super_checks.all_pass
+    return total, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    block = setup_corpus(fcrystal, args.seed).blocks[0]
+    window = CrystalOp.WINDOW
+    best = dict.fromkeys(STAGES, float("inf"))
+    all_ok = True
+    for _ in range(args.rounds):
+        total, ok = one_round(block, window)
+        all_ok = all_ok and ok
+        for stage in STAGES:
+            best[stage] = min(best[stage], total[stage])
+    out = {
+        "workload": "corpus",
+        "seed": args.seed,
+        "crystals": len(block),
+        "window": list(window),
+        "rounds": args.rounds,
+        "python": platform.python_version(),
+        "all_pass": all_ok,
+        "stages_ms": {stage: round(best[stage] * 1e3, 1) for stage in STAGES},
+        "sum_of_minima_ms": round(sum(best.values()) * 1e3, 1),
+    }
+    print(json.dumps(out, indent=2))
+    return 0 if all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

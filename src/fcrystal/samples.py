@@ -15,7 +15,7 @@ from . import linalg
 from .crystal import CyclicRep, _companion_block
 from .errors import InvalidInputError
 from .field import primitive_root_of_unity
-from .functors import CGObject, functor_F, transition_residual
+from .functors import CGObject, functor_F
 
 
 def character_orbits(d: int, p: int) -> list:
@@ -179,32 +179,3 @@ def random_rep_morphism(rep1: CyclicRep, rep2: CyclicRep, rng: Random):
     flat = _random_solution(rows, r2 * r1, p, rng)
     return tuple(tuple(flat[i * r1 + j] for j in range(r1)) for i in range(r2))
 
-
-def random_object_morphism(obj1: CGObject, obj2: CGObject, rng: Random):
-    """A random morphism of graded objects (possibly zero).
-
-    Components g_a of shape dim2(a) x dim1(a) with a zero transition
-    residual C2 G^(p) - G C1.  The residual is prime-field-linear in the
-    entries of the g_a written over the power basis of F_q, unknowns
-    ordered by (class, row, column, coordinate), so the solution space
-    is an exact kernel.
-    """
-    if obj1.ctx is not obj2.ctx or obj1.d != obj2.d:
-        raise InvalidInputError("morphism endpoints live in different categories")
-    ctx = obj1.ctx
-    p, d, m = ctx.p, obj1.d, ctx.m
-    n1, n2 = obj1.dims, obj2.dims
-    nunk = m * sum(a * b for a, b in zip(n1, n2))
-
-    def components(flat):
-        it = iter(flat)
-        return tuple(
-            tuple(tuple(ctx.from_coeffs([next(it) for _ in range(m)]) for _ in range(n1[a])) for _ in range(n2[a]))
-            for a in range(d)
-        )
-
-    cols = []
-    for u in range(nunk):
-        res = transition_residual(obj1, obj2, components([int(u == v) for v in range(nunk)]))
-        cols.append([x for row in res for el in row for x in ctx.coeffs(el)])
-    return components(_random_solution([list(r) for r in zip(*cols)], nunk, p, rng))

@@ -203,6 +203,10 @@ class FiltrationSpec:
         return {"rule": self.rule}
 
 
+# the class-table entry of an exponent with no weight class: a 0 piece
+_NO_CLASS = (None, 0, (), None, None, ())
+
+
 class KummerVFilt(FiltrationSpec):
     """Standard filtration: level = cover valuation / cover degree.
 
@@ -216,6 +220,13 @@ class KummerVFilt(FiltrationSpec):
         self.kc = kc
         self.module = KummerSections(kc)
         self.d = self.den = kc.d
+        # -e mod d -> (a, dim, zero column, basis rows, pivots, basis
+        # terms) of the weight class a of exponent e; _NO_CLASS off it
+        zero = kc.ctx.zero
+        self._classes = {
+            a: (a, len(rows), (zero,) * len(rows), rows, piv, tuple(((0, u),) for u in rows))
+            for a, (rows, piv) in kc.bases.items()
+        }
         # (weight class, slice) -> express result as a tuple, () for none
         self._coords = {}
 
@@ -227,12 +238,10 @@ class KummerVFilt(FiltrationSpec):
         return sorted(s + k * self.d for s in self.kc.shifts.values() for k in range(lo, hi))
 
     def idim(self, e) -> int:
-        a = self.kc.weight_of_shift(e)
-        return 0 if a is None else self.kc.dims[a]
+        return self._classes.get(-e % self.d, _NO_CLASS)[1]
 
     def ipiece(self, e):
-        a = self.kc.weight_of_shift(e)
-        return [] if a is None else [(e, ((0, u),)) for u in self.kc.bases[a][0]]
+        return [(e, terms) for terms in self._classes.get(-e % self.d, _NO_CLASS)[5]]
 
     def ilabels(self, e):
         a = self.kc.weight_of_shift(e)
@@ -247,10 +256,10 @@ class KummerVFilt(FiltrationSpec):
         The solve depends only on the weight class and the slice, so it
         is shared between images with equal ones (the t- and
         Frobenius-periodicity of the filtration makes most of them
-        repeat); the columns are the shared tuples."""
-        a = self.kc.weight_of_shift(e)
-        dim = 0 if a is None else self.kc.dims[a]
-        zero, memo = (self.module.ctx.zero,) * dim, self._coords
+        repeat); the columns are the shared tuples, and so is the zero
+        column of the class."""
+        a, dim, zero, rows, piv, _ = self._classes.get(-e % self.d, _NO_CLASS)
+        memo = self._coords
         cols = []
         for k, y in enumerate(images):
             if not y or y[0] > e:
@@ -261,7 +270,6 @@ class KummerVFilt(FiltrationSpec):
             key = (a, y[1][0][1])
             coords = memo.get(key)
             if coords is None:
-                rows, piv = self.kc.bases[a]
                 coords = linalg.express(self.module.ctx, rows, piv, key[1])
                 coords = memo[key] = () if coords is None else tuple(coords)
             if not coords:
@@ -691,25 +699,31 @@ class GradedReport:
         }
 
 
-def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int, invertible=None) -> GradedMap:
+def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int, verdicts=None) -> GradedMap:
     """The matrix of images, the images of a dim-dimensional graded
     basis, in the basis of the piece at numerator tn over spec.den.
-    invertible maps each matrix already tested over spec's field to its
-    verdict; it is filled in here."""
-    ctx, den = spec.module.ctx, spec.den
+    verdicts maps (dim, target dim, columns), the columns as
+    _level_coords returned them, to the finished (matrix, invertible,
+    note) over spec's field; it is filled in here.  The columns fix the
+    matrix, so a hit neither zips nor tests it again."""
+    ctx = spec.module.ctx
     tdim, cols = spec._level_coords(images, tn)
     if type(cols) is int:
         note = f"image of basis vector {cols} has no class in the graded piece at the target"
-        return GradedMap(ctx, tn, den, tdim, None, False, note)
-    matrix = tuple(zip(*cols)) if cols else ((),) * tdim
-    if tdim != dim:
-        return GradedMap(ctx, tn, den, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
-    if invertible is None:
-        invertible = {}
-    inv = invertible.get(matrix)
-    if inv is None:
-        inv = invertible[matrix] = linalg.is_invertible(ctx, matrix)
-    return GradedMap(ctx, tn, den, tdim, matrix, inv, None if inv else "matrix is singular")
+        return GradedMap(ctx, tn, spec.den, tdim, None, False, note)
+    if verdicts is None:
+        verdicts = {}
+    key = (dim, tdim, tuple(cols))
+    entry = verdicts.get(key)
+    if entry is None:
+        matrix = tuple(zip(*cols)) if cols else ((),) * tdim
+        if tdim != dim:
+            entry = (matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+        else:
+            inv = linalg.is_invertible(ctx, matrix)
+            entry = (matrix, inv, None if inv else "matrix is singular")
+        verdicts[key] = entry
+    return GradedMap(ctx, tn, spec.den, tdim, *entry)
 
 
 def _rational_map(spec: FiltrationSpec, dim: int, images, r) -> GradedMap:
@@ -747,16 +761,16 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
     """
     _check_window(window)
     p, den = spec.module.ctx.p, spec.den
-    apply_F, mul_t = spec.module.apply_F, spec.module.mul_t
-    invertible = {}  # matrix -> is_invertible, for this call's one field
+    apply_F, mul_t, ipiece = spec.module.apply_F, spec.module.mul_t, spec.ipiece
+    verdicts = {}  # (dim, target dim, columns) -> (matrix, inv, note), one field
     out = []
     for n in spec.ijumps(window):
-        basis = spec.ipiece(n)
+        basis = ipiece(n)
         if not basis:
             continue
         dim = len(basis)
-        f_map = _graded_map(spec, dim, [apply_F(b) for b in basis], p * n, invertible)
-        t_map = _graded_map(spec, dim, [mul_t(b) for b in basis], n + den, invertible)
+        f_map = _graded_map(spec, dim, [apply_F(b) for b in basis], p * n, verdicts)
+        t_map = _graded_map(spec, dim, [mul_t(b) for b in basis], n + den, verdicts)
         out.append(GradedLevel(n, den, dim, f_map, t_map))
     return GradedReport(tuple(window), out)
 
@@ -893,11 +907,12 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     checks["A1"] = _verdict("A1", "finite presentation on the window", a1_witness, sections=len(sweep))
 
     # A2: ideal^power raises levels by at least 1
+    ilevel, mul_ideal, apply_F = spec.ilevel, spec.mul_ideal, module.apply_F
     a2_witness = None
     for key, x, lvl in sweep:
         if lvl is None:
             continue
-        moved = spec.ilevel(spec.mul_ideal(x, power))
+        moved = ilevel(mul_ideal(x, power))
         if moved is not None and moved < lvl + den:
             a2_witness = {
                 "section": spec.section_label(key),
@@ -915,7 +930,7 @@ def check_specializing(spec: FiltrationSpec, window, depth=None, graded_report=N
     for key, x, lvl in sweep:
         if lvl is None:
             continue
-        flvl = spec.ilevel(module.apply_F(x))
+        flvl = ilevel(apply_F(x))
         if flvl is not None and flvl < p * lvl:
             a3_witness = {
                 "section": spec.section_label(key),
@@ -951,6 +966,7 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
     # generators at levels in [0, 1)
     ss1_witness = None
     gens = sum(spec.idim(n) for n in spec.ijumps((0, 1)))
+    ilevel, mul_t, mul_t_pow, t_preimage = spec.ilevel, module.mul_t, module.mul_t_pow, spec.t_preimage
     bases = {}  # residue numerator -> its graded basis
     for key, x, lvl in sweep:
         if lvl is None or lvl < 0:
@@ -958,7 +974,10 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
         k, rest = divmod(lvl, den)
         if rest not in bases:
             bases[rest] = spec.ipiece(rest)
-        if not any(module.mul_t_pow(g, k) == x for g in bases[rest]):
+        for g in bases[rest]:
+            if mul_t_pow(g, k) == x:
+                break
+        else:
             ss1_witness = {"section": spec.section_label(key), "reason": "not a t-power multiple of a generator"}
             break
     checks["SS1"] = _verdict("SS1", "V^0 finitely generated on the window", ss1_witness, generators=gens)
@@ -968,20 +987,20 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
     for key, x, lvl in sweep:
         if lvl is None:
             continue
-        up = spec.ilevel(module.mul_t(x))
+        up = ilevel(mul_t(x))
         if up is not None and up < lvl + den:
             ss2_witness = {"section": spec.section_label(key), "reason": "t does not raise the level"}
             break
         if lvl == 0:
             continue
-        pre = spec.t_preimage(x)
+        pre = t_preimage(x)
         if pre is None:
             ss2_witness = {"section": spec.section_label(key), "reason": "no t-preimage available"}
             break
-        if module.mul_t(pre) != x:
+        if mul_t(pre) != x:
             ss2_witness = {"section": spec.section_label(key), "reason": "t-preimage does not multiply back"}
             break
-        pre_lvl = spec.ilevel(pre)
+        pre_lvl = ilevel(pre)
         if pre_lvl is not None and pre_lvl < lvl - den:
             ss2_witness = {
                 "section": spec.section_label(key),

@@ -17,7 +17,8 @@ from test_acceptance import DETERMINISM_JOBS, _run_job
 from fcrystal import cli, field, functors
 from fcrystal.field import DEFAULT_ORDER_BOUND, make_field
 from fcrystal.functors import CGObject, functor_G, naturality_check_G
-from fcrystal.samples import random_object, random_object_morphism
+from fcrystal.samples import random_object
+from object_morphisms import random_object_morphism
 
 
 class IntField:

@@ -41,10 +41,10 @@ from fcrystal.vfilt import _rational_map
 from fcrystal.samples import (
     random_invertible_int,
     random_object,
-    random_object_morphism,
     random_rep,
     random_rep_morphism,
 )
+from object_morphisms import random_object_morphism
 from random import Random
 
 F25 = make_field(5, 2)

@@ -3,9 +3,10 @@
 graded() shares each exact solve between maps with equal inputs: a
 KummerVFilt keeps the coordinates of each (weight class, slice) it has
 solved, its KummerSections keeps the Frobenius image of each terms
-tuple, and one graded() call keeps the invertibility verdict of each
-matrix it has tested.  The oracle below rebuilds the report with a fresh
-coefficientwise Frobenius for every Kummer basis vector, a fresh
+tuple, and one graded() call keeps the finished matrix, verdict and note
+of each map under its (source dim, target dim, columns), the columns as
+_level_coords returned them.  The oracle below rebuilds the report with
+a fresh coefficientwise Frobenius for every Kummer basis vector, a fresh
 linalg.express for every coordinate vector and a fresh
 linalg.is_invertible for every matrix, and the two reports must be equal
 entry for entry: levels, matrices, verdicts and notes.  The serialized
@@ -23,6 +24,7 @@ from fcrystal import (
     CyclicRep,
     build_extension,
     build_kummer_crystal,
+    check_specializing,
     delta_vfilt,
     graded,
     linalg,
@@ -37,7 +39,15 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
-from fcrystal.vfilt import ExtensionVFilt, GradedLevel, GradedMap, GradedReport, KummerSections, KummerVFilt
+from fcrystal.vfilt import (
+    ExtensionVFilt,
+    GradedLevel,
+    GradedMap,
+    GradedReport,
+    KummerSections,
+    KummerVFilt,
+    _graded_map,
+)
 from kummer_dicts import as_dict, from_dict
 
 
@@ -278,6 +288,68 @@ def test_a_long_window_solves_no_more_systems_than_one_period(monkeypatch):
             seen.append(dict(calls))
         assert seen[0] == seen[1], (p, d, seen)
         assert seen[0]["express"] and seen[0]["is_invertible"], (p, d, seen)
+
+
+def test_a_long_window_tests_no_more_matrices_than_one_period(monkeypatch):
+    """A map's verdict is kept under its columns, which repeat in every
+    period, so grading a fresh spec on 128 periods calls
+    linalg.is_invertible no more often than grading it on one, and the
+    long report is still the oracle's."""
+    calls = [0]
+    is_invertible = linalg.is_invertible
+
+    def counted(*args):
+        calls[0] += 1
+        return is_invertible(*args)
+
+    for p, d in PAIRS:
+        for kc in _acceptance_crystals(p, d)[:8]:
+            seen = []
+            for window in ((0, 1), WINDOW):
+                spec = standard_vfilt(kc)
+                monkeypatch.setattr(linalg, "is_invertible", counted)
+                calls[0] = 0
+                report = graded(spec, window)
+                seen.append(calls[0])
+                monkeypatch.setattr(linalg, "is_invertible", is_invertible)
+            assert 0 < seen[1] <= seen[0], (p, d, seen)
+            assert report == oracle_graded(spec, WINDOW), (p, d)
+
+
+DIMS_NOTE = "graded pieces have dimensions 1 != 0"
+
+
+@pytest.mark.parametrize("name", ["F5-depth-grading-t^-6", "F5-extension-t^-3", "F7-extension-t^-2"])
+def test_positive_extension_levels_fail_a4_on_dimensions(name):
+    """Off the nonpositive levels an extension piece is the series
+    generator's line, and Frobenius carries it to an integer level with
+    a zero piece: every positive A4 row, not only the first witness,
+    reads the dimension note, and so does the map behind it."""
+    spec = EXTENSION_SPECS[name]
+    for window in ((-6, 6), WINDOW):
+        report = graded(spec, window)
+        a4 = check_specializing(spec, window, graded_report=report).checks["A4"]
+        rows = [(n, status, note) for n, status, note in a4.levels if n > 0]
+        assert len(rows) == window[1], (name, window)
+        assert rows == [(n, "fail", DIMS_NOTE) for n, _, _ in rows], (name, window)
+        for gl in report.levels:
+            if gl.n > 0:
+                gm = gl.f_map
+                assert (gm.target_dim, gm.matrix, gm.invertible, gm.note) == (0, (), False, DIMS_NOTE), gl.n
+                assert gm.tn == spec.module.ctx.p * gl.n
+
+
+def test_one_verdict_memo_keeps_target_dims_apart():
+    """An empty source piece gives no column to tell the target dims
+    apart, so the memo key carries the target dim itself: into a 0 piece
+    the empty map is a bijection, into a line it is not."""
+    spec = EXTENSION_SPECS["F5-depth-grading-t^-6"]
+    assert (spec.idim(20), spec.idim(4)) == (0, 1)
+    for order in ((20, 4), (4, 20)):
+        verdicts = {}
+        got = {tn: _graded_map(spec, 0, [], tn, verdicts) for tn in order}
+        assert (got[20].matrix, got[20].invertible, got[20].note) == ((), True, None)
+        assert (got[4].matrix, got[4].invertible, got[4].note) == (((),), False, "graded pieces have dimensions 0 != 1")
 
 
 def _random_vector(ctx, rank, rng):

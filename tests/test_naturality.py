@@ -23,7 +23,8 @@ from fcrystal import (
     vanishing,
 )
 from fcrystal.cli import resolve_m
-from fcrystal.samples import random_object, random_object_morphism, random_rep, random_rep_morphism
+from fcrystal.samples import random_object, random_rep, random_rep_morphism
+from object_morphisms import random_object_morphism
 
 PAIRS = tuple((p, d) for p in (5, 7) for d in (2, 3, 4, 6))
 SEED = 20260816

@@ -1,6 +1,6 @@
 """Per-stage times of one seeded `corpus` block, in-process, as JSON.
 
-    python3 tools/stages.py [--seed 1] [--rounds 15]
+    python3 tools/stages.py [--seed 1] [--rounds 15] [--calls]
 
 The block is the first block of the benchmark's `corpus` workload
 (perfbench/workloads.setup_corpus at the seed): 40 Kummer crystals,
@@ -15,17 +15,23 @@ through the stages of one benchmark op, timing each stage on its own:
 
 A stage's time is its sum over the block; the JSON gives each stage's
 minimum over the rounds, in ms (round-to-round spread on a shared host
-is large, so compare minima).  fcrystal is imported from src/ next to
-this file; the standard library is all it needs.  Every crystal must
-pass all seven checks, or the script exits 1.
+is large, so compare minima).  With --calls, one more round runs under
+cProfile, one profiler per stage, and the JSON adds each stage's number
+of function calls over the block (the stage's own calls, without the
+profiler's); the counts do not depend on the machine.  fcrystal is
+imported from src/ next to this file; the standard library is all it
+needs.  Every crystal must pass all seven checks, or the script exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import platform
+import pstats
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 
@@ -38,34 +44,61 @@ from fcrystal.vfilt import _sweep  # noqa: E402
 from workloads import CrystalOp, setup_corpus  # noqa: E402
 
 STAGES = ("build", "graded", "sweep", "A1-A4", "SS1-SS3")
+NO_PROFILE = nullcontext()
 
 
-def one_round(block, window):
-    """Each stage's time over the block, in seconds; False if a check failed."""
+def run_op(op, window):
+    """One benchmark op, paused after each stage; the last stage yields
+    whether all seven checks passed."""
+    spec = fcrystal.standard_vfilt(fcrystal.build_kummer_crystal(op.rep, op.ctx))
+    yield
+    report = fcrystal.graded(spec, window)
+    yield
+    sweep = _sweep(spec, window)
+    yield
+    spec_checks = fcrystal.check_specializing(spec, window, None, report, sweep)
+    yield
+    super_checks = fcrystal.check_super(spec, window, report, sweep)
+    yield spec_checks.all_pass and super_checks.all_pass
+
+
+def one_round(block, window, profiles=None):
+    """Each stage's time over the block, in seconds; False if a check
+    failed.  profiles, when given, maps each stage to the cProfile.Profile
+    that runs during it."""
+    profiles = profiles or {}
     total = dict.fromkeys(STAGES, 0.0)
     ok = True
     for op in block:
-        t0 = perf_counter()
-        spec = fcrystal.standard_vfilt(fcrystal.build_kummer_crystal(op.rep, op.ctx))
-        t1 = perf_counter()
-        report = fcrystal.graded(spec, window)
-        t2 = perf_counter()
-        sweep = _sweep(spec, window)
-        t3 = perf_counter()
-        spec_checks = fcrystal.check_specializing(spec, window, None, report, sweep)
-        t4 = perf_counter()
-        super_checks = fcrystal.check_super(spec, window, report, sweep)
-        t5 = perf_counter()
-        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-            total[stage] += dt
-        ok = ok and spec_checks.all_pass and super_checks.all_pass
+        steps = run_op(op, window)
+        for stage in STAGES:
+            t0 = perf_counter()
+            with profiles.get(stage, NO_PROFILE):
+                passed = next(steps)
+            total[stage] += perf_counter() - t0
+        ok = ok and passed
     return total, ok
+
+
+def stage_calls(profile):
+    """The function calls a profiled stage made: every call cProfile
+    recorded but the op's own resumptions and the profiler's exit."""
+    own = run_op.__code__
+    calls = 0
+    for (filename, line, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+        if (filename, line, name) == (own.co_filename, own.co_firstlineno, own.co_name):
+            continue
+        if filename == cProfile.__file__ or "_lsprof.Profiler" in name:
+            continue
+        calls += ncalls
+    return calls
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--calls", action="store_true", help="add per-stage call counts from one profiled round")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -89,6 +122,12 @@ def main(argv=None) -> int:
         "stages_ms": {stage: round(best[stage] * 1e3, 1) for stage in STAGES},
         "sum_of_minima_ms": round(sum(best.values()) * 1e3, 1),
     }
+    if args.calls:
+        profiles = {stage: cProfile.Profile() for stage in STAGES}
+        _, ok = one_round(block, window, profiles)
+        out["all_pass"] = all_ok = all_ok and ok
+        out["calls"] = {stage: stage_calls(profiles[stage]) for stage in STAGES}
+        out["calls_sum"] = sum(out["calls"].values())
     print(json.dumps(out, indent=2))
     return 0 if all_ok else 1
 

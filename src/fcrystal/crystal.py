@@ -215,10 +215,6 @@ class KummerCrystal:
     bases: dict
     frob_mats: dict
 
-    def weight_of_shift(self, eps: int):
-        a = (-eps) % self.d
-        return a if a in self.dims else None
-
     def to_json(self):
         coeffs = self.ctx.coeffs
         return {

@@ -7,15 +7,15 @@ the extension family), so inside the engine a level is its integer
 numerator over den.  graded(), the checkers, compare and
 shifted_exactness work on numerators, and a graded report and the
 A4/SS3 tables store them with their den; a Fraction is built only at
-the edge: the public level API and the level and target properties of
-a graded report.  JSON levels are written from the reduced numerator
-and den.  Each jump carries an explicit graded basis, and images
-of sections can be expressed exactly in that basis.  Graded coordinates
-are slice-exact: a section at level r can differ from its graded part
-only on the one slice of exponents that sits at r, so each spec reads
-the coordinates off that slice and checks them there exactly; the
-remainder then lies strictly deeper than r, and coordinates are never
-guessed.
+the edge: the public level API, a graded level's level property and a
+standalone map's target.  JSON levels are written from the reduced
+numerator and den.  Each jump carries an explicit graded basis, and
+images of sections can be expressed exactly in that basis.  Graded
+coordinates are slice-exact: a section at level r can differ from its
+graded part only on the one slice of exponents that sits at r, so each
+spec reads the coordinates off that slice and checks them there
+exactly; the remainder then lies strictly deeper than r, and
+coordinates are never guessed.
 
 The checkers turn the defining conditions into finite, window-relative
 computations over a level range [lo, hi):
@@ -37,13 +37,15 @@ Failures always carry a witness.  Reports are plain data, serialized
 with exact rationals.  Labels are formatted only where they are read:
 a graded report asks its spec for a level's labels when it serializes,
 and the checkers sweep sections under cheap keys and name a section
-only in a witness.
+only in a witness.  A level supplies its maps' targets as it
+serializes, so one frozen GradedMap serves all maps with equal columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from . import linalg
 from .crystal import ExtensionModule, KummerCrystal, build_extension
@@ -74,7 +76,8 @@ class KummerSections:
     Frobenius acts on each coefficient, and the sections a spec meets
     are t- and Frobenius-shifts of a few basis vectors, so the image of
     each terms tuple is kept, keyed on its value, for the module's
-    lifetime.
+    lifetime.  Each basis vector u_(a,i) has one terms tuple, terms[a][i],
+    which every monomial on it shares (and so does the spec's piece).
     """
 
     def __init__(self, kc: KummerCrystal):
@@ -83,13 +86,14 @@ class KummerSections:
         self.rank = kc.rank
         self.d = kc.d
         self.kind = ("kummer", kc.d, kc.rank, id(kc.ctx))
+        self.terms = {a: tuple([((0, u),) for u in rows]) for a, (rows, _) in kc.bases.items()}
         self._frob = {}  # terms -> the terms of their Frobenius image
 
     def zero(self):
         return ()
 
     def monomial(self, a: int, i: int, e: int):
-        return (e, ((0, self.kc.bases[a][0][i]),))
+        return (e, self.terms[a][i])
 
     def apply_F(self, x):
         if not x:
@@ -224,7 +228,7 @@ class KummerVFilt(FiltrationSpec):
         # terms) of the weight class a of exponent e; _NO_CLASS off it
         zero = kc.ctx.zero
         self._classes = {
-            a: (a, len(rows), (zero,) * len(rows), rows, piv, tuple(((0, u),) for u in rows))
+            a: (a, len(rows), (zero,) * len(rows), rows, piv, self.module.terms[a])
             for a, (rows, piv) in kc.bases.items()
         }
         # (weight class, slice) -> express result as a tuple, () for none
@@ -235,7 +239,7 @@ class KummerVFilt(FiltrationSpec):
 
     def ijumps(self, window):
         lo, hi = window
-        return sorted(s + k * self.d for s in self.kc.shifts.values() for k in range(lo, hi))
+        return sorted([s + k * self.d for s in self.kc.shifts.values() for k in range(lo, hi)])
 
     def idim(self, e) -> int:
         return self._classes.get(-e % self.d, _NO_CLASS)[1]
@@ -244,8 +248,8 @@ class KummerVFilt(FiltrationSpec):
         return [(e, terms) for terms in self._classes.get(-e % self.d, _NO_CLASS)[5]]
 
     def ilabels(self, e):
-        a = self.kc.weight_of_shift(e)
-        return [] if a is None else [f"u{a}.{i}*s^{e}" for i in range(self.kc.dims[a])]
+        a, dim = self._classes.get(-e % self.d, _NO_CLASS)[:2]
+        return [f"u{a}.{i}*s^{e}" for i in range(dim)]
 
     def _level_coords(self, images, e):
         """The basis at e is the monomials u_(a,i) s^e of weight a;
@@ -626,27 +630,30 @@ def pullback_filtration(spec: FiltrationSpec, dprime: int) -> FiltrationSpec:
 # graded report
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedMap:
+    """A graded map's matrix and verdict.  graded() shares one between
+    all maps with equal columns, so it is frozen and the level supplies
+    the target; a standalone map (graded_frobenius_map) keeps its own."""
+
     ctx: object  # the FieldCtx of the matrix entries
-    tn: int  # the target level is tn / den
-    den: int
     target_dim: int
     matrix: object  # tuple rows or None
     invertible: bool
     note: object = None
+    own_target: object = None  # a standalone map's target Fraction
 
     @property
     def target(self) -> Fraction:
-        return Fraction(self.tn, self.den)
+        if self.own_target is None:
+            raise ValueError("a shared GradedMap's target is its level's: p*n or n + den")
+        return self.own_target
 
-    def to_json(self):
+    def to_json(self, target=None):  # target: a shared map's level_json
         return {
-            "target": level_json(self.tn, self.den),
+            "target": level_json(self.target) if target is None else target,
             "target_dim": self.target_dim,
-            "matrix": None
-            if self.matrix is None
-            else [[list(self.ctx.coeffs(x)) for x in row] for row in self.matrix],
+            "matrix": None if self.matrix is None else [[list(self.ctx.coeffs(x)) for x in row] for row in self.matrix],
             "invertible": self.invertible,
             "note": self.note,
         }
@@ -657,20 +664,20 @@ class GradedLevel:
     n: int  # the level is n / den
     den: int
     dim: int
-    f_map: GradedMap
-    t_map: GradedMap
+    f_map: GradedMap  # into the piece at p * n
+    t_map: GradedMap  # into the piece at n + den
 
     @property
     def level(self) -> Fraction:
         return Fraction(self.n, self.den)
 
-    def to_json(self, labels):
+    def to_json(self, labels, p):
         return {
             "level": level_json(self.n, self.den),
             "dim": self.dim,
             "labels": labels,
-            "frobenius": self.f_map.to_json(),
-            "t": self.t_map.to_json(),
+            "frobenius": self.f_map.to_json(level_json(p * self.n, self.den)),
+            "t": self.t_map.to_json(level_json(self.n + self.den, self.den)),
         }
 
 
@@ -693,47 +700,40 @@ class GradedReport:
         )
 
     def to_json(self, spec: FiltrationSpec):
+        p = spec.module.ctx.p
         return {
             "window": list(self.window),
-            "levels": [gl.to_json(spec.ilabels(gl.n)) for gl in self.levels],
+            "levels": [gl.to_json(spec.ilabels(gl.n), p) for gl in self.levels],
         }
 
 
-def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int, verdicts=None) -> GradedMap:
-    """The matrix of images, the images of a dim-dimensional graded
-    basis, in the basis of the piece at numerator tn over spec.den.
-    verdicts maps (dim, target dim, columns), the columns as
-    _level_coords returned them, to the finished (matrix, invertible,
-    note) over spec's field; it is filled in here.  The columns fix the
-    matrix, so a hit neither zips nor tests it again."""
-    ctx = spec.module.ctx
-    tdim, cols = spec._level_coords(images, tn)
+def _map_verdict(ctx, dim, tdim, cols) -> GradedMap:
+    """The GradedMap of a dim-dimensional piece into a tdim-dimensional
+    one, from _level_coords's answer cols: the images' columns, or the
+    index of the first image with no class at the target."""
     if type(cols) is int:
         note = f"image of basis vector {cols} has no class in the graded piece at the target"
-        return GradedMap(ctx, tn, spec.den, tdim, None, False, note)
-    if verdicts is None:
-        verdicts = {}
-    key = (dim, tdim, tuple(cols))
-    entry = verdicts.get(key)
-    if entry is None:
-        matrix = tuple(zip(*cols)) if cols else ((),) * tdim
-        if tdim != dim:
-            entry = (matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
-        else:
-            inv = linalg.is_invertible(ctx, matrix)
-            entry = (matrix, inv, None if inv else "matrix is singular")
-        verdicts[key] = entry
-    return GradedMap(ctx, tn, spec.den, tdim, *entry)
+        return GradedMap(ctx, tdim, None, False, note)
+    matrix = tuple(zip(*cols)) if cols else ((),) * tdim
+    if tdim != dim:
+        return GradedMap(ctx, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+    inv = linalg.is_invertible(ctx, matrix)
+    return GradedMap(ctx, tdim, matrix, inv, None if inv else "matrix is singular")
+
+
+def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int) -> GradedMap:
+    """The matrix of images, the images of a dim-dimensional graded
+    basis, in the basis of the piece at numerator tn over spec.den."""
+    return _map_verdict(spec.module.ctx, dim, *spec._level_coords(images, tn))
 
 
 def _rational_map(spec: FiltrationSpec, dim: int, images, r) -> GradedMap:
-    """_graded_map into the piece at the rational r.  Off the grid that
-    piece is 0 and so is the source piece, so the map is the empty
-    bijection, and its target keeps r's own reduced terms."""
+    """_graded_map into the piece at the rational r, with target r.  Off
+    the grid that piece is 0 and so is the source piece, so the map is
+    the empty bijection."""
     n = spec._num(r)
-    if n is None:
-        return GradedMap(spec.module.ctx, r.numerator, r.denominator, 0, (), True)
-    return _graded_map(spec, dim, images, n)
+    gm = _map_verdict(spec.module.ctx, 0, 0, ()) if n is None else _graded_map(spec, dim, images, n)
+    return replace(gm, own_target=Fraction(r))
 
 
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
@@ -754,23 +754,27 @@ def graded(spec: FiltrationSpec, window) -> GradedReport:
 
     Every nonzero jump level in [lo, hi) appears with its dimension, the
     matrix of the induced Frobenius into the piece at p * level, and
-    the matrix of t-multiplication into level + 1; its labels wait for
-    to_json.  Targets may fall outside the window; sections are exact
-    so the matrices still are.
-    Levels and targets are numerators over den throughout.
+    the matrix of t-multiplication into level + 1; its labels and
+    targets wait for to_json.  Targets may fall outside the window;
+    sections are exact so the matrices still are.
+    Levels and targets are numerators over den throughout.  The columns
+    fix a map, so maps with equal (dim, target dim, columns, or the first
+    classless image) share one GradedMap, kept for the call.
     """
     _check_window(window)
-    p, den = spec.module.ctx.p, spec.den
-    apply_F, mul_t, ipiece = spec.module.apply_F, spec.module.mul_t, spec.ipiece
-    verdicts = {}  # (dim, target dim, columns) -> (matrix, inv, note), one field
+    ctx, p, den = spec.module.ctx, spec.module.ctx.p, spec.den
+    apply_F, mul_t, ipiece, coords = spec.module.apply_F, spec.module.mul_t, spec.ipiece, spec._level_coords
+    verdict = lru_cache(None)(partial(_map_verdict, ctx))
     out = []
     for n in spec.ijumps(window):
         basis = ipiece(n)
         if not basis:
             continue
         dim = len(basis)
-        f_map = _graded_map(spec, dim, [apply_F(b) for b in basis], p * n, verdicts)
-        t_map = _graded_map(spec, dim, [mul_t(b) for b in basis], n + den, verdicts)
+        tdim, cols = coords([apply_F(b) for b in basis], p * n)
+        f_map = verdict(dim, tdim, cols if type(cols) is int else tuple(cols))
+        tdim, cols = coords([mul_t(b) for b in basis], n + den)
+        t_map = verdict(dim, tdim, cols if type(cols) is int else tuple(cols))
         out.append(GradedLevel(n, den, dim, f_map, t_map))
     return GradedReport(tuple(window), out)
 

@@ -3,9 +3,10 @@
 graded() shares each exact solve between maps with equal inputs: a
 KummerVFilt keeps the coordinates of each (weight class, slice) it has
 solved, its KummerSections keeps the Frobenius image of each terms
-tuple, and one graded() call keeps the finished matrix, verdict and note
-of each map under its (source dim, target dim, columns), the columns as
-_level_coords returned them.  The oracle below rebuilds the report with
+tuple, and one graded() call keeps one finished GradedMap (matrix,
+verdict and note) per (source dim, target dim, columns), the columns as
+_level_coords returned them, for every level whose map has them.  The
+levels supply the targets.  The oracle below rebuilds the report with
 a fresh coefficientwise Frobenius for every Kummer basis vector, a fresh
 linalg.express for every coordinate vector and a fresh
 linalg.is_invertible for every matrix, and the two reports must be equal
@@ -13,6 +14,7 @@ entry for entry: levels, matrices, verdicts and notes.  The serialized
 labels must equal those an eager oracle formats from each piece.
 """
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -39,6 +41,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_rep
+from fcrystal.series import level_json
 from fcrystal.vfilt import (
     ExtensionVFilt,
     GradedLevel,
@@ -60,6 +63,13 @@ def oracle_apply_F(mod, x):
     return mod.apply_F(x)
 
 
+def weight_of_shift(kc, e):
+    """The weight class of sections at the cover exponent e, None if the
+    crystal has no such class."""
+    a = -e % kc.d
+    return a if a in kc.dims else None
+
+
 def oracle_slice_coords(spec, x, n):
     """The coordinates of x, a section at level n, read off its slice at
     n with every solve done afresh: a Kummer slice is expressed in its
@@ -67,7 +77,7 @@ def oracle_slice_coords(spec, x, n):
     coefficients are read at the series exponent and the delta index of
     n.  None when the piece at n is 0 or the slice leaves its span."""
     if isinstance(spec, KummerVFilt):
-        a = spec.kc.weight_of_shift(n)
+        a = weight_of_shift(spec.kc, n)
         if a is None:
             return None
         rows, piv = spec.kc.bases[a]
@@ -89,7 +99,7 @@ def oracle_slice_coords(spec, x, n):
 def oracle_map(spec, dim, images, n):
     """The GradedMap of images (of a dim-dimensional basis) into the
     graded piece at numerator n."""
-    ctx, den = spec.module.ctx, spec.den
+    ctx = spec.module.ctx
     tdim = spec.idim(n)
     cols = []
     for j, y in enumerate(images):
@@ -100,13 +110,13 @@ def oracle_map(spec, dim, images, n):
             coords = None if lvl < n else oracle_slice_coords(spec, y, n)
         if coords is None:
             note = f"image of basis vector {j} has no class in the graded piece at the target"
-            return GradedMap(ctx, n, den, tdim, None, False, note)
+            return GradedMap(ctx, tdim, None, False, note)
         cols.append(coords)
     matrix = tuple(tuple(col[i] for col in cols) for i in range(tdim))
     if tdim != dim:
-        return GradedMap(ctx, n, den, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
+        return GradedMap(ctx, tdim, matrix, False, f"graded pieces have dimensions {dim} != {tdim}")
     inv = linalg.is_invertible(ctx, matrix)
-    return GradedMap(ctx, n, den, tdim, matrix, inv, None if inv else "matrix is singular")
+    return GradedMap(ctx, tdim, matrix, inv, None if inv else "matrix is singular")
 
 
 def oracle_graded(spec, window):
@@ -129,7 +139,7 @@ def oracle_labels(spec, n):
     generator (t^i, or x_i under the depth rewrite) and e_m for the
     extension family."""
     if isinstance(spec, KummerVFilt):
-        a = spec.kc.weight_of_shift(n)
+        a = weight_of_shift(spec.kc, n)
         return [] if a is None else [f"u{a}.{i}*s^{n}" for i in range(len(spec.kc.bases[a][0]))]
     if isinstance(spec, ExtensionVFilt):
         p = spec.den
@@ -324,32 +334,91 @@ def test_positive_extension_levels_fail_a4_on_dimensions(name):
     """Off the nonpositive levels an extension piece is the series
     generator's line, and Frobenius carries it to an integer level with
     a zero piece: every positive A4 row, not only the first witness,
-    reads the dimension note, and so does the map behind it."""
+    reads the dimension note, and so does the map behind it, which the
+    level serializes with its own target p * level."""
     spec = EXTENSION_SPECS[name]
+    p = spec.module.ctx.p
     for window in ((-6, 6), WINDOW):
         report = graded(spec, window)
         a4 = check_specializing(spec, window, graded_report=report).checks["A4"]
         rows = [(n, status, note) for n, status, note in a4.levels if n > 0]
         assert len(rows) == window[1], (name, window)
         assert rows == [(n, "fail", DIMS_NOTE) for n, _, _ in rows], (name, window)
-        for gl in report.levels:
+        for gl, serialized in zip(report.levels, report.to_json(spec)["levels"]):
             if gl.n > 0:
                 gm = gl.f_map
                 assert (gm.target_dim, gm.matrix, gm.invertible, gm.note) == (0, (), False, DIMS_NOTE), gl.n
-                assert gm.tn == spec.module.ctx.p * gl.n
+                assert serialized["frobenius"]["target"] == level_json(p * gl.n, spec.den)
 
 
 def test_one_verdict_memo_keeps_target_dims_apart():
-    """An empty source piece gives no column to tell the target dims
-    apart, so the memo key carries the target dim itself: into a 0 piece
-    the empty map is a bijection, into a line it is not."""
+    """An empty source piece or a map with no class has no column to
+    tell the target dims apart, so the memo key carries the target dim
+    itself.  From a 0 piece the empty map into a 0 piece is a bijection,
+    into a line it is not.  This twist's lines have Frobenius or
+    t-images with no class both where the target piece is 0 and where it
+    is a line, and each map keeps its own target dim."""
     spec = EXTENSION_SPECS["F5-depth-grading-t^-6"]
     assert (spec.idim(20), spec.idim(4)) == (0, 1)
     for order in ((20, 4), (4, 20)):
-        verdicts = {}
-        got = {tn: _graded_map(spec, 0, [], tn, verdicts) for tn in order}
+        got = {tn: _graded_map(spec, 0, [], tn) for tn in order}
         assert (got[20].matrix, got[20].invertible, got[20].note) == ((), True, None)
         assert (got[4].matrix, got[4].invertible, got[4].note) == (((),), False, "graded pieces have dimensions 0 != 1")
+    spec = EXTENSION_SPECS["F5-depth-grading-2t^-11+t^-1+3t^2"]
+    p, den = spec.module.ctx.p, spec.den
+    classless = set()
+    for gl in graded(spec, (-6, 6)).levels:
+        for gm, tn in ((gl.f_map, p * gl.n), (gl.t_map, gl.n + den)):
+            assert gm.target_dim == spec.idim(tn), (gl.n, tn)
+            if gm.matrix is None:
+                classless.add((gl.dim, gm.note, gm.target_dim))
+    note = "image of basis vector 0 has no class in the graded piece at the target"
+    assert {(1, note, 0), (1, note, 1)} <= classless, classless
+
+
+def _sharing_cases():
+    """(spec, a window that meets every shape of its maps): Kummer specs
+    and their shifts are t-periodic, so one period (0, 1) does; the
+    extension family's pieces change shape at 0 and -1, so (-3, 3)."""
+    kummer = [standard_vfilt(kc) for p, d in PAIRS[::3] for kc in _acceptance_crystals(p, d)[:3]]
+    return {
+        "kummer": [(spec, (0, 1)) for spec in kummer],
+        "extension": [(EXTENSION_SPECS[name], (-3, 3)) for name in sorted(EXTENSION_SPECS)],
+        "shifted": [(shifted_filtration(spec, k), (0, 1)) for spec in kummer for k in (1, -3)],
+    }
+
+
+SHARING_CASES = _sharing_cases()
+
+
+@pytest.mark.parametrize("kind", sorted(SHARING_CASES))
+def test_a_long_report_shares_one_graded_map_per_verdict(kind):
+    """On 128 periods a report holds no more GradedMap objects than one
+    period's report, one object per distinct (target dim, matrix,
+    verdict, note), and it is still the oracle's.  Each level serializes
+    its own targets, p * level and level + 1; a shared map is frozen,
+    and it has no target of its own to read or serialize."""
+    shared = 0
+    for spec, period in SHARING_CASES[kind]:
+        report = graded(spec, WINDOW)
+        maps = [gm for gl in report.levels for gm in (gl.f_map, gl.t_map)]
+        ids = {id(gm) for gm in maps}
+        short = {id(gm) for gl in graded(spec, period).levels for gm in (gl.f_map, gl.t_map)}
+        assert len(ids) <= len(short), spec.to_json()
+        assert len(ids) == len({(gm.target_dim, gm.matrix, gm.invertible, gm.note) for gm in maps})
+        shared += len(maps) - len(ids)
+        assert report == oracle_graded(spec, WINDOW), spec.to_json()
+        p, den = spec.module.ctx.p, spec.den
+        for gl, serialized in zip(report.levels, report.to_json(spec)["levels"]):
+            assert serialized["frobenius"]["target"] == level_json(p * gl.n, den), gl.n
+            assert serialized["t"]["target"] == level_json(gl.n + den, den), gl.n
+        with pytest.raises(FrozenInstanceError):
+            maps[0].note = "changed"
+        with pytest.raises(ValueError):
+            maps[0].target
+        with pytest.raises(ValueError):
+            maps[-1].to_json()
+    assert shared >= 100 * len(SHARING_CASES[kind]), (kind, shared)
 
 
 def _random_vector(ctx, rank, rng):

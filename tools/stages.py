@@ -15,12 +15,14 @@ through the stages of one benchmark op, timing each stage on its own:
 
 A stage's time is its sum over the block; the JSON gives each stage's
 minimum over the rounds, in ms (round-to-round spread on a shared host
-is large, so compare minima).  With --calls, one more round runs under
-cProfile, one profiler per stage, and the JSON adds each stage's number
-of function calls over the block (the stage's own calls, without the
-profiler's); the counts do not depend on the machine.  fcrystal is
-imported from src/ next to this file; the standard library is all it
-needs.  Every crystal must pass all seven checks, or the script exits 1.
+is large, so compare minima), and the number of levels the block grades.
+With --calls, one more round runs under cProfile, one profiler per
+stage, and the JSON adds each stage's number of function calls over the
+block (the stage's own calls, without the profiler's) and the graded
+stage's calls per graded level; the counts do not depend on the
+machine.  fcrystal is imported from src/ next to this file; the
+standard library is all it needs.  Every crystal must pass all seven
+checks, or the script exits 1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import argparse
 import cProfile
 import json
 import platform
-import pstats
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -48,12 +49,13 @@ NO_PROFILE = nullcontext()
 
 
 def run_op(op, window):
-    """One benchmark op, paused after each stage; the last stage yields
-    whether all seven checks passed."""
+    """One benchmark op, paused after each stage; the graded stage yields
+    its number of levels and the last stage whether all seven checks
+    passed."""
     spec = fcrystal.standard_vfilt(fcrystal.build_kummer_crystal(op.rep, op.ctx))
     yield
     report = fcrystal.graded(spec, window)
-    yield
+    yield len(report.levels)
     sweep = _sweep(spec, window)
     yield
     spec_checks = fcrystal.check_specializing(spec, window, None, report, sweep)
@@ -63,34 +65,41 @@ def run_op(op, window):
 
 
 def one_round(block, window, profiles=None):
-    """Each stage's time over the block, in seconds; False if a check
-    failed.  profiles, when given, maps each stage to the cProfile.Profile
-    that runs during it."""
+    """Each stage's time over the block, in seconds, the number of graded
+    levels, and False if a check failed.  profiles, when given, maps each
+    stage to the cProfile.Profile that runs during it."""
     profiles = profiles or {}
     total = dict.fromkeys(STAGES, 0.0)
+    levels = 0
     ok = True
     for op in block:
         steps = run_op(op, window)
         for stage in STAGES:
             t0 = perf_counter()
             with profiles.get(stage, NO_PROFILE):
-                passed = next(steps)
+                got = next(steps)
             total[stage] += perf_counter() - t0
-        ok = ok and passed
-    return total, ok
+            if stage == "graded":
+                levels += got
+        ok = ok and got  # the last stage's: whether the checks passed
+    return total, levels, ok
 
 
 def stage_calls(profile):
     """The function calls a profiled stage made: every call cProfile
-    recorded but the op's own resumptions and the profiler's exit."""
-    own = run_op.__code__
+    recorded but the op's own resumptions and the profiler's exit.  The
+    raw entries are read, one per code object: pstats keys them on
+    (file, line, name), under which every dataclass __init__ is one
+    entry that keeps only one class's count."""
     calls = 0
-    for (filename, line, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
-        if (filename, line, name) == (own.co_filename, own.co_firstlineno, own.co_name):
-            continue
-        if filename == cProfile.__file__ or "_lsprof.Profiler" in name:
-            continue
-        calls += ncalls
+    for entry in profile.getstats():
+        code = entry.code  # a code object, or a builtin's name
+        if isinstance(code, str):
+            skip = "_lsprof.Profiler" in code
+        else:
+            skip = code is run_op.__code__ or code.co_filename == cProfile.__file__
+        if not skip:
+            calls += entry.callcount
     return calls
 
 
@@ -107,7 +116,7 @@ def main(argv=None) -> int:
     best = dict.fromkeys(STAGES, float("inf"))
     all_ok = True
     for _ in range(args.rounds):
-        total, ok = one_round(block, window)
+        total, levels, ok = one_round(block, window)
         all_ok = all_ok and ok
         for stage in STAGES:
             best[stage] = min(best[stage], total[stage])
@@ -119,15 +128,17 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "python": platform.python_version(),
         "all_pass": all_ok,
+        "graded_levels": levels,
         "stages_ms": {stage: round(best[stage] * 1e3, 1) for stage in STAGES},
         "sum_of_minima_ms": round(sum(best.values()) * 1e3, 1),
     }
     if args.calls:
         profiles = {stage: cProfile.Profile() for stage in STAGES}
-        _, ok = one_round(block, window, profiles)
+        _, _, ok = one_round(block, window, profiles)
         out["all_pass"] = all_ok = all_ok and ok
         out["calls"] = {stage: stage_calls(profiles[stage]) for stage in STAGES}
         out["calls_sum"] = sum(out["calls"].values())
+        out["graded_calls_per_level"] = round(out["calls"]["graded"] / levels, 1)
     print(json.dumps(out, indent=2))
     return 0 if all_ok else 1
 

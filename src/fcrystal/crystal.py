@@ -100,15 +100,6 @@ class CyclicRep:
         return {"d": self.d, "p": self.p, "mat": [list(r) for r in self.mat]}
 
 
-def direct_sum(rep1: CyclicRep, rep2: CyclicRep) -> CyclicRep:
-    if (rep1.d, rep1.p) != (rep2.d, rep2.p):
-        raise InvalidInputError("direct sum needs matching d and p")
-    r1, r2 = rep1.rank, rep2.rank
-    rows = [tuple(row) + (0,) * r2 for row in rep1.mat]
-    rows += [(0,) * r1 + tuple(row) for row in rep2.mat]
-    return CyclicRep(rep1.d, rep1.p, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # weight decomposition and Frobenius transition
 

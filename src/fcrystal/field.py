@@ -41,11 +41,12 @@ the p-th power.  Fixed vectors of such an operator form an F_p-subspace
 computed exactly by flattening F_{p^m}^n to an F_p-space of dimension
 n*m.  The flattened operator is built once, as packed F_p rows in
 linalg's lane layout with column c in lane c: row s of block (i, j),
-c |-> a_ij c^p, combines the Frobenius images (x^t)^p weighted by row s
-of the multiplication matrix of a_ij, read from its coefficients and
-the modulus, so no field product runs.  The identity is subtracted in
-the lanes, and the rows stay packed through elimination and the kernel
-read-off that linalg.kernel_int shares.
+c |-> a_ij c^p, combines the Frobenius images (x^t)^p, the rows of
+ctx.frob_rows, weighted by row s of the multiplication matrix of a_ij,
+read from its coefficients and the modulus, so no field product and
+no Frobenius runs.  The identity is subtracted in the lanes, and the
+rows stay packed through elimination and the kernel read-off that
+linalg.kernel_int shares.
 
 When an operator has too few fixed vectors over the base field,
 `saturate_fixed_points` finds the least extension F_{p^{m*r}} where the
@@ -235,7 +236,7 @@ class FieldCtx:
         "zero",
         "one",
         "_xred",
-        "_frob_rows",
+        "frob_rows",
         "_gen",
         "_log",
         "_exp",
@@ -257,7 +258,8 @@ class FieldCtx:
             xred.append(tuple(xk) + (0,) * (m - len(xk)))
             xk = [0] + xk
         self._xred = tuple(xred)
-        self._frob_rows = _frobenius_rows(f, p, _pol_powmod([0, 1], p, f, p))
+        # row t: the coefficients of (x^t)^p, the Frobenius matrix in the power basis
+        self.frob_rows = tuple(map(tuple, _frobenius_rows(f, p, _pol_powmod([0, 1], p, f, p))))
         self._gen = None
         self._log = self._exp = self._zech = None
         if m >= 2 and self.order <= TABLE_BOUND:
@@ -426,7 +428,7 @@ class FieldCtx:
                 return a
             return self._exp[la * self.p % n1]
         out = [0] * self.m
-        for c, img in zip(a, self._frob_rows):
+        for c, img in zip(a, self.frob_rows):
             if c:
                 for t in range(self.m):
                     out[t] += c * img[t]
@@ -523,20 +525,6 @@ def primitive_root_of_unity(ctx: FieldCtx, d: int):
     return ctx.pow(ctx.generator, (ctx.order - 1) // d)
 
 
-def mu_log(ctx: FieldCtx, x, xi, d: int) -> int:
-    """The exponent k in [0, d) with xi^k = x, for x in the group mu_d."""
-    if ctx.pow(x, d) != ctx.one:
-        raise InvalidInputError(
-            f"element {list(ctx.coeffs(x))} is not a {d}-th root of unity (x^{d} != 1)"
-        )
-    acc = ctx.one
-    for k in range(d):
-        if acc == x:
-            return k
-        acc = ctx.mul(acc, xi)
-    raise InvalidInputError(f"xi does not generate mu_{d}")
-
-
 # ---------------------------------------------------------------------------
 # semilinear operators
 
@@ -581,11 +569,9 @@ def _flat_rows(ctx: FieldCtx, entries):
     p, m, n = ctx.p, ctx.m, len(entries)
     lanes = linalg._lanes(p, n * m, m + 1)
     bits = lanes.bits
-    basis = [(0,) * t + (1,) + (0,) * (m - 1 - t) for t in range(m)]  # x^t
-    imgs = [ctx.coeffs(ctx.frob(ctx.from_coeffs(e))) for e in basis]
     # images[j][u]: coefficient u of every image, (x^t)^p in lane j*m + t
     images = [0] * m
-    for img in reversed(imgs):
+    for img in reversed(ctx.frob_rows):
         images = [v << bits | x for v, x in zip(images, img)]
     images = [[v << bits * m * j for v in images] for j in range(n)]
     red = [-c % p for c in ctx.modulus]  # x^m as a combination of 1, x, ..., x^(m-1)
@@ -684,9 +670,8 @@ def embed_field(small: FieldCtx, big: FieldCtx) -> Embedding:
     p, ms, mb = small.p, small.m, big.m
     if small.m == 1:
         return Embedding(small, big, (big.one,))
-    # Frobenius as an mb x mb matrix over F_p, columns = frob(x^t), x^t of int code p^t
-    basis_imgs = [big.coeffs(big.frob(big.decode(p**t))) for t in range(mb)]
-    phi = [[basis_imgs[t][s] for t in range(mb)] for s in range(mb)]
+    # Frobenius as an mb x mb matrix over F_p, columns = frob(x^t)
+    phi = [list(col) for col in zip(*big.frob_rows)]
     phim = linalg.mat_pow_int(phi, ms, p)
     diff = [[(phim[i][j] - (1 if i == j else 0)) % p for j in range(mb)] for i in range(mb)]
     sub_rows, _ = linalg.kernel_int(diff, p)

@@ -6,16 +6,15 @@ one grid (1/den)Z per spec (den = d on the degree-d Kummer cover, p for
 the extension family), so inside the engine a level is its integer
 numerator over den.  graded(), the checkers, compare and
 shifted_exactness work on numerators, and a graded report and the
-A4/SS3 tables store them with their den; a Fraction is built only at
-the edge: the public level API, a graded level's level property and a
-standalone map's target.  JSON levels are written from the reduced
-numerator and den.  Each jump carries an explicit graded basis, and
-images of sections can be expressed exactly in that basis.  Graded
-coordinates are slice-exact: a section at level r can differ from its
-graded part only on the one slice of exponents that sits at r, so each
-spec reads the coordinates off that slice and checks them there
-exactly; the remainder then lies strictly deeper than r, and
-coordinates are never guessed.
+A4/SS3 tables store them with their den; a Fraction is built only for
+jumps, a graded level's level and graded_frobenius_map's target.  JSON
+levels are written from the reduced numerator and den.  Each jump
+carries an explicit graded basis, and images of sections can be
+expressed exactly in that basis.  Graded coordinates are slice-exact:
+a section at level r can differ from its graded part only on the one
+slice of exponents that sits at r, so each spec reads the coordinates
+off that slice and checks them there exactly; the remainder then lies
+strictly deeper than r, and coordinates are never guessed.
 
 The checkers turn the defining conditions into finite, window-relative
 computations over a level range [lo, hi):
@@ -46,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd
 
 from . import linalg
 from .crystal import ExtensionModule, KummerCrystal, build_extension
@@ -143,9 +143,8 @@ class FiltrationSpec:
                          reads its label off ilabels(n);
       family(window)     (key, level numerator) for the same sections.
 
-    The Fraction API (level, jumps, dim_at, graded_basis, graded_labels,
-    graded_coords) is defined here once and converts at entry or exit;
-    a rational off the grid has dim 0 and an empty basis.
+    jumps, graded_labels and graded_coords take or give rationals; a
+    rational off the grid (_num gives None) has a 0 piece.
     """
 
     rule = "abstract"
@@ -164,20 +163,8 @@ class FiltrationSpec:
         n, rem = divmod(r.numerator * self.den, r.denominator)
         return None if rem else n
 
-    def level(self, x):
-        n = self.ilevel(x)
-        return None if n is None else Fraction(n, self.den)
-
     def jumps(self, window):
         return [Fraction(n, self.den) for n in self.ijumps(window)]
-
-    def dim_at(self, r) -> int:
-        n = self._num(r)
-        return 0 if n is None else self.idim(n)
-
-    def graded_basis(self, r):
-        n = self._num(r)
-        return [] if n is None else self.ipiece(n)
 
     def graded_labels(self, r):
         n = self._num(r)
@@ -290,14 +277,10 @@ class KummerVFilt(FiltrationSpec):
                     yield (e, i), self.module.monomial(a, i, e)
 
     def family(self, window):
-        # keyed by the reduced level mod 1: presentations over d and d*e agree
-        lo, hi = window
-        for a in sorted(self.kc.dims):
-            s = self.kc.shifts[a]
-            fr = Fraction(s, self.d)
-            for k in range(lo, hi):
-                for i in range(self.kc.dims[a]):
-                    yield ("w", fr, i, k), s + k * self.d
+        # keyed by the reduced level: presentations over d and d*e agree
+        for (e, i), _ in self.spanning(window):
+            g = gcd(e, self.d)
+            yield ("w", e // g, self.d // g, i), e
 
     def t_preimage(self, y):
         return self.module.mul_t_pow(y, -1)
@@ -672,6 +655,8 @@ class GradedLevel:
         return Fraction(self.n, self.den)
 
     def to_json(self, labels, p):
+        if len(labels) != self.dim:
+            raise ValueError(f"{len(labels)} labels for the {self.dim}-dimensional piece at {self.n}/{self.den}")
         return {
             "level": level_json(self.n, self.den),
             "dim": self.dim,
@@ -684,7 +669,8 @@ class GradedLevel:
 @dataclass
 class GradedReport:
     """The graded pieces of a spec on a window.  It holds no reference to
-    the spec: to_json takes the spec that was graded, for the labels."""
+    the spec: to_json takes the spec that was graded, for the labels, and
+    raises ValueError when that spec's pieces have other dimensions."""
 
     window: tuple
     levels: list
@@ -727,19 +713,15 @@ def _graded_map(spec: FiltrationSpec, dim: int, images, tn: int) -> GradedMap:
     return _map_verdict(spec.module.ctx, dim, *spec._level_coords(images, tn))
 
 
-def _rational_map(spec: FiltrationSpec, dim: int, images, r) -> GradedMap:
-    """_graded_map into the piece at the rational r, with target r.  Off
-    the grid that piece is 0 and so is the source piece, so the map is
-    the empty bijection."""
-    n = spec._num(r)
-    gm = _map_verdict(spec.module.ctx, 0, 0, ()) if n is None else _graded_map(spec, dim, images, n)
-    return replace(gm, own_target=Fraction(r))
-
-
 def graded_frobenius_map(spec: FiltrationSpec, r) -> GradedMap:
-    """Matrix of the induced Frobenius Gr^r -> Gr^(p*r)."""
-    basis = spec.graded_basis(r)
-    return _rational_map(spec, len(basis), [spec.module.apply_F(b) for b in basis], spec.module.ctx.p * r)
+    """Matrix of the induced Frobenius Gr^r -> Gr^(p*r), with target p*r.
+    Off the grid Gr^r is 0, and so is Gr^(p*r) unless p*r is on it."""
+    ctx = spec.module.ctx
+    n, tn = spec._num(r), spec._num(ctx.p * r)
+    basis = [] if n is None else spec.ipiece(n)
+    images = [spec.module.apply_F(b) for b in basis]
+    gm = _map_verdict(ctx, 0, 0, ()) if tn is None else _graded_map(spec, len(basis), images, tn)
+    return replace(gm, own_target=Fraction(ctx.p * r))
 
 
 def _check_window(window) -> None:

@@ -9,7 +9,6 @@ from fcrystal import (
     LaurentSeries,
     build_extension,
     build_kummer_crystal,
-    direct_sum,
     make_field,
     mc_depth_grading,
     mc_vfilt,
@@ -19,6 +18,7 @@ from fcrystal import (
     weight_decompose,
 )
 from fcrystal import linalg
+from direct_sums import direct_sum
 
 F25 = make_field(5, 2)
 F5 = make_field(5, 1)

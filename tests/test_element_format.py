@@ -28,6 +28,7 @@ class IntField:
         self.inner = inner
         self.p, self.m, self.order = inner.p, inner.m, inner.order
         self.modulus = inner.modulus
+        self.frob_rows = inner.frob_rows
         self.zero, self.one = inner.encode(inner.zero), inner.encode(inner.one)
 
     def __repr__(self):

@@ -11,14 +11,13 @@ from fcrystal import (
     SemilinearOperator,
     embed_field,
     make_field,
-    mu_log,
     parse_series,
     primitive_root_of_unity,
     saturate_fixed_points,
     semilinear_fixed_points,
 )
 from fcrystal import linalg
-from fcrystal.field import ENUMERATION_BOUND, is_prime, prime_factors
+from fcrystal.field import ENUMERATION_BOUND, FieldCtx, _flat_rows, is_prime, prime_factors
 
 
 def frob_iter(ctx, a, k: int):
@@ -120,15 +119,6 @@ def test_root_of_unity_requires_divisibility():
         primitive_root_of_unity(make_field(5, 1), 3)
 
 
-def test_mu_log():
-    ctx = make_field(7, 1)
-    xi = primitive_root_of_unity(ctx, 3)
-    for k in range(3):
-        assert mu_log(ctx, ctx.pow(xi, k), xi, 3) == k
-    with pytest.raises(InvalidInputError):
-        mu_log(ctx, ctx.from_int(3), xi, 3)  # order 6, not in mu_3
-
-
 def test_embedding_is_a_ring_map():
     small = make_field(5, 2)
     big = make_field(5, 4)
@@ -162,6 +152,29 @@ def test_self_embedding_is_the_identity(p, m):
 def test_embedding_requires_divisible_degree():
     with pytest.raises(InvalidInputError):
         embed_field(make_field(5, 2), make_field(5, 3))
+
+
+# table fields (m >= 2, q <= 4096) apply Frobenius by log lookup, so
+# their rows are checked against a path that does not read them
+@pytest.mark.parametrize(
+    "p, m", [(5, 1), (2, 2), (5, 2), (7, 2), (5, 3), (3, 4), (2, 6), (7, 6), (2, 12), (11, 4), (5, 8), (7, 24)]
+)
+def test_frob_rows_are_the_frobenius_images_of_the_power_basis(p, m):
+    ctx = make_field(p, m)
+    assert ctx.frob_rows == tuple(ctx.coeffs(ctx.frob(ctx.decode(p**t))) for t in range(m))
+
+
+def test_flattening_and_embedding_run_no_frobenius(monkeypatch):
+    """_flat_rows and embed_field read the images (x^t)^p off frob_rows."""
+    ctx, small, big = make_field(7, 24), make_field(7, 2), make_field(7, 6)
+    calls = []
+    frob = FieldCtx.frob
+    monkeypatch.setattr(FieldCtx, "frob", lambda self, a: calls.append(a) or frob(self, a))
+    x = ctx.decode(7)
+    _, rows = _flat_rows(ctx, ((x, ctx.one), (ctx.zero, ctx.from_int(3))))
+    assert len(rows) == 2 * 24 and calls == []
+    embed_field.__wrapped__(small, big)  # past the cache, which may hold the pair
+    assert calls == []
 
 
 def _brute_fixed_dimension(ctx, mat):

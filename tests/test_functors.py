@@ -1,6 +1,7 @@
 """Equivalence functors, roundtrips, nearby/vanishing pieces, gluing."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from fcrystal import (
     InvalidInputError,
     build_extension,
     build_kummer_crystal,
-    direct_sum,
     fg_roundtrip,
     functor_F,
     functor_G,
@@ -37,13 +37,14 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.linalg import invert, invert_int, mat_mul, mat_mul_int
-from fcrystal.vfilt import _rational_map
+from fcrystal.vfilt import GradedMap, _graded_map
 from fcrystal.samples import (
     random_invertible_int,
     random_object,
     random_rep,
     random_rep_morphism,
 )
+from direct_sums import direct_sum
 from object_morphisms import random_object_morphism
 from random import Random
 
@@ -170,9 +171,14 @@ def test_nearby_full_on_regular():
 
 
 def graded_t_map(spec, r):
-    """Matrix of t-multiplication Gr^r -> Gr^(r + 1), for any rational r."""
-    basis = spec.graded_basis(r)
-    return _rational_map(spec, len(basis), [spec.module.mul_t(b) for b in basis], r + 1)
+    """Matrix of t-multiplication Gr^r -> Gr^(r + 1), with target r + 1,
+    for any rational r: off the grid both pieces are 0."""
+    n = spec._num(r)
+    if n is None:
+        return GradedMap(spec.module.ctx, 0, (), True, own_target=r + 1)
+    basis = spec.ipiece(n)
+    gm = _graded_map(spec, len(basis), [spec.module.mul_t(b) for b in basis], n + spec.den)
+    return replace(gm, own_target=r + 1)
 
 
 def _nearby_full_oracle(spec):
@@ -185,7 +191,7 @@ def _nearby_full_oracle(spec):
     for j in range(d):
         r = Fraction(j, d)
         a = (-j) % d
-        dims[a] = spec.dim_at(r)
+        dims[a] = spec.idim(j)
         if not dims[a]:
             continue
         M = graded_frobenius_map(spec, r).matrix

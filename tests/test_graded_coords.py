@@ -75,20 +75,21 @@ def _kummer_sum(ctx, x, y):
 def remainder_graded_coords(spec, x, r):
     """graded_coords by the full computation: the remainder is rebuilt."""
     ctx = spec.module.ctx
-    lvl = spec.level(x)
-    if lvl is None or lvl > r:
-        return [ctx.zero] * spec.dim_at(r)
-    if lvl < r:
+    n = spec._num(r)  # None off the grid, where the piece is 0
+    lvl = spec.ilevel(x)
+    if lvl is None or Fraction(lvl, spec.den) > r:
+        return [ctx.zero] * (0 if n is None else spec.idim(n))
+    if Fraction(lvl, spec.den) < r:
         return None
-    coords = oracle_slice_coords(spec, x, int(r * spec.den))
+    coords = oracle_slice_coords(spec, x, n)
     if coords is None:
         return None
     rem = x
-    for c, b in zip(coords, spec.graded_basis(r)):
+    for c, b in zip(coords, spec.ipiece(n)):
         if not ctx.is_zero(c):
             rem = _axpy(ctx, rem, c, b)
-    rlvl = spec.level(rem)
-    return coords if rlvl is None or rlvl > r else None
+    rlvl = spec.ilevel(rem)
+    return coords if rlvl is None or rlvl > n else None
 
 
 def _agree(spec, x, r, seen):
@@ -127,7 +128,7 @@ def _cross_check(spec, extra_sections):
     p = module.ctx.p
     seen = dict.fromkeys(("none", "coords", "columns", "stop-first", "stop-later"), 0)
     for r in spec.jumps(WINDOW):
-        basis = spec.graded_basis(r)
+        basis = spec.ipiece(spec._num(r))
         f_images = [module.apply_F(b) for b in basis]
         t_images = [module.mul_t(b) for b in basis]
         sums = [_add(module.ctx, y, z) for y, z in zip(f_images, t_images)]
@@ -137,7 +138,7 @@ def _cross_check(spec, extra_sections):
                     _agree(spec, y, s, seen)
                 _agree_batch(spec, images, s, seen)
     for k, x in enumerate(extra_sections):
-        lvl = spec.level(x)
+        lvl = Fraction(spec.ilevel(x), spec.den)
         for s in (lvl, lvl + Fraction(1, 2), lvl - 1):
             _agree(spec, x, s, seen)
         _agree_batch(spec, extra_sections[k:] + extra_sections[:k], lvl, seen)

@@ -121,6 +121,30 @@ def test_ss3_does_not_exempt_minus_one_third_on_a_kummer_grid():
     assert {"level": {"num": -1, "den": 3}, "status": "pass", "note": None} in ss3.to_json()["levels"]
 
 
+def test_graded_frobenius_map_is_the_graded_levels_f_map():
+    """At every jump n/den, the standalone map is graded()'s f_map there:
+    the same matrix, verdict, note and target dimension, with target
+    p*n/den; on the acceptance crystals and the four extension rules."""
+    specs = [standard_vfilt(kc) for p, d in PAIRS for kc in _acceptance_crystals(p, d)[:2]]
+    specs += [spec for _, spec in sorted(EXTENSION_SPECS.items())]
+    rules, verdicts = set(), set()
+    for spec in specs:
+        p = spec.module.ctx.p
+        for gl in graded(spec, (-6, 6)).levels:
+            gm, want = graded_frobenius_map(spec, Fraction(gl.n, gl.den)), gl.f_map
+            assert (gm.matrix, gm.invertible, gm.note, gm.target_dim) == (
+                want.matrix,
+                want.invertible,
+                want.note,
+                want.target_dim,
+            ), (spec.to_json(), gl.n)
+            assert gm.target == Fraction(p * gl.n, gl.den)
+            verdicts.add(gm.note)
+        rules.add(spec.rule)
+    assert rules == {"standard", "extension", "split", "depth-grading", "delta"}
+    assert None in verdicts and len(verdicts) > 1
+
+
 @pytest.mark.parametrize("r", [Fraction(1, 7), Fraction(2, 9), Fraction(-5, 2), Fraction(1, 15)])
 def test_off_grid_maps_keep_their_rational_target(r):
     """graded_frobenius_map and graded_t_map take any rational; off the
@@ -130,7 +154,8 @@ def test_off_grid_maps_keep_their_rational_target(r):
     fm, tm = graded_frobenius_map(spec, r), graded_t_map(spec, r)
     assert fm.target == 5 * r and tm.target == r + 1
     for gm, target in ((fm, 5 * r), (tm, r + 1)):
-        assert gm.target_dim == spec.dim_at(target)
+        n = spec._num(target)
+        assert gm.target_dim == (0 if n is None else spec.idim(n))
         assert gm.invertible == (gm.target_dim == 0)
     assert fm.to_json()["target"] == level_json(5 * r)
     assert tm.to_json()["target"] == level_json(r + 1)

@@ -96,6 +96,17 @@ def test_the_report_keeps_neither_its_spec_nor_the_memo():
     assert rep.to_json(standard_vfilt(kc)) == want
 
 
+def test_a_report_refuses_a_spec_with_other_pieces():
+    """to_json reads each level's labels off the spec it is given, so a
+    spec whose piece at a level has another dimension is the wrong one."""
+    rep = graded(standard_vfilt(build_kummer_crystal(CyclicRep.regular(3, 5), F25)), (-2, 2))
+    for rep2 in (CyclicRep.companion(3, 5), CyclicRep.trivial(3, 5, 3)):
+        with pytest.raises(ValueError, match="labels for the 1-dimensional piece at -6/3"):
+            rep.to_json(standard_vfilt(build_kummer_crystal(rep2, F25)))
+    with pytest.raises(ValueError, match="labels for the"):
+        rep.to_json(mc_vfilt(build_extension(F25, parse_series(F25, "t^-2"))))
+
+
 def test_labels_name_the_pieces_and_spanning_sections():
     kc = build_kummer_crystal(CyclicRep.regular(3, 5), F25)
     spec = standard_vfilt(kc)

@@ -1,10 +1,11 @@
-"""The Fraction API is a view of the integer level core, on every spec kind.
+"""Rational levels are a view of the integer level core, on every spec kind.
 
 Each spec keeps levels as integer numerators over one grid denominator
-den; level, jumps, dim_at, graded_basis, graded_labels and graded_coords
-convert at the edge.  These properties tie the two sides together, check
-shifted and pullback specs against their base in Fraction arithmetic,
-and probe rationals off the grid, where every graded piece is zero.
+den; jumps, graded_labels and graded_coords convert at the edge, and
+_num reads a rational's numerator.  These properties tie the two sides
+together, check shifted and pullback specs against their base in
+Fraction arithmetic, and probe rationals off the grid, where every
+graded piece is zero.
 """
 
 from fractions import Fraction
@@ -131,13 +132,12 @@ def spec_sections(draw):
 def test_level_is_the_numerator_over_den(case):
     spec, x = case
     n = spec.ilevel(x)
-    lvl = spec.level(x)
-    assert (n is None) == (lvl is None)
-    if n is not None:
-        assert type(n) is int and lvl == Fraction(n, spec.den)
+    assert n is None or type(n) is int
     if hasattr(spec, "base"):
-        base = spec.base.level(x)
-        assert lvl == (None if base is None else base - _offset(spec))
+        base = spec.base.ilevel(x)
+        assert (n is None) == (base is None)
+        if n is not None:
+            assert Fraction(n, spec.den) == Fraction(base, spec.base.den) - _offset(spec)
 
 
 def _level_column(spec, x, n):
@@ -153,15 +153,14 @@ def test_graded_coords_read_the_integer_core(case):
     ctx, den = spec.module.ctx, spec.den
     n = spec.ilevel(x)
     if n is None:
-        for r in (Fraction(0), Fraction(-1, den), Fraction(5, 2 * den)):
-            assert spec.graded_coords(x, r) == [ctx.zero] * spec.dim_at(r)
+        for r, dim in ((Fraction(0), spec.idim(0)), (Fraction(-1, den), spec.idim(-1)), (Fraction(5, 2 * den), 0)):
+            assert spec.graded_coords(x, r) == [ctx.zero] * dim
         return
     r = Fraction(n, den)
     step = Fraction(1, den)
     assert spec.graded_coords(x, r) == _level_column(spec, x, n)
     assert spec.graded_coords(x, r + step) is None
     assert spec.graded_coords(x, r - step) == [ctx.zero] * spec.idim(n - 1)
-    assert spec.dim_at(r - step) == spec.idim(n - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,10 +173,11 @@ def test_jumps_are_the_nonzero_pieces_of_the_window(spec, lo, width):
     assert jumps == [Fraction(n, den) for n in nums]
     assert nums == [n for n in range(lo * den, (lo + width) * den) if spec.idim(n)]
     for n, r in zip(nums, jumps):
-        basis = spec.graded_basis(r)
-        assert (basis, spec.graded_labels(r)) == (spec.ipiece(n), spec.ilabels(n))
-        assert spec.dim_at(r) == len(basis) == len(spec.graded_labels(r))
-        assert all(spec.level(b) == r for b in basis)
+        basis = spec.ipiece(n)
+        assert spec._num(r) == n
+        assert spec.graded_labels(r) == spec.ilabels(n)
+        assert spec.idim(n) == len(basis) == len(spec.ilabels(n))
+        assert all(spec.ilevel(b) == n for b in basis)
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,14 +185,14 @@ def test_jumps_are_the_nonzero_pieces_of_the_window(spec, lo, width):
 def test_off_grid_rationals_carry_no_graded_piece(case, k):
     spec, x = case
     den = spec.den
-    lvl = spec.level(x)
+    n = spec.ilevel(x)
     # k/den + 1/(2 den), e.g. 1/(2d) on the Kummer grid; k + 1/(den + 1),
     # e.g. 1/(p + 1) on the extension grid
     for r in (Fraction(2 * k + 1, 2 * den), k + Fraction(1, den + 1)):
         assert (r * den).denominator != 1
-        assert spec.dim_at(r) == 0
-        assert spec.graded_basis(r) == [] and spec.graded_labels(r) == []
-        want = [] if lvl is None or lvl > r else None
+        assert spec._num(r) is None
+        assert spec.graded_labels(r) == []
+        want = [] if n is None or Fraction(n, den) > r else None
         assert spec.graded_coords(x, r) == want
 
 

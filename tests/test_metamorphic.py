@@ -27,7 +27,6 @@ from fcrystal import (
     build_extension,
     build_kummer_crystal,
     check_axioms,
-    direct_sum,
     graded,
     linalg,
     make_field,
@@ -39,6 +38,7 @@ from fcrystal import (
 )
 from fcrystal.cli import resolve_m
 from fcrystal.samples import random_invertible_int, random_rep
+from direct_sums import direct_sum
 
 SEED = 20261020
 PAIRS = ((5, 2), (5, 3), (5, 4), (5, 6), (7, 2), (7, 3), (7, 4), (7, 6), (2, 3), (3, 4), (2, 5), (3, 8))

@@ -18,7 +18,6 @@ from fcrystal import (
     check_super,
     compare,
     delta_vfilt,
-    direct_sum,
     graded,
     graded_frobenius_map,
     make_field,
@@ -32,6 +31,7 @@ from fcrystal import (
     standard_vfilt,
 )
 
+from direct_sums import direct_sum
 from test_functors import graded_t_map
 
 F25 = make_field(5, 2)
@@ -62,9 +62,10 @@ def test_standard_jumps(companion_spec):
 def test_standard_levels_are_cover_valuations(companion_spec):
     spec = companion_spec
     x = spec.module.monomial(1, 0, 2)
-    assert spec.level(x) == Fraction(2, 3)
-    assert spec.level(spec.module.monomial(1, 0, 5)) == Fraction(5, 3)
-    assert spec.level(spec.module.zero()) is None
+    assert spec.den == 3
+    assert spec.ilevel(x) == spec._num(Fraction(2, 3)) == 2
+    assert spec.ilevel(spec.module.monomial(1, 0, 5)) == spec._num(Fraction(5, 3)) == 5
+    assert spec.ilevel(spec.module.zero()) is None
 
 
 def test_graded_coordinate_protocol(companion_spec):
@@ -118,10 +119,11 @@ def test_extension_jumps(ext_spec):
 def test_extension_levels(ext_spec):
     mod = ext_spec.module
     one = mod.f_monomial(0)
-    assert ext_spec.level(one) == Fraction(-1, 5)
-    assert ext_spec.level(mod.delta_monomial(1)) == Fraction(-1)
+    den = ext_spec.den
+    assert Fraction(ext_spec.ilevel(one), den) == Fraction(-1, 5)
+    assert Fraction(ext_spec.ilevel(mod.delta_monomial(1)), den) == Fraction(-1)
     # frobenius scales the level by exactly p here
-    assert ext_spec.level(mod.apply_F(one)) == Fraction(-1)
+    assert Fraction(ext_spec.ilevel(mod.apply_F(one)), den) == Fraction(-1)
 
 
 def test_extension_axioms_fail_only_at_positive_levels(ext_spec):
@@ -160,8 +162,8 @@ def test_split_extension_is_integrally_filtered():
     mod = build_extension(F5, LaurentSeries.zero(F5))
     spec = split_vfilt(mod)
     assert check_axioms(spec, (-4, 4)).all_pass
-    assert spec.level(spec.module.f_monomial(2)) == Fraction(2)
-    assert spec.level(spec.module.delta_monomial(3)) == Fraction(-3)
+    assert Fraction(spec.ilevel(spec.module.f_monomial(2)), spec.den) == Fraction(2)
+    assert Fraction(spec.ilevel(spec.module.delta_monomial(3)), spec.den) == Fraction(-3)
     rep = graded(spec, (-3, 2))
     dims = {gl.level: gl.dim for gl in rep.levels}
     assert dims[Fraction(0)] == 1 and dims[Fraction(-2)] == 2
@@ -180,7 +182,7 @@ def test_split_vfilt_rejects_nonsplit():
 def test_delta_filtration_axioms():
     spec = delta_vfilt(F25)
     assert check_axioms(spec, (-6, 2)).all_pass
-    assert spec.level((LaurentSeries.zero(F25), LaurentSeries.monomial(F25, -4))) == Fraction(-4)
+    assert Fraction(spec.ilevel((LaurentSeries.zero(F25), LaurentSeries.monomial(F25, -4))), spec.den) == Fraction(-4)
 
 
 EXTENSION_RULE_SPECS = {
@@ -204,9 +206,10 @@ def test_extension_sections_have_a_class_at_their_level(rule, f, g):
     if rule == "delta":
         f = {}  # the delta module's sections are (0, g)
     x = (LaurentSeries(F25, f), LaurentSeries(F25, {-m: c for m, c in g.items()}))
-    lvl = spec.level(x)
-    assert (lvl is None) == (not f and not g)
-    if lvl is not None:
+    n = spec.ilevel(x)
+    assert (n is None) == (not f and not g)
+    if n is not None:
+        lvl = Fraction(n, spec.den)
         coords = spec.graded_coords(x, lvl)
         assert coords is not None, (x, lvl)
         assert any(not F25.is_zero(c) for c in coords), (x, lvl)
@@ -221,8 +224,9 @@ def test_shifted_filtration_moves_levels(companion_spec):
     spec = companion_spec
     x = spec.module.monomial(1, 0, 2)
     sh = shifted_filtration(spec, 1)
-    assert sh.level(x) == spec.level(x) - 1
-    assert shifted_filtration(spec, -2).level(x) == spec.level(x) + 2
+    assert sh.den == spec.den
+    assert sh.ilevel(x) == spec.ilevel(x) - spec.den
+    assert shifted_filtration(spec, -2).ilevel(x) == spec.ilevel(x) + 2 * spec.den
     with pytest.raises(InvalidInputError):
         shifted_filtration(spec, 0)
 
@@ -245,7 +249,7 @@ def test_shift_breaks_extension_too(ext_spec):
 def test_pullback_keeps_levels_and_jumps(companion_spec):
     pb = pullback_filtration(companion_spec, 2)
     x = companion_spec.module.monomial(1, 0, 2)
-    assert pb.level(x) == companion_spec.level(x)
+    assert (pb.ilevel(x), pb.den) == (companion_spec.ilevel(x), companion_spec.den)
     assert pb.jumps((-2, 2)) == companion_spec.jumps((-2, 2))
     assert pb.ideal_name == "s" and pb.dprime == 2
 
@@ -254,7 +258,7 @@ def test_pullback_ideal_powers(companion_spec):
     pb = pullback_filtration(companion_spec, 2)
     x = companion_spec.module.monomial(1, 0, 2)
     y = pb.mul_ideal(x, 2)  # s^2 is the old t
-    assert pb.level(y) == pb.level(x) + 1
+    assert pb.ilevel(y) == pb.ilevel(x) + pb.den
     with pytest.raises(InvalidInputError):
         pb.mul_ideal(x, 3)
 
@@ -307,7 +311,7 @@ def test_depth_grading_sections():
     x0 = dg.x_section(0)
     assert x0[0].same_values(LaurentSeries.one(F5))
     assert x0[1] == LaurentSeries.monomial(F5, -1).neg()
-    assert dg.level(dg.x_section(-1)) == Fraction(-6, 5)
+    assert Fraction(dg.ilevel(dg.x_section(-1)), dg.den) == Fraction(-6, 5)
 
 
 def test_depth_grading_frobenius_cancellation():

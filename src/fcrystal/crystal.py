@@ -368,9 +368,10 @@ def sol_extension(mod: ExtensionModule) -> SolutionReport:
             f"pole order {bound} exceeds the solution chain cap {_CHAIN_CAP}",
             [("pole", bound)],
         )
+    hc = {-h.v - o: c for o, c in h.terms}  # -exponent -> coefficient
     gamma: dict = {}
     for m in range(1, bound + 1):
-        val = h.coeffs.get(-m, ctx.zero)
+        val = hc.get(m, ctx.zero)
         if m % p == 0 and m // p in gamma:
             val = ctx.add(val, ctx.frob(gamma[m // p]))
         if not ctx.is_zero(val):

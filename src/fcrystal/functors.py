@@ -501,10 +501,9 @@ class GluingTriple:
 
 def _pole_string(series) -> str:
     terms = []
-    for e in sorted(series.coeffs):
-        if e < 0:
-            c = series.coeffs[e]
-            terms.append(f"{list(series.ctx.coeffs(c))}*t^{e}")
+    for o, c in series.terms:
+        if series.v + o < 0:
+            terms.append(f"{list(series.ctx.coeffs(c))}*t^{series.v + o}")
     return " + ".join(terms) if terms else "0"
 
 

@@ -1,57 +1,67 @@
 """Exact Laurent polynomials over F_{p^m}.
 
-A series is a sparse dict {exponent: nonzero coefficient}, like a
-Kummer section with r = 1: no zero coefficient is ever stored, so {}
-is the zero series, dict equality is series equality and min(coeffs)
-is the valuation.  Every series the engine builds is exact: sections
-of j_*M on the punctured disk are Laurent polynomials in t.
+A series is stored as a Kummer section is: its field ``ctx``, its
+valuation ``v`` and ``terms``, the (offset, coefficient) pairs of
+sum_o c_o t^(v+o) with offsets strictly increasing from 0 and no zero
+coefficient; zero is v = None, terms = ().  The form is canonical, so ==
+and hash compare (v, terms), ``valuation`` reads v and a t-shift reuses
+the terms.  Every series the engine builds is exact: sections of j_*M on
+the punctured disk are Laurent polynomials in t.
 
-The public constructor drops zero coefficients, and so do ``smul`` and
-``mul``, whose products and sums can vanish.  The other operations keep
-a zero-free dict zero-free and store their result as it is, without the
-re-test: ``shift`` and ``pole_part`` move or drop terms, ``frob`` is
-injective on coefficients (the p-power map of F_{p^m}) and on exponents,
-``neg`` is injective, and ``add`` tests only the exponents both terms
-share, dropping a term where it cancels.
+The public constructor takes a dict {exponent: coefficient} and drops
+zero coefficients; ``coeffs`` gives that dict back.  The operations
+build the canonical form directly: ``pole_part`` keeps a prefix of the
+terms, ``frob``, ``neg`` and ``smul`` by a nonzero scalar map them (each
+injective on coefficients), ``add`` merges two sorted tuples, and
+``mul`` by a one-term series scales and shifts the other's terms.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from math import gcd
 
 from .errors import InvalidInputError
 
 
 class LaurentSeries:
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "v", "terms")
 
     def __init__(self, ctx, coeffs: dict):
+        items = sorted((e, c) for e, c in coeffs.items() if not ctx.is_zero(c))
         self.ctx = ctx
-        self.coeffs = {e: c for e, c in coeffs.items() if not ctx.is_zero(c)}
+        self.v = v = items[0][0] if items else None
+        self.terms = tuple((e - v, c) for e, c in items)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx) -> "LaurentSeries":
-        return cls(ctx, {})
+        return _series(ctx, None, ())
 
     @classmethod
     def one(cls, ctx) -> "LaurentSeries":
-        return cls(ctx, {0: ctx.one})
+        return _series(ctx, 0, ((0, ctx.one),))
 
     @classmethod
     def monomial(cls, ctx, exp: int, coeff=None) -> "LaurentSeries":
-        return cls(ctx, {exp: ctx.one if coeff is None else coeff})
+        coeff = ctx.one if coeff is None else coeff
+        return _series(ctx, None, ()) if ctx.is_zero(coeff) else _series(ctx, exp, ((0, coeff),))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def valuation(self):
         """Smallest exponent with a nonzero coefficient, or None for zero."""
-        return min(self.coeffs) if self.coeffs else None
+        return self.v
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: nonzero coefficient}, a new dict."""
+        return {self.v + o: c for o, c in self.terms}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -61,82 +71,105 @@ class LaurentSeries:
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
-        ctx = self.ctx
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                c = ctx.add(out[e], c)
+        if not (self.terms and other.terms):
+            return self if other.is_zero() else other
+        lo, hi = (self, other) if self.v <= other.v else (other, self)
+        ctx, low, d = self.ctx, lo.terms, hi.v - lo.v
+        out, i, n = [], 0, len(low)  # the sum's terms, offsets from lo.v
+        for o, c in hi.terms:
+            o += d
+            while i < n and low[i][0] < o:
+                out.append(low[i])
+                i += 1
+            if i < n and low[i][0] == o:
+                c, i = ctx.add(low[i][1], c), i + 1
                 if ctx.is_zero(c):
-                    del out[e]
                     continue
-            out[e] = c
-        return _zero_free(ctx, out)
+            out.append((o, c))
+        out += low[i:]
+        if not out:
+            return _series(ctx, None, ())
+        first = out[0][0]  # nonzero where the leading terms cancelled
+        return _series(ctx, lo.v + first, tuple((o - first, c) for o, c in out) if first else tuple(out))
 
     def neg(self) -> "LaurentSeries":
-        ctx = self.ctx
-        return _zero_free(ctx, {e: ctx.neg(c) for e, c in self.coeffs.items()})
+        neg = self.ctx.neg
+        return _series(self.ctx, self.v, tuple((o, neg(c)) for o, c in self.terms))
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
 
     def smul(self, scalar) -> "LaurentSeries":
         ctx = self.ctx
-        return LaurentSeries(ctx, {e: ctx.mul(scalar, c) for e, c in self.coeffs.items()})
+        if ctx.is_zero(scalar):
+            return _series(ctx, None, ())
+        return _series(ctx, self.v, tuple((o, ctx.mul(scalar, c)) for o, c in self.terms))
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         ctx = self.ctx
+        if not (self.terms and other.terms):
+            return _series(ctx, None, ())
+        mono, rest = (self, other) if len(self.terms) == 1 else (other, self)
+        if len(mono.terms) == 1:  # c t^v times rest: rest's terms scaled by c
+            c = mono.terms[0][1]
+            terms = rest.terms if c == ctx.one else tuple((o, ctx.mul(c, b)) for o, b in rest.terms)
+            return _series(ctx, mono.v + rest.v, terms)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
+        for o1, c1 in self.terms:
+            for o2, c2 in other.terms:
+                o = o1 + o2
                 prod = ctx.mul(c1, c2)
-                out[e] = ctx.add(out[e], prod) if e in out else prod
-        return LaurentSeries(ctx, out)
+                out[o] = ctx.add(out[o], prod) if o in out else prod
+        return LaurentSeries(ctx, out).shift(self.v + other.v)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k."""
-        return _zero_free(self.ctx, {e + k: c for e, c in self.coeffs.items()})
+        return _series(self.ctx, self.v + k, self.terms) if self.terms else self
 
     def pole_part(self, k: int = 0) -> "LaurentSeries":
         """The pole part of t^k times the series: the terms of negative
         exponent after the shift, the class in F((t))/F[[t]].  The shifted
         series itself is never built."""
-        return _zero_free(self.ctx, {e + k: c for e, c in self.coeffs.items() if e + k < 0})
+        terms = self.terms
+        if not terms or self.v + k >= 0:
+            return _series(self.ctx, None, ())
+        cut = -self.v - k  # the offsets below it stay
+        if terms[-1][0] >= cut:
+            terms = terms[: bisect_left(terms, (cut,))]
+        return _series(self.ctx, self.v + k, terms)
 
     def frob(self) -> "LaurentSeries":
         """The p-power map: sum c_i t^i |-> sum c_i^p t^(p*i)."""
-        ctx = self.ctx
-        return _zero_free(ctx, {ctx.p * e: ctx.frob(c) for e, c in self.coeffs.items()})
+        if not self.terms:
+            return self
+        p, frob = self.ctx.p, self.ctx.frob
+        return _series(self.ctx, p * self.v, tuple((p * o, frob(c)) for o, c in self.terms))
 
     # -- comparison / io ----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.v == other.v and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.ctx), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.ctx), self.v, self.terms))
 
     def same_values(self, other: "LaurentSeries") -> bool:
         """Equal coefficients: the same series."""
         self._check(other)
-        return self.coeffs == other.coeffs
+        return self.v == other.v and self.terms == other.terms
 
     def to_json(self):
-        return {
-            "lo": self.valuation() or 0,
-            "hi": None,
-            "terms": [[e, list(self.ctx.coeffs(self.coeffs[e]))] for e in sorted(self.coeffs)],
-        }
+        coeffs = self.ctx.coeffs
+        return {"lo": self.v or 0, "hi": None, "terms": [[self.v + o, list(coeffs(c))] for o, c in self.terms]}
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "<0>"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in sorted(self.coeffs.items()):
             cs = str(self.ctx.encode(c)) if self.ctx.m == 1 else str(list(self.ctx.coeffs(c)))
             if e == 0:
                 parts.append(cs)
@@ -147,11 +180,10 @@ class LaurentSeries:
         return f"<{' + '.join(parts)}>"
 
 
-def _zero_free(ctx, coeffs: dict) -> LaurentSeries:
-    """The series of a dict that holds no zero coefficient, stored as it is."""
+def _series(ctx, v, terms) -> LaurentSeries:
+    """The series of a canonical (v, terms), stored as it is."""
     s = object.__new__(LaurentSeries)
-    s.ctx = ctx
-    s.coeffs = coeffs
+    s.ctx, s.v, s.terms = ctx, v, terms
     return s
 
 

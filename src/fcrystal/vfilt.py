@@ -410,7 +410,8 @@ class ExtensionVFilt(FiltrationSpec):
         """After the rewrite each x_i reads (t^i, 0), so the coefficients
         at the one series exponent and the one delta index are an
         image's coordinates; every other term of an image at level n
-        already sits above n."""
+        already sits above n, so each coordinate is its part's leading
+        coefficient, or 0 where that part starts higher."""
         series, delta = self._parts(n)
         dim = (series is not None) + (delta is not None)
         zero = self.module.ctx.zero
@@ -423,8 +424,8 @@ class ExtensionVFilt(FiltrationSpec):
                 continue
             if lvl < n or not dim:
                 return dim, k
-            col = () if series is None else (f.coeffs.get(series, zero),)
-            cols.append(col if delta is None else col + (g.coeffs.get(-delta, zero),))
+            col = () if series is None else (f.terms[0][1] if f.v == series else zero,)
+            cols.append(col if delta is None else col + (g.terms[0][1] if g.v == -delta else zero,))
         return dim, cols
 
     def spanning(self, window):

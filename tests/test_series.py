@@ -1,4 +1,5 @@
-"""Exact Laurent series: parsing, ring laws, Frobenius and the report form."""
+"""Exact Laurent series: parsing, ring laws, Frobenius, the report form, and
+the canonical form against the dict algorithms of tests/series_dicts.py."""
 
 import pytest
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcrystal import InvalidInputError, LaurentSeries, make_field, parse_series
 from fcrystal.series import level_json
+import series_dicts
 
 CTX = make_field(5, 1)
 
@@ -117,52 +119,6 @@ def test_equality_is_coefficient_equality(da, db):
     assert a == a.add(b).sub(b)
 
 
-# Table fields, p = 2 among them, and F_{5^6} above TABLE_BOUND, where
-# elements multiply as polynomials.  Every series below is zero-free.
-TRUSTED_FIELDS = [make_field(5, 1), make_field(5, 2), make_field(2, 6), make_field(5, 6)]
-
-
-@st.composite
-def series_pairs(draw):
-    """(a, b, k): b cancels some terms of a, where it draws them."""
-    ctx = draw(st.sampled_from(TRUSTED_FIELDS))
-    terms = st.dictionaries(st.integers(-8, 8), st.integers(0, ctx.order - 1), max_size=6)
-    a = LaurentSeries(ctx, {e: ctx.decode(n) for e, n in draw(terms).items()})
-    cancel = draw(st.sets(st.sampled_from(sorted(a.coeffs)))) if a.coeffs else set()
-    b = {e: ctx.decode(n) for e, n in draw(terms).items()}
-    b.update((e, ctx.neg(a.coeffs[e])) for e in cancel)
-    return a, LaurentSeries(ctx, b), draw(st.integers(-8, 8))
-
-
-def filtered_sum(a, b):
-    """a + b as the filtering constructor builds it."""
-    ctx = a.ctx
-    out = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        out[e] = ctx.add(out.get(e, ctx.zero), c)
-    return LaurentSeries(ctx, out)
-
-
-@given(series_pairs())
-@settings(max_examples=200, deadline=None)
-def test_zero_free_results_match_the_filtering_constructor(case):
-    a, b, k = case
-    ctx = a.ctx
-    cases = [
-        (a.shift(k), {e + k: c for e, c in a.coeffs.items()}),
-        (a.pole_part(), {e: c for e, c in a.coeffs.items() if e < 0}),
-        (a.pole_part(k), {e + k: c for e, c in a.coeffs.items() if e + k < 0}),
-        (a.frob(), {ctx.p * e: ctx.frob(c) for e, c in a.coeffs.items()}),
-        (a.neg(), {e: ctx.neg(c) for e, c in a.coeffs.items()}),
-        (a.add(b), filtered_sum(a, b).coeffs),
-        (a.add(a.neg()), {}),
-        (a.sub(b), filtered_sum(a, b.neg()).coeffs),
-    ]
-    for result, coeffs in cases:
-        assert result.ctx is ctx and result.coeffs == LaurentSeries(ctx, coeffs).coeffs
-        assert not any(ctx.is_zero(c) for c in result.coeffs.values())
-
-
 def test_pole_part_of_a_shift_drops_exponent_zero():
     # t^k f has no pole at exponent 0; neither does 1 + t^-1
     assert S("t").pole_part(-1).coeffs == {}
@@ -174,3 +130,109 @@ def test_pole_part_of_a_shift_drops_exponent_zero():
 def test_a_cancelled_sum_stores_no_term():
     assert S("t+2").add(S("-t")).coeffs == {0: (2,)}
     assert S("3t^-2+t").sub(S("3t^-2+t")).coeffs == {}
+
+
+# -- the canonical form against the dict algorithms ---------------------------
+
+# F_5, F_7, F_4, F_9, F_25 and F_64: prime fields, p = 2 and table
+# fields; and F_{5^6} above TABLE_BOUND, where elements multiply as
+# polynomials
+ORACLE_FIELDS = [make_field(p, m) for p, m in ((5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 6), (5, 6))]
+
+
+@st.composite
+def oracle_cases(draw):
+    """(ctx, a, b, scalar, k): a and b dicts that may hold zeros, b
+    cancelling a at some exponents (the leading one among them), a
+    scalar that may be zero and a shift."""
+    ctx = draw(st.sampled_from(ORACLE_FIELDS))
+    elements = st.integers(0, ctx.order - 1).map(ctx.decode)
+    terms = st.dictionaries(st.integers(-10, 10), elements, max_size=6)
+    a = draw(terms)
+    b = draw(terms)
+    live = sorted(e for e, c in a.items() if not ctx.is_zero(c))
+    for e in draw(st.sets(st.sampled_from(live))) if live else ():
+        b[e] = ctx.neg(a[e])
+    return ctx, a, b, draw(elements), draw(st.integers(-12, 12))
+
+
+def _clean(ctx, a):
+    return {e: c for e, c in a.items() if not ctx.is_zero(c)}
+
+
+def assert_is(result, ref):
+    """result is canonical and holds the dict ref."""
+    assert series_dicts.is_canonical(result), (result.v, result.terms)
+    assert series_dicts.as_dict(result) == ref
+
+
+@given(oracle_cases())
+@settings(max_examples=300, deadline=None)
+def test_every_operation_is_canonical_and_matches_the_dicts(case):
+    ctx, a, b, scalar, k = case
+    A, B = LaurentSeries(ctx, a), LaurentSeries(ctx, b)
+    a, b = _clean(ctx, a), _clean(ctx, b)
+    assert_is(A, a)
+    assert A.coeffs == a and A.valuation() == series_dicts.valuation(a) and A.is_zero() == (not a)
+    for result, ref in [
+        (A.add(B), series_dicts.add(ctx, a, b)),
+        (B.add(A), series_dicts.add(ctx, b, a)),
+        (A.add(A.neg()), {}),
+        (A.sub(B), series_dicts.sub(ctx, a, b)),
+        (A.neg(), series_dicts.neg(ctx, a)),
+        (A.smul(scalar), series_dicts.smul(ctx, scalar, a)),
+        (A.mul(B), series_dicts.mul(ctx, a, b)),
+        (A.shift(k), series_dicts.shift(a, k)),
+        (A.pole_part(), series_dicts.pole_part(a)),
+        (A.frob(), series_dicts.frob(ctx, a)),
+        (LaurentSeries.zero(ctx), {}),
+        (LaurentSeries.one(ctx), {0: ctx.one}),
+        (LaurentSeries.monomial(ctx, k, scalar), _clean(ctx, {k: scalar})),
+    ]:
+        assert result.ctx is ctx
+        assert_is(result, ref)
+    # equality and hashing are those of the dicts
+    assert (A == B) == (a == b) == A.same_values(B)
+    twin = LaurentSeries(ctx, dict(reversed(list(a.items()))))
+    assert A == twin and hash(A) == hash(twin)
+    assert A.to_json() == {
+        "lo": series_dicts.valuation(a) or 0,
+        "hi": None,
+        "terms": [[e, list(ctx.coeffs(a[e]))] for e in sorted(a)],
+    }
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_pole_part_cuts_at_every_offset(case):
+    # k runs from keeping every term (k < -v - span) to keeping none
+    # (k >= -v), so both sides of -v and every prefix are met
+    ctx, a, _, _, k = case
+    A = LaurentSeries(ctx, a)
+    a = _clean(ctx, a)
+    if not a:
+        assert all(A.pole_part(j).is_zero() for j in range(k - 3, k + 3))
+        return
+    v, top = min(a), max(a)
+    for j in range(-top - 2, -v + 3):
+        got = A.pole_part(j)
+        assert_is(got, series_dicts.pole_part(a, j))
+        assert got.is_zero() == (j >= -v)
+
+
+@given(oracle_cases(), st.integers(-6, 6))
+@settings(max_examples=150, deadline=None)
+def test_monomial_products_match_the_general_product(case, e):
+    ctx, a, _, scalar, k = case
+    A = LaurentSeries(ctx, a)
+    a = _clean(ctx, a)
+    other = ctx.one if ctx.is_zero(scalar) else scalar
+    for c in (ctx.one, other, ctx.add(ctx.one, ctx.one)):
+        m = LaurentSeries.monomial(ctx, e, c)
+        ref = series_dicts.mul(ctx, {e: c}, a)
+        assert_is(m.mul(A), ref)
+        assert_is(A.mul(m), ref)
+        # the same product through the general path: (m + t^j) A - t^j A
+        tj = LaurentSeries.monomial(ctx, e + 20 + k)
+        assert m.add(tj).mul(A).sub(tj.mul(A)) == m.mul(A)
+    assert LaurentSeries.monomial(ctx, e, ctx.zero).mul(A).is_zero()

@@ -322,11 +322,11 @@ def _describe(obj) -> dict:
 
 
 def _make_objects(args):
-    """Resolve the target module and its filtration from the flags."""
+    """The filtration of the target module and the module's kind."""
     obj = _target(args)
     if not isinstance(obj, ExtensionModule):
-        spec = standard_vfilt(obj)
-    elif obj.split:
+        return standard_vfilt(obj), "crystal"
+    if obj.split:
         spec = split_vfilt(obj)
     elif obj.n == 0:
         raise InvalidInputError("a simple pole gives n = 0, which no filtration rule covers")
@@ -334,7 +334,7 @@ def _make_objects(args):
         spec = mc_depth_grading(obj)
     else:
         spec = mc_vfilt(obj)
-    return obj, spec, _describe(obj)
+    return spec, "extension"
 
 
 def cmd_build(args) -> int:
@@ -344,11 +344,11 @@ def cmd_build(args) -> int:
 
 def cmd_vfilt(args) -> int:
     win = (-args.window, args.window)
-    obj, spec, meta = _make_objects(args)
+    spec, kind = _make_objects(args)
     rep = graded(spec, win)
     checks = check_axioms(spec, win, depth=args.depth, graded_report=rep)
     result = {
-        "kind": meta["kind"],
+        "kind": kind,
         "filtration": spec.to_json(),
         "jumps": [level_json(n, spec.den) for n in spec.ijumps(win)],
         "graded": rep.to_json(spec),
@@ -360,21 +360,21 @@ def cmd_vfilt(args) -> int:
 
 def cmd_graded(args) -> int:
     win = (-args.window, args.window)
-    obj, spec, meta = _make_objects(args)
+    spec, kind = _make_objects(args)
     rep = graded(spec, win)
     ok = rep.all_frobenius_invertible() and rep.all_t_invertible()
-    result = {"kind": meta["kind"], "graded": rep.to_json(spec), "all_invertible": ok}
+    result = {"kind": kind, "graded": rep.to_json(spec), "all_invertible": ok}
     return _emit(args, "graded", result, 0 if ok else 1)
 
 
 def cmd_check(args) -> int:
     win = (-args.window, args.window)
-    obj, spec, meta = _make_objects(args)
+    spec, kind = _make_objects(args)
     if args.shift:
         spec = shifted_filtration(spec, args.shift)
     checks = check_axioms(spec, win, depth=args.depth)
     result = {
-        "kind": meta["kind"],
+        "kind": kind,
         "filtration": spec.to_json(),
         "checks": checks.to_json(),
         "all_pass": checks.all_pass,
@@ -399,7 +399,7 @@ def cmd_compare(args) -> int:
         verdict = compare(standard_vfilt(kc1), standard_vfilt(kc2), win)
         result = {"presentations": [rep.d, de], "compare": verdict}
     else:
-        obj, spec, meta = _make_objects(args)
+        spec, _ = _make_objects(args)
         verdict = compare(spec, shifted_filtration(spec, args.shift), win)
         result = {"shift": args.shift, "compare": verdict}
     return _emit(args, "compare", result, 0 if verdict["verdict"] == "equal" else 1)
@@ -407,11 +407,11 @@ def cmd_compare(args) -> int:
 
 def cmd_pullback(args) -> int:
     win = (-args.window, args.window)
-    obj, spec, meta = _make_objects(args)
+    spec, kind = _make_objects(args)
     pb = pullback_filtration(spec, args.dprime)
     checks = check_specializing(pb, win, depth=args.depth)
     result = {
-        "kind": meta["kind"],
+        "kind": kind,
         "filtration": pb.to_json(),
         "jumps": [level_json(n, pb.den) for n in pb.ijumps(win)],
         "checks": checks.to_json(),
@@ -421,8 +421,8 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_nearby(args) -> int:
-    obj, spec, meta = _make_objects(args)
-    result = {"kind": meta["kind"]}
+    spec, kind = _make_objects(args)
+    result = {"kind": kind}
     if args.full:
         result["nearby"] = nearby_full(spec).to_json()
     else:
@@ -432,9 +432,9 @@ def cmd_nearby(args) -> int:
 
 
 def cmd_vanishing(args) -> int:
-    obj, spec, meta = _make_objects(args)
+    spec, kind = _make_objects(args)
     van = vanishing(spec)
-    result = {"kind": meta["kind"], "vanishing": van.to_json()}
+    result = {"kind": kind, "vanishing": van.to_json()}
     return _emit(args, "vanishing", result, 0 if van.commutes else 1)
 
 

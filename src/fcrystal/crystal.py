@@ -339,12 +339,6 @@ class SolutionReport:
     basis: tuple
     obstruction: object = None
 
-    def to_json(self):
-        out = {"dimension": self.dimension}
-        if self.obstruction is not None:
-            out["obstruction"] = self.obstruction
-        return out
-
 
 def sol_extension(mod: ExtensionModule) -> SolutionReport:
     """F_p-dimension (0 or 1 for nonzero c) of Frobenius-fixed sections.

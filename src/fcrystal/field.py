@@ -477,23 +477,23 @@ class FieldCtx:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
 
-def make_field(p: int, m: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FieldCtx:
+def make_field(p: int, m: int) -> FieldCtx:
     """The field F_{p^m} with its canonical modulus.
 
     Deterministic: the modulus is the first irreducible in the fixed
     enumeration, so two calls anywhere agree coefficient for
     coefficient.  Raises for non-prime p, m < 1, or orders beyond
-    order_bound.  Every call for one (p, m), however it is spelled,
+    DEFAULT_ORDER_BOUND.  Every call for one (p, m), however it is spelled,
     returns the same context, so identity checks on ctx compare fields.
     """
     if not is_prime(p):
         raise InvalidInputError(f"p={p} is not prime")
     if m < 1:
         raise InvalidInputError(f"m={m} must be >= 1")
-    if m >= order_bound.bit_length():  # p^m >= 2^m > order_bound; p^m is not formed
-        raise BoundExceededError(f"field order {p}^{m} exceeds bound {order_bound}")
-    if p**m > order_bound:
-        raise BoundExceededError(f"field order p^m={p**m} exceeds bound {order_bound}")
+    if m >= DEFAULT_ORDER_BOUND.bit_length():  # p^m >= 2^m > the bound; p^m is not formed
+        raise BoundExceededError(f"field order {p}^{m} exceeds bound {DEFAULT_ORDER_BOUND}")
+    if p**m > DEFAULT_ORDER_BOUND:
+        raise BoundExceededError(f"field order p^m={p**m} exceeds bound {DEFAULT_ORDER_BOUND}")
     return _canonical_field(p, m)
 
 
@@ -552,13 +552,6 @@ class SemilinearOperator:
     def apply(self, v):
         ctx = self.ctx
         return linalg.mat_vec(ctx, self.entries, tuple(ctx.frob(x) for x in v))
-
-    def to_json(self):
-        return {
-            "field": self.ctx.to_json(),
-            "entries": [[list(self.ctx.coeffs(x)) for x in row] for row in self.entries],
-            "invertible": self.invertible,
-        }
 
 
 def _flat_rows(ctx: FieldCtx, entries):

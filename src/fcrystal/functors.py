@@ -337,13 +337,11 @@ class UnipotentNearby:
     dim: int
     labels: tuple
     matrix: tuple
-    operator: object  # SemilinearOperator or None when dim == 0
 
     def saturated_dimension(self, cap: int = DEFAULT_SATURATION_CAP) -> int:
         if self.dim == 0:
             return 0
-        sat = saturate_fixed_points(self.ctx, self.operator, cap)
-        return sat.dimension
+        return saturate_fixed_points(self.ctx, self.matrix, cap).dimension
 
     def to_json(self):
         return {
@@ -358,12 +356,11 @@ def nearby_unipotent(spec: FiltrationSpec) -> UnipotentNearby:
     module = spec.module
     basis = spec.ipiece(0)
     if not basis:
-        return UnipotentNearby(module.ctx, 0, (), (), None)
+        return UnipotentNearby(module.ctx, 0, (), ())
     gm = _graded_map(spec, len(basis), [module.apply_F(b) for b in basis], 0)
     if gm.matrix is None:
         raise InvalidInputError("level-0 Frobenius image has no graded class")
-    op = SemilinearOperator(module.ctx, gm.matrix)
-    return UnipotentNearby(module.ctx, len(basis), tuple(spec.ilabels(0)), gm.matrix, op)
+    return UnipotentNearby(module.ctx, len(basis), tuple(spec.ilabels(0)), gm.matrix)
 
 
 def nearby_full(spec: FiltrationSpec) -> CGObject:

@@ -141,7 +141,9 @@ class FiltrationSpec:
                          key (n, k) says the section is basis vector k
                          of the piece at n, and section_label(key)
                          reads its label off ilabels(n);
-      family(window)     (key, level numerator) for the same sections.
+      family(window)     (key, level numerator) for the same sections;
+      t_preimage(y)      a section that t maps to y (SS2 checks it);
+      to_json()          the filtration's JSON for the reports.
 
     jumps, graded_labels and graded_coords take or give rationals; a
     rational off the grid (_num gives None) has a 0 piece.
@@ -151,9 +153,6 @@ class FiltrationSpec:
     den = 1
     default_depth = 0
     ideal_name = "t"
-
-    def t_preimage(self, y):
-        return None
 
     def mul_ideal(self, x, power: int):
         return self.module.mul_t_pow(x, power)
@@ -189,9 +188,6 @@ class FiltrationSpec:
             return [] if lvl is None or lvl > n else None
         cols = self._level_coords([x], n)[1]
         return None if type(cols) is int else list(cols[0])
-
-    def to_json(self):
-        return {"rule": self.rule}
 
 
 # the class-table entry of an exponent with no weight class: a 0 piece
@@ -981,9 +977,6 @@ def check_super(spec: FiltrationSpec, window, graded_report=None, sweep=None) ->
         if lvl == 0:
             continue
         pre = t_preimage(x)
-        if pre is None:
-            ss2_witness = {"section": spec.section_label(key), "reason": "no t-preimage available"}
-            break
         if mul_t(pre) != x:
             ss2_witness = {"section": spec.section_label(key), "reason": "t-preimage does not multiply back"}
             break

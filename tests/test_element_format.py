@@ -15,7 +15,7 @@ import pytest
 from test_acceptance import DETERMINISM_JOBS, _run_job
 
 from fcrystal import cli, field, functors
-from fcrystal.field import DEFAULT_ORDER_BOUND, make_field
+from fcrystal.field import make_field
 from fcrystal.functors import CGObject, functor_G, naturality_check_G
 from fcrystal.samples import random_object
 from object_morphisms import random_object_morphism
@@ -105,8 +105,8 @@ def _int_field(p, m):
     return IntField(make_field(p, m))
 
 
-def int_make_field(p, m, order_bound=DEFAULT_ORDER_BOUND):
-    make_field(p, m, order_bound)  # the same checks and errors
+def int_make_field(p, m):
+    make_field(p, m)  # the same checks and errors
     return _int_field(p, m)
 
 

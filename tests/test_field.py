@@ -50,13 +50,13 @@ def test_make_field_returns_one_context_per_field():
     """Every spelling of one (p, m) gives the same context, so objects
     built over it combine; the size bound is still checked per call."""
     ctx = make_field(5, 2)
-    assert make_field(5, 2, 2**192) is ctx
     assert make_field(p=5, m=2) is ctx
-    assert make_field(5, m=2, order_bound=25) is ctx
-    total = parse_series(ctx, "t").add(parse_series(make_field(5, 2, 2**192), "t"))
+    assert make_field(5, m=2) is ctx
+    total = parse_series(ctx, "t").add(parse_series(make_field(5, 2), "t"))
     assert total == parse_series(make_field(p=5, m=2), "2t")
-    with pytest.raises(BoundExceededError):
-        make_field(5, 2, 24)
+    for p, m in ((2, 193), (3, 122)):  # 2^193 and 3^122 > DEFAULT_ORDER_BOUND = 2^192 > 3^121
+        with pytest.raises(BoundExceededError):
+            make_field(p, m)
     with pytest.raises(InvalidInputError):
         make_field(4, 2)
 

@@ -226,7 +226,7 @@ def test_nearby_full_matches_the_inverted_t_maps_on_big_covers(shape, p, d):
 def test_nearby_unipotent_counts_trivial_part():
     spec = standard_vfilt(build_kummer_crystal(COMP, F25))
     psi = nearby_unipotent(spec)
-    assert psi.dim == 0 and psi.operator is None
+    assert psi.dim == 0 and psi.matrix == () and psi.saturated_dimension() == 0
 
     mixed = direct_sum(CyclicRep.trivial(3, 5, 1), COMP)
     spec2 = standard_vfilt(build_kummer_crystal(mixed, F25))

@@ -2,168 +2,126 @@
 
     python3 tools/stages.py [--workload corpus|jobs] [--seed 1] [--rounds 15] [--calls]
 
-With --workload corpus (the default) the block is the first block of the
-benchmark's `corpus` workload (perfbench/workloads.setup_corpus at the
-seed): 40 Kummer crystals, each graded and checked on [-64, 64).  Each
-round runs every crystal through the stages of one benchmark op, timing
-each stage on its own:
+The tool runs the benchmark's own ops.  A stage is a set of cut points,
+the library bindings in CUTS, wrapped while the tool runs so that a call
+adds its time to the stage (a cut point called inside another counts as
+the outer one's) and restored on exit.  Ops look the library up through
+module objects at call time (perfbench/workloads.py), and check_axioms
+calls _sweep and both checkers as vfilt globals, so the wrappers see it.
 
-  build    build_kummer_crystal and standard_vfilt;
-  graded   graded() on the window;
-  sweep    the spanning sweep the checkers share;
-  A1-A4    check_specializing on that report and sweep;
-  SS1-SS3  check_super on the same.
-
-With --workload jobs the block is the pole `check` and `vfilt` ops of
-the first block of the `jobs` workload (setup_jobs at the seed): the
-split, mc and depth-grading extensions over F_5 and F_7 on [-16, 16).
-Each op is the CLI job cut at the same stages, with two more:
-
-  build              argv parsed as cli.main parses it, the extension
-                     and its filtration (cli._make_objects);
-  shifted_exactness  the exactness report of a `check` job;
-  report             the result dict and its JSON report (cli._emit).
-
-A stage's time is its sum over the block; the JSON gives each stage's
-minimum over the rounds, in ms (round-to-round spread on a shared host
-is large, so compare minima), and the number of levels the block grades.
-With --calls, one more round runs under cProfile, one profiler per
-stage, and the JSON adds each stage's number of function calls over the
-block (the stage's own calls, without the profiler's) and the graded
-stage's calls per graded level; the counts do not depend on the
-machine.  fcrystal is imported from src/ next to this file; the
-standard library is all it needs.  Every crystal must pass all seven
-checks, and every job must print the bytes and exit code that cli.main
-gives it, or the script exits 1.
+--workload corpus (the default) runs the first block of the benchmark's
+`corpus` workload at the seed: 40 Kummer crystals graded and checked on
+[-64, 64), cut at the first five stages.  --workload jobs runs the pole
+`check` and `vfilt` ops of the first `jobs` block (cli.main on split, mc
+and depth-grading extensions over F_5 and F_7 on [-16, 16)), cut at all
+seven.  Each round times op.run() for every op and nothing else.  A
+stage's time is its sum over the block; other_ms is the ops' time
+outside every stage (for a job: argv parsing, the result dict).  The
+JSON gives each minimum over the rounds, in ms (round-to-round spread on
+a shared host is large, so compare minima).  Untimed, each result goes
+through op.check, the benchmark's exact check: `all_pass` (corpus) and
+`reproduced` (jobs) hold when every op passed it in every round with the
+same output digest each time; else the script exits 1.  --calls adds a
+round with one cProfile profiler per stage, enabled inside its calls,
+and prints each stage's function calls over the block and the graded
+stage's calls per level; the counts do not depend on the machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import io
 import json
 import platform
 import sys
-from contextlib import nullcontext, redirect_stdout
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import fcrystal  # noqa: E402
 import fcrystal.samples  # noqa: E402,F401  (setup_corpus reads fc.samples)
-from fcrystal import cli  # noqa: E402
-from fcrystal.vfilt import EXACTNESS_RULES, _sweep  # noqa: E402
-from workloads import POLE_WINDOW, CrystalOp, setup_corpus, setup_jobs  # noqa: E402
+from fcrystal import cli, vfilt  # noqa: E402
+from fcrystal.vfilt import AxiomReport, GradedReport  # noqa: E402
+from workloads import POLE_WINDOW, setup_corpus, setup_jobs  # noqa: E402
 
-STAGES = ("build", "graded", "sweep", "A1-A4", "SS1-SS3")
-JOB_STAGES = STAGES + ("shifted_exactness", "report")
+# stage -> the (owner, attribute) bindings it times
+CUTS = {
+    "build": ((fcrystal, "build_kummer_crystal"), (fcrystal, "standard_vfilt"), (cli, "_make_objects")),
+    "graded": ((fcrystal, "graded"), (cli, "graded"), (vfilt, "graded")),
+    "sweep": ((vfilt, "_sweep"),),
+    "A1-A4": ((vfilt, "check_specializing"),),
+    "SS1-SS3": ((vfilt, "check_super"),),
+    "shifted_exactness": ((cli, "shifted_exactness"),),
+    "report": ((cli, "_emit"), (GradedReport, "to_json"), (AxiomReport, "to_json")),
+}
+JOB_STAGES = tuple(CUTS)
+STAGES = JOB_STAGES[:5]
 NO_PROFILE = nullcontext()
 
 
-def run_op(op, window):
-    """One benchmark op, paused after each stage; the graded stage yields
-    its number of levels and the last stage whether all seven checks
-    passed."""
-    spec = fcrystal.standard_vfilt(fcrystal.build_kummer_crystal(op.rep, op.ctx))
-    yield
-    report = fcrystal.graded(spec, window)
-    yield len(report.levels)
-    sweep = _sweep(spec, window)
-    yield
-    spec_checks = fcrystal.check_specializing(spec, window, None, report, sweep)
-    yield
-    super_checks = fcrystal.check_super(spec, window, report, sweep)
-    yield spec_checks.all_pass and super_checks.all_pass
+@contextmanager
+def cut_points(stages):
+    """Every cut point of the stages wrapped, and restored on exit; yields the
+    tally: each stage's seconds, the levels graded, each stage's profiler."""
+    tally = SimpleNamespace(seconds=dict.fromkeys(stages, 0.0), levels=0, profiles={}, running=False)
 
-
-def job_args(argv):
-    """argv parsed as cli.main parses it: a flag of the command left out
-    takes its default."""
-    args = cli._parser().parse_args(argv)
-    for flag, settings in cli._FLAGS.items():
-        if getattr(args, flag[2:], 0) is None:
-            setattr(args, flag[2:], settings.get("default"))
-    return args
-
-
-def run_job(op, window):
-    """One pole `check` or `vfilt` job on its window (the one its argv
-    names), cut as run_op cuts a crystal op; the last stage yields
-    (exit code, stdout) as cli.main would give them."""
-    args = job_args(op.argv)
-    _, spec, meta = cli._make_objects(args)  # no pole job takes --shift
-    yield
-    report = fcrystal.graded(spec, window)
-    yield len(report.levels)
-    sweep = _sweep(spec, window)
-    yield
-    spec_checks = fcrystal.check_specializing(spec, window, args.depth, report, sweep)
-    yield
-    checks = spec_checks.merge(fcrystal.check_super(spec, window, report, sweep))
-    yield
-    check_job = args.command == "check"
-    exactness = fcrystal.shifted_exactness(spec, window) if check_job and spec.rule in EXACTNESS_RULES else None
-    yield
-    result = {"kind": meta["kind"], "filtration": spec.to_json()}
-    if not check_job:
-        result["jumps"] = [fcrystal.level_json(n, spec.den) for n in spec.ijumps(window)]
-        result["graded"] = report.to_json(spec)
-    result.update(checks=checks.to_json(), all_pass=checks.all_pass)
-    if exactness is not None:
-        result["exactness"] = exactness
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli._emit(args, args.command, result, 0 if checks.all_pass else 1)
-    yield code, out.getvalue()
-
-
-def one_round(block, window, profiles=None, stages=STAGES, run=run_op):
-    """Each stage's time over the block, in seconds, the number of graded
-    levels, and each op's last yield: for a crystal whether its checks
-    passed, for a job its (exit code, stdout).  profiles, when given,
-    maps each stage to the cProfile.Profile that runs during it."""
-    profiles = profiles or {}
-    total = dict.fromkeys(stages, 0.0)
-    levels = 0
-    lasts = []
-    for op in block:
-        steps = run(op, window)
-        for stage in stages:
-            t0 = perf_counter()
-            with profiles.get(stage, NO_PROFILE):
-                got = next(steps)
-            total[stage] += perf_counter() - t0
+    def wrap(stage, fn):
+        def timed(*args, **kwargs):
+            if tally.running:  # inside another cut point's call
+                return fn(*args, **kwargs)
+            tally.running, t0 = True, perf_counter()
+            try:
+                with tally.profiles.get(stage, NO_PROFILE):
+                    out = fn(*args, **kwargs)
+            finally:
+                tally.seconds[stage] += perf_counter() - t0
+                tally.running = False
             if stage == "graded":
-                levels += got
-        lasts.append(got)
-    return total, levels, lasts
+                tally.levels += len(out.levels)
+            return out
+        return timed
+
+    saved = []
+    try:
+        for stage in stages:
+            for owner, name in CUTS[stage]:
+                saved.append((owner, name, getattr(owner, name)))
+                setattr(owner, name, wrap(stage, saved[-1][2]))
+        yield tally
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
+def one_round(block, tally, digests):
+    """Run each op once, timing only op.run(); return the seconds outside
+    every stage and whether each op passed its check with its first digest."""
+    tally.seconds = dict.fromkeys(tally.seconds, 0.0)
+    tally.levels = 0
+    ran, ok = 0.0, True
+    for i, op in enumerate(block):
+        t0 = perf_counter()
+        result = op.run()
+        ran += perf_counter() - t0
+        passed, digest = op.check(result)
+        ok = ok and passed and digests.setdefault(i, digest) == digest
+    return ran - sum(tally.seconds.values()), ok
 
 
 def stage_calls(profile):
-    """The function calls a profiled stage made: every call cProfile
-    recorded but the op's own resumptions and the profiler's exit.  The
-    raw entries are read, one per code object: pstats keys them on
-    (file, line, name), under which every dataclass __init__ is one
-    entry that keeps only one class's count."""
-    calls = 0
-    for entry in profile.getstats():
-        code = entry.code  # a code object, or a builtin's name
-        if isinstance(code, str):
-            skip = "_lsprof.Profiler" in code
-        else:
-            skip = code in (run_op.__code__, run_job.__code__) or code.co_filename == cProfile.__file__
-        if not skip:
-            calls += entry.callcount
-    return calls
-
-
-def pole_jobs(seed):
-    """The pole `check` and `vfilt` ops of the first `jobs` block."""
-    block = setup_jobs(fcrystal, seed).blocks[0]
-    return [op for op in block if op.name.startswith("pole_") and op.name.endswith(("_check", "_vfilt"))]
+    """The calls cProfile recorded in a stage, less the tool's and the
+    profiler's own.  Raw entries, one per code object: pstats keys on (file,
+    line, name), which merges every dataclass __init__ into one count."""
+    own = (__file__, cProfile.__file__)
+    return sum(
+        entry.callcount
+        for entry in profile.getstats()  # entry.code: a code object, or a builtin's name
+        if not ("_lsprof.Profiler" in entry.code if isinstance(entry.code, str) else entry.code.co_filename in own)
+    )
 
 
 def main(argv=None) -> int:
@@ -177,21 +135,25 @@ def main(argv=None) -> int:
         parser.error("--rounds must be >= 1")
     if args.workload == "corpus":
         block = setup_corpus(fcrystal, args.seed).blocks[0]
-        window, stages, run = CrystalOp.WINDOW, STAGES, run_op
-        expected = [True] * len(block)  # every crystal passes its checks
-        size, verdict = "crystals", "all_pass"
+        window, stages, size, verdict = block[0].WINDOW, STAGES, "crystals", "all_pass"
     else:
-        block = pole_jobs(args.seed)
-        window, stages, run = (-POLE_WINDOW, POLE_WINDOW), JOB_STAGES, run_job
-        expected = [op.run() for op in block]  # cli.main's (exit code, stdout)
-        size, verdict = "ops", "reproduced"
-    best = dict.fromkeys(stages, float("inf"))
-    all_ok = True
-    for _ in range(args.rounds):
-        total, levels, lasts = one_round(block, window, None, stages, run)
-        all_ok = all_ok and lasts == expected
-        for stage in stages:
-            best[stage] = min(best[stage], total[stage])
+        block = [
+            op for op in setup_jobs(fcrystal, args.seed).blocks[0]
+            if op.name.startswith("pole_") and op.name.endswith(("_check", "_vfilt"))
+        ]
+        window, stages, size, verdict = (-POLE_WINDOW, POLE_WINDOW), JOB_STAGES, "ops", "reproduced"
+    best = dict.fromkeys(stages + ("other",), float("inf"))
+    digests, all_ok = {}, True
+    with cut_points(stages) as tally:
+        for _ in range(args.rounds):
+            other, ok = one_round(block, tally, digests)
+            all_ok = all_ok and ok
+            for stage, seconds in [*tally.seconds.items(), ("other", other)]:
+                best[stage] = min(best[stage], seconds)
+        levels = tally.levels
+        if args.calls:
+            tally.profiles = {stage: cProfile.Profile() for stage in stages}
+            all_ok = one_round(block, tally, digests)[1] and all_ok
     out = {
         "workload": args.workload,
         "seed": args.seed,
@@ -202,13 +164,11 @@ def main(argv=None) -> int:
         verdict: all_ok,
         "graded_levels": levels,
         "stages_ms": {stage: round(best[stage] * 1e3, 1) for stage in stages},
-        "sum_of_minima_ms": round(sum(best.values()) * 1e3, 1),
+        "sum_of_minima_ms": round(sum(best[stage] for stage in stages) * 1e3, 1),
+        "other_ms": round(best["other"] * 1e3, 1),
     }
     if args.calls:
-        profiles = {stage: cProfile.Profile() for stage in stages}
-        _, _, lasts = one_round(block, window, profiles, stages, run)
-        out[verdict] = all_ok = all_ok and lasts == expected
-        out["calls"] = {stage: stage_calls(profiles[stage]) for stage in stages}
+        out["calls"] = {stage: stage_calls(tally.profiles[stage]) for stage in stages}
         out["calls_sum"] = sum(out["calls"].values())
         out["graded_calls_per_level"] = round(out["calls"]["graded"] / levels, 1)
     print(json.dumps(out, indent=2))

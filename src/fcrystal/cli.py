@@ -54,13 +54,11 @@ from .vfilt import (
     check_axioms,
     check_specializing,
     compare,
+    extension_vfilt,
     graded,
-    mc_depth_grading,
-    mc_vfilt,
     pullback_filtration,
     shifted_exactness,
     shifted_filtration,
-    split_vfilt,
     standard_vfilt,
 )
 
@@ -326,15 +324,7 @@ def _make_objects(args):
     obj = _target(args)
     if not isinstance(obj, ExtensionModule):
         return standard_vfilt(obj), "crystal"
-    if obj.split:
-        spec = split_vfilt(obj)
-    elif obj.n == 0:
-        raise InvalidInputError("a simple pole gives n = 0, which no filtration rule covers")
-    elif obj.n % args.p == 0:
-        spec = mc_depth_grading(obj)
-    else:
-        spec = mc_vfilt(obj)
-    return spec, "extension"
+    return extension_vfilt(obj), "extension"
 
 
 def cmd_build(args) -> int:

@@ -109,7 +109,7 @@ class LaurentSeries:
         self._check(other)
         ctx = self.ctx
         if not (self.terms and other.terms):
-            return _series(ctx, None, ())
+            return other if self.terms else self
         mono, rest = (self, other) if len(self.terms) == 1 else (other, self)
         if len(mono.terms) == 1:  # c t^v times rest: rest's terms scaled by c
             c = mono.terms[0][1]
@@ -132,7 +132,9 @@ class LaurentSeries:
         exponent after the shift, the class in F((t))/F[[t]].  The shifted
         series itself is never built."""
         terms = self.terms
-        if not terms or self.v + k >= 0:
+        if not terms:
+            return self
+        if self.v + k >= 0:
             return _series(self.ctx, None, ())
         cut = -self.v - k  # the offsets below it stay
         if terms[-1][0] >= cut:

@@ -141,7 +141,6 @@ class FiltrationSpec:
                          key (n, k) says the section is basis vector k
                          of the piece at n, and section_label(key)
                          reads its label off ilabels(n);
-      family(window)     (key, level numerator) for the same sections;
       t_preimage(y)      a section that t maps to y (SS2 checks it);
       to_json()          the filtration's JSON for the reports.
 
@@ -273,7 +272,7 @@ class KummerVFilt(FiltrationSpec):
                     yield (e, i), self.module.monomial(a, i, e)
 
     def family(self, window):
-        # keyed by the reduced level: presentations over d and d*e agree
+        # for compare: keyed by the reduced level, presentations over d and d*e agree
         for (e, i), _ in self.spanning(window):
             g = gcd(e, self.d)
             yield ("w", e // g, self.d // g, i), e
@@ -293,13 +292,14 @@ class KummerVFilt(FiltrationSpec):
         }
 
 
-# rule -> (label of the series generator at exponent i, its family key,
-# whether the depth rewrite applies); the delta rule has no series part
+# rule -> (label of the series generator x_i, whether there are any,
+# (shift numerator, depth l) from the twist's n at p, the JSON keys beside
+# the rule); ExtensionVFilt.h holds h's monomials: t^(-l), none for l None
 _EXTENSION_RULES = {
-    "extension": ("t^{}", "f", False),
-    "split": ("t^{}", "f", False),
-    "depth-grading": ("x_{}", "x", True),
-    "delta": (None, None, False),
+    "extension": ("t^{}", True, lambda n, p: (n, None), ("n", "series_levels", "delta_levels", "shift")),
+    "split": ("t^{}", True, lambda n, p: (0, None), ("shift",)),
+    "depth-grading": ("x_{}", True, lambda n, p: (n // p, n // p), ("n", "l", "shift")),
+    "delta": (None, False, lambda n, p: (0, None), ()),
 }
 
 # the rules whose delta part and series quotient shifted_exactness reads
@@ -312,16 +312,14 @@ class ExtensionVFilt(FiltrationSpec):
     Levels lie on (1/p)Z, so den = p.  The series generator at exponent
     i sits at i - shift, with numerator i*p - shift_num, and the delta
     generator e_m = [t^(-m)] at -m, so a delta part g sits at v_t(g).
-    The rules differ only in the shift and in what the series generator
-    is:
+    Every rule reads a section through one rewrite by a polar h, as
+    (f, g) = sum f_i x_i + (0, g + [h f]) with x_i = (t^i, -[t^i h]);
+    its row of _EXTENSION_RULES gives the rest:
 
-      extension      non-split, p not dividing n: shift n/p, t^i;
-      split          the split extension: shift 0, t^i;
-      depth-grading  n = l*p: shift l/p, x_i = (t^i, -[t^(i-l)]);
-                     sections are read through the rewrite
-                     (f, g) = sum f_i x_i + (0, g') with
-                     g' = g + sum_(i<l) f_i e_(l-i) = g + [t^(-l) f];
-      delta          the delta module (0, g) alone: no series part.
+      extension      non-split, p not dividing n: shift n/p, h = 0, t^i;
+      split          the split extension: shift 0, h = 0, t^i;
+      depth-grading  n = l*p: shift l/p, h = t^(-l), x_i;
+      delta          the delta module (0, g) alone: an empty series range.
     """
 
     def __init__(self, mod: ExtensionModule, rule: str):
@@ -329,28 +327,27 @@ class ExtensionVFilt(FiltrationSpec):
             raise InvalidInputError(f"unknown extension filtration rule {rule!r}")
         self.rule = rule
         self.module = mod
-        self.series_label, self.series_key, self.rewrite = _EXTENSION_RULES[rule]
-        p = self.den = mod.ctx.p
-        self.l = mod.n // p if self.rewrite else None
-        # the shift's numerator: n, l, or 0 for split and delta
-        self.shift_num = mod.n if rule == "extension" else self.l or 0
+        self.series_label, self.has_series, depth, self._json_keys = _EXTENSION_RULES[rule]
+        self.den = mod.ctx.p
+        self.shift_num, self.l = depth(mod.n, self.den)
+        self.h = () if self.l is None else (LaurentSeries.monomial(mod.ctx, -self.l),)
 
     def x_section(self, i: int):
-        """The series generator at exponent i."""
-        ctx = self.module.ctx
-        if self.rewrite and i < self.l:
-            return (LaurentSeries.monomial(ctx, i), LaurentSeries.monomial(ctx, i - self.l, ctx.neg(ctx.one)))
-        return self.module.f_monomial(i)
+        """The series generator at exponent i: (t^i, -[t^i h])."""
+        f, g = self._rewrite(self.module.f_monomial(i))
+        return f, g.neg()
 
     def _rewrite(self, x):
-        """(f, g'): x in the series generators plus a delta remainder."""
-        if not self.rewrite:
-            return x
+        """(f, g + [h f]): x in the series generators plus a delta remainder."""
         f, g = x
-        return f, g.add(f.pole_part(-self.l))
+        for term in self.h:
+            g = g.add(f.mul(term).pole_part())
+        return f, g
 
     def _exponents(self, window):
         """The series exponents i whose level i - shift lies in the window."""
+        if not self.has_series:
+            return range(0)
         lo, hi = window
         c = -(-self.shift_num // self.den)  # ceil(shift)
         return range(lo + c, hi + c)
@@ -359,7 +356,7 @@ class ExtensionVFilt(FiltrationSpec):
         """(series exponent or None, delta index or None) at numerator n."""
         p = self.den
         i, rem = divmod(n + self.shift_num, p)
-        series = i if self.series_label and not rem else None
+        series = i if self.has_series and not rem else None
         delta = -n // p if n % p == 0 and n <= -p else None
         return series, delta
 
@@ -369,8 +366,7 @@ class ExtensionVFilt(FiltrationSpec):
     def _rewritten_level(self, f, g):
         """The level numerator of the rewritten section (f, g')."""
         p = self.den
-        v = f.valuation() if self.series_label else None
-        w = g.valuation()
+        v, w = f.v, g.v
         if v is None:
             return None if w is None else w * p
         n = v * p - self.shift_num
@@ -380,8 +376,7 @@ class ExtensionVFilt(FiltrationSpec):
         lo, hi = window
         p = self.den
         out = set(range(lo * p, min(hi, 0) * p, p))
-        if self.series_label:
-            out.update(i * p - self.shift_num for i in self._exponents(window))
+        out.update(i * p - self.shift_num for i in self._exponents(window))
         return sorted(out)
 
     def idim(self, n) -> int:
@@ -428,34 +423,24 @@ class ExtensionVFilt(FiltrationSpec):
         # the series generator leads its piece and e_m closes its own
         lo, hi = window
         p = self.den
-        if self.series_label:
-            for i in self._exponents(window):
-                yield (i * p - self.shift_num, 0), self.x_section(i)
+        for i in self._exponents(window):
+            yield (i * p - self.shift_num, 0), self.x_section(i)
         for mneg in range(lo, min(hi, 0)):
             yield (mneg * p, self.idim(mneg * p) - 1), self.module.delta_monomial(-mneg)
-
-    def family(self, window):
-        lo, hi = window
-        p = self.den
-        if self.series_label:
-            for i in self._exponents(window):
-                yield (self.series_key, i), i * p - self.shift_num
-        for mneg in range(lo, min(hi, 0)):
-            yield ("dl", -mneg), mneg * p
 
     def t_preimage(self, y):
         f, g = y
         return (f.shift(-1), g.shift(-1))
 
     def to_json(self):
-        out = {"rule": self.rule}
-        if self.rule == "extension":
-            out.update(n=self.module.n, series_levels="Z - n/p", delta_levels="Z_{<=-1}")
-        elif self.rewrite:
-            out.update(n=self.module.n, l=self.l)
-        if self.series_label:
-            out["shift"] = level_json(-self.shift_num, self.den)
-        return out
+        values = {
+            "n": self.module.n,
+            "l": self.l,
+            "shift": level_json(-self.shift_num, self.den),
+            "series_levels": "Z - n/p",
+            "delta_levels": "Z_{<=-1}",
+        }
+        return {"rule": self.rule, **{key: values[key] for key in self._json_keys}}
 
 
 class _Reindexed(FiltrationSpec):
@@ -517,10 +502,6 @@ class _Reindexed(FiltrationSpec):
     def spanning(self, window):
         return self.base.spanning(self._base_window(window))
 
-    def family(self, window):
-        for key, n in self.base.family(self._base_window(window)):
-            yield (key if self.dprime is None else ("pb", self.dprime, key)), n - self._step
-
     def t_preimage(self, y):
         return self.base.t_preimage(y)
 
@@ -554,39 +535,49 @@ def standard_vfilt(kc: KummerCrystal) -> KummerVFilt:
     return KummerVFilt(kc)
 
 
+def extension_vfilt(mod: ExtensionModule) -> ExtensionVFilt:
+    """The filtration of an extension by its twist: split, p not dividing
+    n, or n = l*p with l prime to p; n = 0 and p | l are refused."""
+    p = mod.ctx.p
+    if mod.split:
+        rule = "split"
+    elif mod.n == 0:
+        raise InvalidInputError("a simple pole gives n = 0, which no filtration rule covers")
+    elif mod.n % p:
+        rule = "extension"
+    elif (mod.n // p) % p:
+        rule = "depth-grading"
+    else:
+        raise InvalidInputError(f"l = n/p = {mod.n // p} must be prime to p")
+    return ExtensionVFilt(mod, rule)
+
+
+def _rule_vfilt(mod: ExtensionModule, rule: str) -> ExtensionVFilt:
+    """extension_vfilt(mod), refused unless the twist takes the rule."""
+    spec = extension_vfilt(mod)
+    if spec.rule != rule:
+        raise InvalidInputError(f"the twist takes the {spec.rule} rule, not {rule}")
+    return spec
+
+
 def mc_vfilt(mod: ExtensionModule) -> ExtensionVFilt:
     """The canonical filtration of a non-split extension, p not dividing n."""
-    if mod.split:
-        raise InvalidInputError("split extension: use split_vfilt")
-    if mod.n % mod.ctx.p == 0:
-        raise InvalidInputError(
-            f"n={mod.n} is divisible by p={mod.ctx.p}: use mc_depth_grading"
-        )
-    return ExtensionVFilt(mod, "extension")
+    return _rule_vfilt(mod, "extension")
 
 
 def split_vfilt(mod: ExtensionModule) -> ExtensionVFilt:
     """Direct-sum filtration of the split extension: integer levels."""
-    if not mod.split:
-        raise InvalidInputError("direct-sum filtration needs the split extension")
-    return ExtensionVFilt(mod, "split")
+    return _rule_vfilt(mod, "split")
+
+
+def mc_depth_grading(mod: ExtensionModule) -> ExtensionVFilt:
+    """The grading for n = l*p with l >= 1 prime to p."""
+    return _rule_vfilt(mod, "depth-grading")
 
 
 def delta_vfilt(ctx) -> ExtensionVFilt:
     """The delta module with V^i spanned by the e_m, m <= -i."""
     return ExtensionVFilt(build_extension(ctx, LaurentSeries.zero(ctx)), "delta")
-
-
-def mc_depth_grading(mod: ExtensionModule) -> ExtensionVFilt:
-    """The grading for n = l*p with l >= 1 prime to p."""
-    if mod.split:
-        raise InvalidInputError("split extension has no depth grading")
-    p = mod.ctx.p
-    if mod.n % p != 0 or mod.n == 0:
-        raise InvalidInputError(f"depth grading needs n = l*p, got n={mod.n}")
-    if (mod.n // p) % p == 0:
-        raise InvalidInputError(f"l = n/p = {mod.n // p} must be prime to p")
-    return ExtensionVFilt(mod, "depth-grading")
 
 
 def shifted_filtration(spec: FiltrationSpec, offset: int) -> FiltrationSpec:
@@ -1022,15 +1013,12 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
 
     "equal": identical level functions; "contained": the first sits
     inside the second (levels never larger); "reverse-contained": the
-    opposite; "incomparable": neither, with a witness.  Level numerators
-    over different grids are compared cross-multiplied, over
-    den1 * den2.
+    opposite; "incomparable": neither, with a witness.  Specs on two
+    modules are incomparable unless both are Kummer presentations (d and
+    d*e), compared by family key.  Levels are compared cross-multiplied.
     """
     den1, den2 = spec1.den, spec2.den
-    concrete = (
-        getattr(spec1.module, "kind", None) is not None
-        and spec1.module.kind == spec2.module.kind
-    )
+    concrete = spec1.module.kind == spec2.module.kind
     pairs = []  # (namer, key, level 1, level 2): namer(key) is the section's name
     if concrete:
         for spec in (spec1, spec2):
@@ -1044,7 +1032,7 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
                         "witness": {"section": spec.section_label(key), "reason": "finite level on one side only"},
                     }
                 pairs.append((spec.section_label, key, l1 * den2, l2 * den1))
-    else:
+    elif isinstance(spec1, KummerVFilt) and isinstance(spec2, KummerVFilt):
         fam1 = dict(spec1.family(window))
         fam2 = dict(spec2.family(window))
         if set(fam1) != set(fam2):
@@ -1054,6 +1042,8 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
                 "witness": {"reason": "spanning families differ", "keys": diff},
             }
         pairs = [(str, k, fam1[k] * den2, fam2[k] * den1) for k in fam1]
+    else:
+        return {"verdict": "incomparable", "witness": {"reason": "the filtrations are on different modules"}}
 
     le = all(l1 <= l2 for _, _, l1, l2 in pairs)
     ge = all(l1 >= l2 for _, _, l1, l2 in pairs)

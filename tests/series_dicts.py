@@ -112,7 +112,7 @@ def t_preimage(x):
 
 def level_coords(spec, images, n):
     """ExtensionVFilt._level_coords(images, n) from dicts: each image is
-    rewritten as g + [t^(-l) f] where the rule rewrites, its level read
+    rewritten as g + [t^(-l) f] where the rule has a depth l, its level read
     off the two valuations, and its coordinates at level n read at the
     series exponent and the delta index of n."""
     ctx, p = spec.module.ctx, spec.den
@@ -121,7 +121,7 @@ def level_coords(spec, images, n):
     cols = []
     for k, y in enumerate(images):
         f, g = section_dicts(y)
-        if spec.rewrite:
+        if spec.l is not None:
             g = add(ctx, g, pole_part(f, -spec.l))
         levels = [] if valuation(g) is None else [valuation(g) * p]
         if spec.series_label and f:

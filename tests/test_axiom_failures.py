@@ -4,7 +4,11 @@ Each mutant breaks one section operation (a t-power, Frobenius, t, the
 t-preimage or the spanning family) and leaves the level function alone.
 The checker that reads the broken operation must then fail, with a
 witness whose levels are exact {"num", "den"} pairs, so a wrong level
-comparison inside a checker cannot pass vacuously.
+comparison inside a checker cannot pass vacuously.  The same goes for
+the two reports that judge a spec beyond the axioms: shifted_exactness
+names the delta index or series exponent whose level moved, and
+vanishing notes a graded image with no class or a square that does not
+commute.
 """
 
 from fcrystal import (
@@ -17,7 +21,10 @@ from fcrystal import (
     check_axioms,
     check_specializing,
     make_field,
+    mc_vfilt,
     parse_series,
+    shifted_exactness,
+    vanishing,
 )
 from fcrystal.vfilt import KummerSections
 from kummer_dicts import as_dict, from_dict
@@ -122,6 +129,22 @@ class ShallowIdeal(ExtensionModule):
 
     def mul_t_pow(self, sec, k):
         return super().mul_t_pow(sec, k - 1)
+
+
+class DeltaDeeper(ExtensionVFilt):
+    """The delta sections (0, g) one level deeper; the rest as it was."""
+
+    def ilevel(self, x):
+        n = super().ilevel(x)
+        return n if n is None or x[0].v is not None else n + self.den
+
+
+class SeriesDeeper(ExtensionVFilt):
+    """The sections with a series part one level deeper."""
+
+    def ilevel(self, x):
+        n = super().ilevel(x)
+        return n if n is None or x[0].v is None else n + self.den
 
 
 def kummer(rep, sections=KummerSections, spec_cls=KummerVFilt):
@@ -330,3 +353,38 @@ def test_extension_a1_a2_fail_on_the_one_over_p_grid():
         "ideal_power": 1,
     }
     assert report.checks["A3"].status == "pass"
+
+
+def test_shifted_exactness_names_the_moved_delta_generator():
+    # c = t^-2 over F_5: e_1 reads level 0 instead of -1
+    mod = build_extension(F5, parse_series(F5, "t^-2"))
+    assert shifted_exactness(mc_vfilt(mod), (-3, 3))["exact"]
+    out = shifted_exactness(DeltaDeeper(mod, "extension"), (-3, 3))
+    assert (out["sub_matches_delta"], out["quotient_matches_shifted_integers"], out["exact"]) == (False, True, False)
+    assert out["witness"] == {"delta": 1, "level": lvl(0, 1)}
+    assert out["levels_checked"] == 6
+
+
+def test_shifted_exactness_names_the_moved_series_exponent():
+    # t^-2 sits at -11/5; its best lift reads -6/5
+    mod = build_extension(F5, parse_series(F5, "t^-2"))
+    out = shifted_exactness(SeriesDeeper(mod, "extension"), (-3, 3))
+    assert (out["sub_matches_delta"], out["quotient_matches_shifted_integers"], out["exact"]) == (True, False, False)
+    assert out["witness"] == {"series_exp": -2, "level": lvl(-6, 5)}
+    assert out["levels_checked"] == 0
+
+
+def test_vanishing_notes_a_graded_image_with_no_class():
+    # t^5 sends u0.0*s^-15 to s^-1, shallower than the target level 0
+    van = vanishing(kummer(CyclicRep.regular(3, 5), ShortTPower))
+    assert not van.commutes
+    assert van.note == "a graded image failed to land in its target piece"
+    assert van.t_target is None and van.f_matrix is not None and van.t_source is not None
+
+
+def test_vanishing_notes_a_square_that_does_not_commute():
+    # t sends u0.0*s^-3 to s^1, deeper than level 0: a zero t-map on Gr^-1
+    van = vanishing(kummer(CyclicRep.regular(3, 5), LongT))
+    assert not van.commutes
+    assert van.note == "(t^p) after F differs from F after t"
+    assert van.t_source == ((F25.zero,),)

@@ -1,5 +1,7 @@
 """Representations, weight decomposition, crystals, extensions."""
 
+from itertools import product
+
 import pytest
 
 from fcrystal import (
@@ -194,6 +196,47 @@ def test_solutions_across_primes():
     F7 = make_field(7, 1)
     assert sol_extension(build_extension(F7, parse_series(F7, "t^-3"))).dimension == 0
     assert sol_extension(build_extension(F7, LaurentSeries.zero(F7))).dimension == 1
+
+
+def _brute_fixed_sections(mod):
+    """Every Frobenius-fixed section (lambda, g), by search: lambda in F_p
+    and g a polar part with support m <= bound // p, where bound is the
+    pole order of [t c].  A fixed section has g = [lambda t c] + g^p, so
+    at its top index M the coefficient of e_(pM) reads
+    0 = lambda [t c]_(pM) + g_M^p, and pM <= bound: the search misses
+    no finite solution.  Each candidate is checked with mod.apply_F."""
+    ctx = mod.ctx
+    bound = -(mod.c.shift(1).pole_part().valuation() or 0)
+    support = range(1, bound // ctx.p + 1)
+    found = []
+    for lam in range(ctx.p):
+        f = LaurentSeries.monomial(ctx, 0, ctx.from_int(lam))
+        for coeffs in product(list(ctx.elements()), repeat=len(support)):
+            x = (f, LaurentSeries(ctx, {-m: c for m, c in zip(support, coeffs)}))
+            if mod.apply_F(x) == x:
+                found.append(x)
+    return found
+
+
+@pytest.mark.parametrize(
+    "p, twist, dimension, obstruction",
+    [
+        (2, "t^-3+t^-2", 1, None),  # [t c] = e_2 + e_1: g = e_1, its chain step cancels e_2
+        (3, "t^-4+2t^-2", 1, None),  # [t c] = e_3 + 2 e_1: g = 2 e_1
+        (5, "t^-11+t^-3", 0, [[10, [2]]]),  # e_10 + e_2: the chain of e_2 adds to e_10
+    ],
+)
+def test_solution_chains_match_a_brute_force_search(p, twist, dimension, obstruction):
+    """sol_extension's ascending recursion carries each value up its
+    p-adic chain m, p*m, ...; these twists put a pole term on the chain
+    of another, so the p-power step decides the answer."""
+    ctx = make_field(p, 1)
+    mod = build_extension(ctx, parse_series(ctx, twist))
+    rep = sol_extension(mod)
+    fixed = _brute_fixed_sections(mod)
+    assert (rep.dimension, rep.obstruction) == (dimension, obstruction)
+    assert len(fixed) == p**dimension
+    assert all(x in fixed for x in rep.basis)
 
 
 def test_rep_rejects_d_not_dividing_any_power():

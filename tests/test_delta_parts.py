@@ -109,8 +109,9 @@ def _ref_mul_t_pow(mod, x, k):
 
 
 def _ref_rewrite(spec, x):
-    """g' = g + sum_(i<l) f_i e_(l-i), term by term."""
-    if not spec.rewrite:
+    """g' = g + sum_(i<l) f_i e_(l-i), term by term; g itself without a
+    depth l."""
+    if spec.l is None:
         return x
     ctx, (f, g) = spec.module.ctx, x
     extra = {}
@@ -146,7 +147,7 @@ def test_series_generators_have_polar_delta_parts(spec):
     for i in range(-8, 9):
         f, g = spec.x_section(i)
         assert f == LaurentSeries.monomial(ctx, i) and _polar(g)
-        if spec.rewrite and i < spec.l:
+        if spec.l is not None and i < spec.l:
             # x_i = (t^i, -e_(l-i)), which the rewrite reads as (t^i, 0)
             assert _ms(g) == {spec.l - i: ctx.neg(ctx.one)}
             assert spec._rewrite((f, g))[1].is_zero()

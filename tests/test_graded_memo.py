@@ -28,15 +28,13 @@ from fcrystal import (
     build_kummer_crystal,
     check_specializing,
     delta_vfilt,
+    extension_vfilt,
     graded,
     linalg,
     make_field,
-    mc_depth_grading,
-    mc_vfilt,
     parse_series,
     pullback_filtration,
     shifted_filtration,
-    split_vfilt,
     standard_vfilt,
 )
 from fcrystal.cli import resolve_m
@@ -177,20 +175,15 @@ def test_acceptance_crystals_match_the_oracle(pair):
 
 
 def _extension_specs():
-    """The extension-family jobs' twists, each with the rule the CLI
-    picks for it, plus a twist over F_(p^2) and the delta filtration."""
+    """The extension-family jobs' twists, each with the rule that
+    extension_vfilt, as the CLI does, picks for it, plus a twist over
+    F_(p^2) and the delta filtration."""
     out = {}
     for p in (5, 7):
         ctx, big = make_field(p, 1), make_field(p, 2)
         twists = [(ctx, c) for c in ("0", "t^-2", "t^-3", f"t^-{p + 1}", f"2t^-{2 * p + 1}+t^-1+3t^2")]
         for F, c in twists + [(big, "t^-2+t^-1"), (big, f"t^-{p + 1}")]:
-            mod = build_extension(F, parse_series(F, c))
-            if mod.split:
-                spec = split_vfilt(mod)
-            elif mod.n % p:
-                spec = mc_vfilt(mod)
-            else:
-                spec = mc_depth_grading(mod)
+            spec = extension_vfilt(build_extension(F, parse_series(F, c)))
             out[f"F{F.order}-{spec.rule}-{c}"] = spec
         out[f"F{p}-delta"] = delta_vfilt(ctx)
     return out

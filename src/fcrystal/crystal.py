@@ -268,10 +268,6 @@ class ExtensionModule:
     def split(self) -> bool:
         return self.n is None
 
-    @property
-    def kind(self):
-        return ("ext", id(self.ctx))
-
     def f_monomial(self, i: int):
         return (LaurentSeries.monomial(self.ctx, i), LaurentSeries.zero(self.ctx))
 

@@ -650,8 +650,11 @@ def embed_field(small: FieldCtx, big: FieldCtx) -> Embedding:
     The subfield of big of degree small.m is the kernel of phi^m - id
     for phi the Frobenius matrix; its elements are enumerated (bounded
     by the small field's order) and the lexicographically smallest root
-    of small's modulus picked, so the embedding is deterministic.
+    of small's modulus picked, so the embedding is deterministic.  A
+    field embeds into itself by the identity, which needs no search.
     """
+    if small is big:  # x, coded p, is the least root: constants code below p, the rest above
+        return Embedding(big, big, tuple(big.decode(big.p**t) for t in range(big.m)))
     if small.p != big.p or big.m % small.m != 0:
         raise InvalidInputError(
             f"no embedding: F_{{{small.p}^{small.m}}} into F_{{{big.p}^{big.m}}}"
@@ -697,17 +700,37 @@ def embed_field(small: FieldCtx, big: FieldCtx) -> Embedding:
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Fixed points of a semilinear operator after base extension."""
+    """Fixed points of a semilinear operator after base extension.
+
+    basis holds the fixed vectors over field; rows and pivots are the
+    same basis as echelonized F_p rows of the flat coordinates (vector
+    entry j's coefficients at j*m, ..., j*m + m - 1, m = field.m), in
+    which coords reads coordinates off.
+    """
 
     degree: int
     field: FieldCtx
     embedding: Embedding
     basis: tuple
+    rows: tuple
+    pivots: tuple
     profile: tuple  # (r, fixed dimension) for every degree tried
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def coords(self, vectors):
+        """The F_p matrix whose column j holds vectors[j] in the basis,
+        or None when a vector is not fixed."""
+        big, cols = self.field, []
+        for v in vectors:
+            flat = [c for x in v for c in big.coeffs(x)]
+            col = linalg.express_int(self.rows, self.pivots, flat, big.p)
+            if col is None:
+                return None
+            cols.append(col)
+        return tuple(zip(*cols))
 
 
 def saturate_fixed_points(
@@ -742,7 +765,7 @@ def saturate_fixed_points(
     if cap < 1:
         raise CapExceededError(message, ())
     big, emb = ctx, embed_field(ctx, ctx)
-    rows, _ = _fixed_point_rows(ctx, op.entries)
+    rows, pivots = _fixed_point_rows(ctx, op.entries)
     profile = [(1, len(rows))]
     if len(rows) < n:
         lanes, flat = _flat_rows(ctx, op.entries)
@@ -759,10 +782,10 @@ def saturate_fixed_points(
             raise CapExceededError(message, tuple(profile))
         big = make_field(p, m * r)
         emb = embed_field(ctx, big)
-        rows, _ = _fixed_point_rows(big, emb.map_matrix(op.entries))
+        rows, pivots = _fixed_point_rows(big, emb.map_matrix(op.entries))
         if len(rows) != n:
             raise RuntimeError(
                 f"N^{r} = I but the fixed space over F_{{{p}^{m * r}}} has rank {len(rows)} < {n}"
             )
     basis = tuple(_decode_flat(big, fr, n) for fr in rows)
-    return SaturationResult(len(profile), big, emb, basis, tuple(profile))
+    return SaturationResult(len(profile), big, emb, basis, tuple(rows), tuple(pivots), tuple(profile))

@@ -41,7 +41,7 @@ from .crystal import (
     build_kummer_crystal,
     weight_decompose,
 )
-from .errors import InvalidInputError
+from .errors import CapExceededError, InvalidInputError
 from .field import (
     DEFAULT_SATURATION_CAP,
     SaturationResult,
@@ -190,10 +190,6 @@ def _transition_failure(obj1: CGObject, obj2: CGObject, gmats):
     return {"status": "fail", "square": "transition", "witness": {"class": a}}
 
 
-def _flatten_vec(ctx, vec):
-    return [x for el in vec for x in ctx.coeffs(el)]
-
-
 # ---------------------------------------------------------------------------
 # the two functors
 
@@ -215,14 +211,6 @@ class GResult:
 
     rep: CyclicRep
     saturation: SaturationResult
-    source: CGObject
-
-    def to_json(self):
-        return {
-            "rep": self.rep.to_json(),
-            "saturation_degree": self.saturation.degree,
-            "saturation_profile": [list(t) for t in self.saturation.profile],
-        }
 
 
 def functor_G(obj: CGObject, cap: int = DEFAULT_SATURATION_CAP) -> GResult:
@@ -236,8 +224,7 @@ def functor_G(obj: CGObject, cap: int = DEFAULT_SATURATION_CAP) -> GResult:
     success certifies the entries.
     """
     sat = _saturate(obj, cap)
-    mat = _sigma_matrix(obj, *_fixed_data(obj, sat, sat.degree))
-    return GResult(CyclicRep(obj.d, obj.ctx.p, mat), sat, obj)
+    return GResult(CyclicRep(obj.d, obj.ctx.p, _sigma_matrix(obj, sat.embedding, sat)), sat)
 
 
 def _saturate(obj: CGObject, cap: int) -> SaturationResult:
@@ -247,19 +234,16 @@ def _saturate(obj: CGObject, cap: int) -> SaturationResult:
 
 
 def _fixed_data(obj: CGObject, sat: SaturationResult, degree: int):
-    """(field, embedding, fixed vectors, their F_p rref rows and pivots)
-    over the degree-`degree` extension; sat is reused at its own degree.
-    The vectors are decoded rref kernel rows: flattening gives them back."""
-    ctx = obj.ctx
+    """(embedding of obj's field, fixed space) over the degree-`degree`
+    extension, a multiple of sat's degree; sat is reused at its own."""
     if degree == sat.degree:
-        big, emb, vecs = sat.field, sat.embedding, sat.basis
-    else:
-        big = make_field(ctx.p, ctx.m * degree)
-        emb = embed_field(ctx, big)
-        vecs = semilinear_fixed_points(big, emb.map_matrix(_flat(obj)))
-    rows = [_flatten_vec(big, v) for v in vecs]
-    piv = [next(j for j, x in enumerate(r) if x) for r in rows]
-    return big, emb, vecs, rows, piv
+        return sat.embedding, sat
+    ctx = obj.ctx
+    emb = embed_field(ctx, make_field(ctx.p, ctx.m * degree))
+    try:
+        return emb, saturate_fixed_points(emb.big, emb.map_matrix(_flat(obj)), 1)
+    except CapExceededError:
+        raise InvalidInputError("fixed spaces did not stay saturated over the common field") from None
 
 
 def weight_dims_full(rep: CyclicRep, ctx):
@@ -617,23 +601,19 @@ def naturality_check_F(rep1: CyclicRep, rep2: CyclicRep, fmat, ctx) -> dict:
     }
 
 
-def _sigma_matrix(obj: CGObject, big, emb, vecs, rows, piv):
-    """The generator's action, xi^a on class a, in the F_p-basis of vecs."""
-    ctx = obj.ctx
-    xi_big = emb.map(primitive_root_of_unity(ctx, obj.d))
+def _sigma_matrix(obj: CGObject, emb, fixed: SaturationResult):
+    """The generator's action, xi^a on class a, in the F_p-basis of the
+    fixed space; emb carries obj's field into fixed.field."""
+    big = fixed.field
+    xi_big = emb.map(primitive_root_of_unity(obj.ctx, obj.d))
     scal = []
     for a, n in enumerate(obj.dims):
         if n:
             scal += [big.pow(xi_big, a)] * n
-    cols = []
-    for w in vecs:
-        sw = [big.mul(s, x) for s, x in zip(scal, w)]
-        coords = linalg.express_int(rows, piv, _flatten_vec(big, sw), ctx.p)
-        if coords is None:
-            raise InvalidInputError("group action left the fixed space; object data inconsistent")
-        cols.append(coords)
-    n = len(vecs)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    mat = fixed.coords([[big.mul(s, x) for s, x in zip(scal, w)] for w in fixed.basis])
+    if mat is None:
+        raise InvalidInputError("group action left the fixed space; object data inconsistent")
+    return mat
 
 
 def naturality_check_G(
@@ -662,25 +642,18 @@ def naturality_check_G(
         return failure
     sat1, sat2 = _saturate(obj1, cap), _saturate(obj2, cap)
     degree = math.lcm(sat1.degree, sat2.degree)
-    big, emb, vecs1, rows1, piv1 = _fixed_data(obj1, sat1, degree)
-    big2, emb2, vecs2, rows2, piv2 = _fixed_data(obj2, sat2, degree)
-    if len(vecs1) != obj1.rank or len(vecs2) != obj2.rank:
-        raise InvalidInputError("fixed spaces did not stay saturated over the common field")
-    G = emb.map_matrix(_blocks(ctx, obj2.dims, obj1.dims, gmats, lambda a: a))
-    cols = []
-    for w in vecs1:
-        img = linalg.mat_vec(big, G, w)
-        coords = linalg.express_int(rows2, piv2, _flatten_vec(big, img), ctx.p)
-        if coords is None:
-            return {
-                "status": "fail",
-                "square": "fixed-spaces",
-                "witness": {"reason": "image of a fixed vector is not fixed"},
-            }
-        cols.append(coords)
-    G = tuple(tuple(cols[j][i] for j in range(obj1.rank)) for i in range(obj2.rank))
-    s1 = _sigma_matrix(obj1, big, emb, vecs1, rows1, piv1)
-    s2 = _sigma_matrix(obj2, big2, emb2, vecs2, rows2, piv2)
+    emb1, fixed1 = _fixed_data(obj1, sat1, degree)
+    emb2, fixed2 = _fixed_data(obj2, sat2, degree)
+    G = emb1.map_matrix(_blocks(ctx, obj2.dims, obj1.dims, gmats, lambda a: a))
+    G = fixed2.coords([linalg.mat_vec(fixed1.field, G, w) for w in fixed1.basis])
+    if G is None:
+        return {
+            "status": "fail",
+            "square": "fixed-spaces",
+            "witness": {"reason": "image of a fixed vector is not fixed"},
+        }
+    s1 = _sigma_matrix(obj1, emb1, fixed1)
+    s2 = _sigma_matrix(obj2, emb2, fixed2)
     lhs = linalg.mat_mul_int(s2, G, p)
     rhs = linalg.mat_mul_int(G, s1, p)
     if lhs != rhs:

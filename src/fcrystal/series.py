@@ -11,8 +11,8 @@ the punctured disk are Laurent polynomials in t.
 The public constructor takes a dict {exponent: coefficient} and drops
 zero coefficients; ``coeffs`` gives that dict back.  The operations
 build the canonical form directly: ``pole_part`` keeps a prefix of the
-terms, ``frob``, ``neg`` and ``smul`` by a nonzero scalar map them (each
-injective on coefficients), ``add`` merges two sorted tuples, and
+terms, ``frob`` and ``neg`` map them (each injective on
+coefficients), ``add`` merges two sorted tuples, and
 ``mul`` by a one-term series scales and shifts the other's terms.
 """
 
@@ -98,12 +98,6 @@ class LaurentSeries:
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
-
-    def smul(self, scalar) -> "LaurentSeries":
-        ctx = self.ctx
-        if ctx.is_zero(scalar):
-            return _series(ctx, None, ())
-        return _series(ctx, self.v, tuple((o, ctx.mul(scalar, c)) for o, c in self.terms))
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)

@@ -56,11 +56,13 @@ from .series import LaurentSeries, level_json
 # ---------------------------------------------------------------------------
 # sections
 #
-# A spec's module provides ctx, kind, apply_F, mul_t and mul_t_pow, on
+# A spec's module provides ctx, apply_F, mul_t and mul_t_pow, on
 # sections with value equality (==): Kummer sections are canonical
 # (valuation, terms) tuples, extension sections are pairs of
 # LaurentSeries.  ExtensionModule provides them itself (and add, which
 # shifted_exactness uses); Kummer crystals go through KummerSections.
+# Modules compare by value too: two are one module when their crystals,
+# or their ExtensionModules, are equal.
 
 
 class KummerSections:
@@ -85,12 +87,11 @@ class KummerSections:
         self.ctx = kc.ctx
         self.rank = kc.rank
         self.d = kc.d
-        self.kind = ("kummer", kc.d, kc.rank, id(kc.ctx))
         self.terms = {a: tuple([((0, u),) for u in rows]) for a, (rows, _) in kc.bases.items()}
         self._frob = {}  # terms -> the terms of their Frobenius image
 
-    def zero(self):
-        return ()
+    def __eq__(self, other):
+        return isinstance(other, KummerSections) and self.kc == other.kc
 
     def monomial(self, a: int, i: int, e: int):
         return (e, self.terms[a][i])
@@ -272,10 +273,11 @@ class KummerVFilt(FiltrationSpec):
                     yield (e, i), self.module.monomial(a, i, e)
 
     def family(self, window):
-        # for compare: keyed by the reduced level, presentations over d and d*e agree
+        # for compare: the reduced level and basis index of each spanning
+        # section, so presentations over d and d*e give the same keys
         for (e, i), _ in self.spanning(window):
             g = gcd(e, self.d)
-            yield ("w", e // g, self.d // g, i), e
+            yield ("w", e // g, self.d // g, i)
 
     def t_preimage(self, y):
         return self.module.mul_t_pow(y, -1)
@@ -1015,35 +1017,33 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
     inside the second (levels never larger); "reverse-contained": the
     opposite; "incomparable": neither, with a witness.  Specs on two
     modules are incomparable unless both are Kummer presentations (d and
-    d*e), compared by family key.  Levels are compared cross-multiplied.
+    d*e), which are equal when their family keys, reduced levels, agree.
+    Levels are compared cross-multiplied.
     """
-    den1, den2 = spec1.den, spec2.den
-    concrete = spec1.module.kind == spec2.module.kind
-    pairs = []  # (namer, key, level 1, level 2): namer(key) is the section's name
-    if concrete:
-        for spec in (spec1, spec2):
-            for key, x in spec.spanning(window):
-                l1, l2 = spec1.ilevel(x), spec2.ilevel(x)
-                if l1 is None and l2 is None:
-                    continue
-                if l1 is None or l2 is None:
-                    return {
-                        "verdict": "incomparable",
-                        "witness": {"section": spec.section_label(key), "reason": "finite level on one side only"},
-                    }
-                pairs.append((spec.section_label, key, l1 * den2, l2 * den1))
-    elif isinstance(spec1, KummerVFilt) and isinstance(spec2, KummerVFilt):
-        fam1 = dict(spec1.family(window))
-        fam2 = dict(spec2.family(window))
-        if set(fam1) != set(fam2):
-            diff = sorted(set(map(str, set(fam1) ^ set(fam2))))[:4]
+    if spec1.module != spec2.module:
+        if not (isinstance(spec1, KummerVFilt) and isinstance(spec2, KummerVFilt)):
+            return {"verdict": "incomparable", "witness": {"reason": "the filtrations are on different modules"}}
+        fam1, fam2 = set(spec1.family(window)), set(spec2.family(window))
+        if fam1 != fam2:
+            diff = sorted(set(map(str, fam1 ^ fam2)))[:4]
             return {
                 "verdict": "incomparable",
                 "witness": {"reason": "spanning families differ", "keys": diff},
             }
-        pairs = [(str, k, fam1[k] * den2, fam2[k] * den1) for k in fam1]
-    else:
-        return {"verdict": "incomparable", "witness": {"reason": "the filtrations are on different modules"}}
+        return {"verdict": "equal", "sections": len(fam1)}
+    den1, den2 = spec1.den, spec2.den
+    pairs = []  # (spec, key, level 1, level 2): spec.section_label(key) names the section
+    for spec in (spec1, spec2):
+        for key, x in spec.spanning(window):
+            l1, l2 = spec1.ilevel(x), spec2.ilevel(x)
+            if l1 is None and l2 is None:
+                continue
+            if l1 is None or l2 is None:
+                return {
+                    "verdict": "incomparable",
+                    "witness": {"section": spec.section_label(key), "reason": "finite level on one side only"},
+                }
+            pairs.append((spec, key, l1 * den2, l2 * den1))
 
     le = all(l1 <= l2 for _, _, l1, l2 in pairs)
     ge = all(l1 >= l2 for _, _, l1, l2 in pairs)
@@ -1059,8 +1059,8 @@ def compare(spec1: FiltrationSpec, spec2: FiltrationSpec, window) -> dict:
     return {
         "verdict": "incomparable",
         "witness": {
-            "deeper_in_first": {"section": wit[0](wit[1]), "levels": [level_json(wit[2], den), level_json(wit[3], den)]},
-            "deeper_in_second": {"section": wit2[0](wit2[1]), "levels": [level_json(wit2[2], den), level_json(wit2[3], den)]},
+            "deeper_in_first": {"section": wit[0].section_label(wit[1]), "levels": [level_json(wit[2], den), level_json(wit[3], den)]},
+            "deeper_in_second": {"section": wit2[0].section_label(wit2[1]), "levels": [level_json(wit2[2], den), level_json(wit2[3], den)]},
         },
     }
 

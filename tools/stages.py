@@ -1,6 +1,6 @@
 """Per-stage times of one seeded benchmark block, in-process, as JSON.
 
-    python3 tools/stages.py [--workload corpus|jobs] [--seed 1] [--rounds 15] [--calls]
+    python3 tools/stages.py [--workload corpus|jobs|heavy] [--seed 1] [--rounds 15] [--calls]
 
 The tool runs the benchmark's own ops.  A stage is a set of cut points,
 the library bindings in CUTS, wrapped while the tool runs so that a call
@@ -14,7 +14,10 @@ calls _sweep and both checkers as vfilt globals, so the wrappers see it.
 [-64, 64), cut at the first five stages.  --workload jobs runs the pole
 `check` and `vfilt` ops of the first `jobs` block (cli.main on split, mc
 and depth-grading extensions over F_5 and F_7 on [-16, 16)), cut at all
-seven.  Each round times op.run() for every op and nothing else.  A
+seven.  --workload heavy runs the whole first `heavy` block: its 8 CLI
+ops (recover and vfilt on regular and seeded low-rank reps over F_64,
+F_125 and F_49, each with its own window, so "window" reads null), cut
+at all seven.  Each round times op.run() for every op and nothing else.  A
 stage's time is its sum over the block; other_ms is the ops' time
 outside every stage (for a job: argv parsing, the result dict).  The
 JSON gives each minimum over the rounds, in ms (round-to-round spread on
@@ -46,7 +49,7 @@ import fcrystal  # noqa: E402
 import fcrystal.samples  # noqa: E402,F401  (setup_corpus reads fc.samples)
 from fcrystal import cli, vfilt  # noqa: E402
 from fcrystal.vfilt import AxiomReport, GradedReport  # noqa: E402
-from workloads import POLE_WINDOW, setup_corpus, setup_jobs  # noqa: E402
+from workloads import POLE_WINDOW, setup_corpus, setup_heavy, setup_jobs  # noqa: E402
 
 # stage -> the (owner, attribute) bindings it times
 CUTS = {
@@ -126,7 +129,7 @@ def stage_calls(profile):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=("corpus", "jobs"), default="corpus")
+    parser.add_argument("--workload", choices=("corpus", "jobs", "heavy"), default="corpus")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--calls", action="store_true", help="add per-stage call counts from one profiled round")
@@ -136,12 +139,15 @@ def main(argv=None) -> int:
     if args.workload == "corpus":
         block = setup_corpus(fcrystal, args.seed).blocks[0]
         window, stages, size, verdict = block[0].WINDOW, STAGES, "crystals", "all_pass"
-    else:
+    elif args.workload == "jobs":
         block = [
             op for op in setup_jobs(fcrystal, args.seed).blocks[0]
             if op.name.startswith("pole_") and op.name.endswith(("_check", "_vfilt"))
         ]
         window, stages, size, verdict = (-POLE_WINDOW, POLE_WINDOW), JOB_STAGES, "ops", "reproduced"
+    else:
+        block = setup_heavy(fcrystal, args.seed).blocks[0]
+        window, stages, size, verdict = None, JOB_STAGES, "ops", "reproduced"
     best = dict.fromkeys(stages + ("other",), float("inf"))
     digests, all_ok = {}, True
     with cut_points(stages) as tally:
@@ -158,7 +164,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         size: len(block),
-        "window": list(window),
+        "window": window and list(window),
         "rounds": args.rounds,
         "python": platform.python_version(),
         verdict: all_ok,
